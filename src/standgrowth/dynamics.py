@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,13 +100,15 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.levels) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more level than breakpoints")
+        if not all(math.isfinite(b) for b in self.breakpoints):
+            raise ValueError(f"breakpoints must be finite (got {self.breakpoints})")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if self.breakpoints and self.breakpoints[0] <= 0.0:
             raise ValueError("breakpoints must be positive")
         for lv in self.levels:
-            if lv is not HOLD and float(lv) < 0.0:
-                raise ValueError(f"thinning rates must be non-negative (got {lv})")
+            if lv is not HOLD and not 0.0 <= float(lv) < math.inf:
+                raise ValueError(f"thinning rates must be finite and non-negative (got {lv})")
 
     @classmethod
     def zero(cls) -> "Policy":

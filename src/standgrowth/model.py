@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "StandParams",
@@ -187,6 +186,24 @@ class GrowthFunction:
                 return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
             return self.theta * r ** (self.theta - 1.0)
         return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
+
+    def density_integral(self, r, b: float):
+        """Int_r^1 u**b / g(u) du for 0 < r <= 1 and b > 0, in closed form.
+
+        Every variant reduces to tails Int_r^1 u**(c-1) du = (1 - r**c)/c,
+        evaluated as -expm1(c ln r)/c so that no digits cancel as r -> 1 or
+        c -> 0 (the latter as q -> 2 with b = 2/q - 1).
+        """
+        log_r = np.log(r)
+
+        def tail(c):
+            return -np.expm1(c * log_r) / c
+
+        if self.kind == "fagacees":
+            return tail(b + 1.0) / (1.0 + self.p) + tail(b) * (self.p / (1.0 + self.p))
+        if self.kind == "power":
+            return tail(b + self.theta)
+        return tail(b)
 
     def gamma(self, r):
         """Elasticity r g'(r) / g(r); lies in (0, 1] under concavity."""
@@ -366,12 +383,3 @@ def energy(env: Environment, t0: float, t1: float) -> float:
         raise ValueError(f"need 0 <= t0 <= t1 (got t0={t0}, t1={t1})")
     return float(env.v.integral(t0, t1))
 
-
-def energy_quad(env: Environment, t0: float, t1: float, rtol: float = 1e-10) -> float:
-    """Cumulative energy by adaptive quadrature (fallback / cross-check path)."""
-    if not 0.0 <= t0 <= t1:
-        raise ValueError(f"need 0 <= t0 <= t1 (got t0={t0}, t1={t1})")
-    if t0 == t1:
-        return 0.0
-    val, _ = quad(env.v.value, t0, t1, epsrel=rtol, limit=200)
-    return float(val)

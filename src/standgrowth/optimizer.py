@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +75,34 @@ class Prop2Report:
         }
 
 
+def _require_admissible_horizon(scenario: Scenario, horizon: float, t_upper=None):
+    """Reject a horizon that is not finite and positive or exceeds the maximal
+    exit time (beyond it no admissible trajectory exists); returns that time.
+
+    ``t_upper`` is the scenario's :func:`t_cap0` when the caller has it.
+    """
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive (got {horizon})")
+    if t_upper is None:
+        t_upper = t_cap0(scenario)
+    if not is_unreachable(t_upper) and horizon > t_upper * (1.0 + 1e-9):
+        raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
+    return t_upper
+
+
 def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
                 *, terminal_n_min: bool = False, grid: int = 1024,
-                xi_m: XiLowerBound | None = None) -> Prop2Report:
+                xi_m: XiLowerBound | None = None, t_upper=None) -> Prop2Report:
     """Evaluate the sufficient-optimality conditions on a time grid.
 
-    Requires the horizon not to exceed the maximal exit time (beyond it no
-    admissible trajectory exists).  Returns the first satisfied branch:
+    Requires the horizon not to exceed the maximal exit time ``t_upper``
+    (computed when not given).  Returns the first satisfied branch:
     convex-price cut-first optimality (power growth only), then concave-price
     ceiling-riding optimality (``ETOptimal`` instead when ``terminal_n_min``).
     """
     p = scenario.params
     growth = scenario.growth
-    t_upper = t_cap0(scenario)
-    if not is_unreachable(t_upper) and horizon > t_upper * (1.0 + 1e-9):
-        raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
+    _require_admissible_horizon(scenario, horizon, t_upper)
 
     if xi_m is None:
         xi_m = xi_lower_bound(scenario, horizon)
@@ -346,9 +360,12 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     only schedules ending at n(T) = n_min compete.  The screening pass runs
     at roughly 1024 steps over the horizon; the best ``rescore_top``
     candidates and all canonical policies are re-integrated at ``fine_step``
-    (default horizon/4096) before the final comparison.
+    (default horizon/4096) before the final comparison.  A horizon that is
+    not finite and positive, or exceeds the maximal exit time, is rejected
+    before any candidate is screened.
     """
     p = scenario.params
+    t_upper = _require_admissible_horizon(scenario, horizon)
     if not 1 <= n_intervals <= 10:
         raise ValueError("n_intervals must lie in 1..10")
     codes = []
@@ -419,7 +436,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
 
-    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min)
+    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min,
+                       t_upper=t_upper)
     feasible_canon = [v for v in canonical_values.values() if v is not None]
     gap = best[0] - max(feasible_canon) if feasible_canon else float("nan")
     return SearchResult(

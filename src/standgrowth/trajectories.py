@@ -11,7 +11,10 @@ Their switch times have closed defining equations in terms of the cumulative
 energy.  With zero cutting the count is constant and separating variables in
 the density equation gives the ceiling-hit time t_up as the root of
 
-    (q/2) n0**(2/q-1) A**(2/q) * Energy(0, t_up) = Int_{r0}^{1} u**(2/q-1)/g(u) du.
+    (q/2) n0**(2/q-1) A**(2/q) * Energy(0, t_up) = Int_{r0}^{1} u**(2/q-1)/g(u) du,
+
+whose right side is elementary for every growth variant
+(:meth:`GrowthFunction.density_integral`).
 
 On the ceiling itself (r = 1) the count obeys a separable equation whose
 integral form is
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._rootfind import bisect, solve_increasing
 from .dynamics import HOLD, Policy, integrate
@@ -81,19 +83,6 @@ def time_to_count(params: StandParams, n0: float, n: float) -> float:
     return (n0 - n) / params.e_max
 
 
-def _density_integral(scenario: Scenario, r_lo: float, r_hi: float = 1.0) -> float:
-    """Integral of u**(2/q-1)/g(u) over [r_lo, r_hi] (adaptive quadrature)."""
-    q = scenario.params.q
-    g = scenario.growth.g
-    expo = 2.0 / q - 1.0
-
-    def integrand(u: float) -> float:
-        return u ** expo / g(u)
-
-    val, _ = quad(integrand, r_lo, r_hi, epsrel=1e-10, limit=200)
-    return float(val)
-
-
 def t_sup0(scenario: Scenario):
     """First time the density reaches the ceiling under zero cutting.
 
@@ -103,7 +92,7 @@ def t_sup0(scenario: Scenario):
     """
     p = scenario.params
     r0 = scenario.rdi0
-    target = _density_integral(scenario, r0)
+    target = float(scenario.growth.density_integral(r0, 2.0 / p.q - 1.0))
     coeff = p.q / 2.0 * scenario.initial.n ** (2.0 / p.q - 1.0) * p.A ** (2.0 / p.q)
 
     root = solve_increasing(lambda T: coeff * energy(scenario.env, 0.0, T) - target,

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +122,16 @@ class TestSimulateCommand:
                      "--horizon", "20", "--out", str(out)])
         assert code == 0
 
+    def test_non_finite_piecewise_level_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "policy.json"
+        spec.write_text('{"breakpoints": [5.0], "levels": [NaN, 0.0]}')
+        out = tmp_path / "pw.csv"
+        code = main(["simulate", str(SCENARIO_DIR / "fagacees.ini"), f"pw:{spec}",
+                     "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_exits_one(self, scenario_file, tmp_path, capsys):
         path = scenario_file(q=2.5)
         code = main(["simulate", str(path), "zero", "--out", str(tmp_path / "x.csv")])
@@ -204,3 +218,15 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["pass"] is False
         assert len(payload["violations"]) > 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not pull it back in.
+    src = str(pathlib.Path(sg.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, standgrowth.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -193,3 +193,19 @@ class TestExports:
         arc = traj.on_arc
         expected = sg.boundary_control(p, scn.env, traj.s[arc], traj.t[arc])
         np.testing.assert_allclose(traj.e[arc], expected, rtol=1e-12)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_level_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sg.Policy.piecewise([5.0], [bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_breakpoint_rejected(self, bad):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            sg.Policy.piecewise([bad], [10.0, 0.0])
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sg.Policy.piecewise([], [-1.0])

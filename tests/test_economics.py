@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 import standgrowth as sg
+from standgrowth.economics import _simpson
 
 
 class TestPrice:
@@ -64,6 +66,30 @@ class TestDeltaH:
         econ = sg.EconomicModel(k=1.0, alpha=1.0, delta=0.05)
         with pytest.raises(ZeroDivisionError):
             sg.delta_h(econ, convex_price.scenario.env, 0.0)
+
+
+class TestSimpson:
+    # Differential test against scipy's rule, whose arithmetic the numpy
+    # version reproduces (Cartwright's last-interval correction for an even
+    # sample count, the trapezoid for two samples).
+    @pytest.mark.parametrize("spacing", ["uniform", "irregular"])
+    def test_matches_scipy(self, spacing, rng):
+        for n in range(2, 61):
+            for _ in range(5):
+                if spacing == "uniform":
+                    x = np.linspace(rng.uniform(0.0, 5.0), rng.uniform(6.0, 40.0), n)
+                else:
+                    x = np.cumsum(rng.uniform(0.01, 2.0, size=n))
+                y = np.exp(rng.normal(size=n))
+                assert _simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_exact_on_quadratics(self, n, rng):
+        x = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+        y = 3.0 * x ** 2 - x + 0.5
+        exact = (x[-1] ** 3 - x[0] ** 3) - 0.5 * (x[-1] ** 2 - x[0] ** 2) \
+            + 0.5 * (x[-1] - x[0])
+        assert _simpson(y, x) == pytest.approx(exact, rel=1e-12)
 
 
 class TestObjective:

@@ -42,6 +42,21 @@ class TestProp2Conditions:
 
 
 class TestBruteForce:
+    @pytest.mark.parametrize("excess", ["too_long", "nan", "inf", "zero", "negative"])
+    def test_bad_horizon_rejected_before_screening(self, convex_price, monkeypatch, excess):
+        horizon = {"too_long": sg.t_cap0(convex_price.scenario) + 1.0,
+                   "nan": float("nan"), "inf": float("inf"), "zero": 0.0,
+                   "negative": -5.0}[excess]
+
+        def screen(*args, **kwargs):
+            raise AssertionError("screened a candidate before checking the horizon")
+
+        monkeypatch.setattr("standgrowth.optimizer._screen_candidates", screen)
+        message = "maximal exit time" if excess == "too_long" else "finite and positive"
+        with pytest.raises(ValueError, match=message):
+            sg.brute_force(convex_price.scenario, convex_price.economics, horizon,
+                           n_intervals=2)
+
     def test_small_search_beats_canonicals(self, convex_price):
         res = sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
                              n_intervals=2)

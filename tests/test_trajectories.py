@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import standgrowth as sg
@@ -25,6 +28,34 @@ class TestTimeToCount:
     def test_rejects_growth_targets(self, convex_price):
         with pytest.raises(ValueError):
             sg.time_to_count(convex_price.scenario.params, 300.0, 400.0)
+
+
+class TestDensityIntegral:
+    # Differential test: the closed forms behind t_sup0 against adaptive
+    # quadrature, which t_sup0 used before.  The oracle integrates in
+    # v = ln u, where the integrand u**b * u/g(u) stays smooth even for r_lo
+    # near 0 and q near 2.
+    @staticmethod
+    def quad_oracle(growth, b, r_lo):
+        def integrand(v):
+            u = math.exp(v)
+            return u ** b * (u / growth.g(u))
+
+        val, _ = quad(integrand, math.log(r_lo), 0.0, epsrel=1e-12, epsabs=0.0,
+                      limit=200)
+        return val
+
+    @given(q=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+           theta=st.floats(0.0, 1.0, exclude_max=True),
+           p=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           r_lo=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_quadrature(self, q, theta, p, r_lo):
+        b = 2.0 / q - 1.0
+        for growth in (sg.GrowthFunction.power(theta), sg.GrowthFunction.linear(),
+                       sg.GrowthFunction.fagacees(p)):
+            assert growth.density_integral(r_lo, b) == pytest.approx(
+                self.quad_oracle(growth, b, r_lo), rel=1e-9)
 
 
 class TestCeilingHitTime:
