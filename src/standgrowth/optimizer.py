@@ -75,34 +75,29 @@ class Prop2Report:
         }
 
 
-def _require_admissible_horizon(scenario: Scenario, horizon: float, t_upper=None):
+def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
     """Reject a horizon that is not finite and positive or exceeds the maximal
-    exit time (beyond it no admissible trajectory exists); returns that time.
-
-    ``t_upper`` is the scenario's :func:`t_cap0` when the caller has it.
-    """
+    exit time (beyond it no admissible trajectory exists)."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
-    if t_upper is None:
-        t_upper = t_cap0(scenario)
+    t_upper = t_cap0(scenario)
     if not is_unreachable(t_upper) and horizon > t_upper * (1.0 + 1e-9):
         raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
-    return t_upper
 
 
 def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
                 *, terminal_n_min: bool = False, grid: int = 1024,
-                xi_m: XiLowerBound | None = None, t_upper=None) -> Prop2Report:
+                xi_m: XiLowerBound | None = None) -> Prop2Report:
     """Evaluate the sufficient-optimality conditions on a time grid.
 
-    Requires the horizon not to exceed the maximal exit time ``t_upper``
-    (computed when not given).  Returns the first satisfied branch:
+    Requires the horizon not to exceed the maximal exit time (beyond it no
+    admissible trajectory exists).  Returns the first satisfied branch:
     convex-price cut-first optimality (power growth only), then concave-price
     ceiling-riding optimality (``ETOptimal`` instead when ``terminal_n_min``).
     """
     p = scenario.params
     growth = scenario.growth
-    _require_admissible_horizon(scenario, horizon, t_upper)
+    _require_admissible_horizon(scenario, horizon)
 
     if xi_m is None:
         xi_m = xi_lower_bound(scenario, horizon)
@@ -365,7 +360,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     before any candidate is screened.
     """
     p = scenario.params
-    t_upper = _require_admissible_horizon(scenario, horizon)
+    _require_admissible_horizon(scenario, horizon)
     if not 1 <= n_intervals <= 10:
         raise ValueError("n_intervals must lie in 1..10")
     codes = []
@@ -436,8 +431,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
 
-    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min,
-                       t_upper=t_upper)
+    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min)
     feasible_canon = [v for v in canonical_values.values() if v is not None]
     gap = best[0] - max(feasible_canon) if feasible_canon else float("nan")
     return SearchResult(
