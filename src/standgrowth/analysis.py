@@ -227,24 +227,6 @@ def _sdot(scenario: Scenario, traj: Trajectory) -> np.ndarray:
     return scenario.growth.g(r) / traj.n * scenario.env.v(traj.t)
 
 
-def xi_lower_bound(scenario: Scenario, horizon: float,
-                   step: float | None = None, *, form: str | None = None) -> XiLowerBound:
-    p = scenario.params
-    hi = integrate(scenario, build_policy(scenario, "esup"), horizon, step=step)
-    sdot_hi = _sdot(scenario, hi)
-    if form is None:
-        form = "power" if scenario.growth.kind in ("power", "linear") else "general"
-    if form == "power":
-        lo = integrate(scenario, build_policy(scenario, "e0"), horizon, step=step)
-        s_cap = np.interp(hi.t, lo.t, lo.s)
-        if lo.validity_end < horizon:
-            s_cap[hi.t > lo.validity_end] = p.s_bar   # frozen past the exit corner
-    else:
-        s_cap = np.full_like(hi.t, p.s_bar)
-    vals = sdot_hi / (hi.s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
-    return XiLowerBound(t=hi.t, values=vals, form=form)
-
-
 @dataclass(frozen=True)
 class EnvelopeRefs:
     """Reference trajectories the envelope inequalities compare against.
@@ -292,6 +274,30 @@ class EnvelopeRefs:
         s = np.interp(times, self.terminal.t, self.terminal.s)
         n = np.interp(times, self.terminal.t, self.terminal.n)
         return s, n
+
+    def xi_lower_bound(self, form: str | None = None) -> XiLowerBound:
+        """xi_m on the slow reference's samples, capped by the fast reference's
+        s (form "power", the default for power and linear growth) or by s_bar."""
+        p = self.scenario.params
+        if form is None:
+            form = "power" if self.scenario.growth.kind in ("power", "linear") else "general"
+        if form == "power":
+            s_cap = self.fast_sn(self.slow.t)[0]
+        else:
+            s_cap = np.full_like(self.slow.t, p.s_bar)
+        vals = _sdot(self.scenario, self.slow) \
+            / (self.slow.s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
+        return XiLowerBound(t=self.slow.t, values=vals, form=form)
+
+
+def xi_lower_bound(scenario: Scenario, horizon: float,
+                   step: float | None = None, *, form: str | None = None) -> XiLowerBound:
+    """Standalone xi_m: integrates both references, then reads the bound off them.
+
+    Callers that already hold :class:`EnvelopeRefs` use
+    :meth:`EnvelopeRefs.xi_lower_bound` instead.
+    """
+    return EnvelopeRefs.build(scenario, horizon, step=step).xi_lower_bound(form)
 
 
 @dataclass(frozen=True)

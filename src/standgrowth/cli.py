@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import EnvelopeRefs, audit_trajectory, check_hypotheses, xi_lower_bound
+from .analysis import EnvelopeRefs, audit_trajectory, check_hypotheses
 from .config import ConfigError, load_scenario
 from .dynamics import (HOLD, InfeasibleBoundary, NonViable, Policy, integrate,
                        sample_policies, write_events_json, write_trajectory_csv)
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     horizon = _horizon(args, loaded)
     rng = np.random.default_rng(args.seed)
     refs = EnvelopeRefs.build(scenario, horizon, step=args.step)
-    xi_m = xi_lower_bound(scenario, horizon, step=args.step)
+    xi_m = refs.xi_lower_bound()
     hyp = check_hypotheses(scenario)
 
     policies = sample_policies(scenario, args.policies, rng, horizon)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import XiLowerBound, b_star, xi_lower_bound
+from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import HOLD, Policy, integrate
 from .economics import EconomicModel, delta_h, objective
 from .model import Scenario
@@ -398,6 +398,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     top = [i for i in order[:max(rescore_top, 1)] if np.isfinite(values[i])]
 
     fine_step = fine_step if fine_step is not None else horizon / 4096
+    refs = EnvelopeRefs.build(scenario, horizon, step=fine_step)
+    reference_trajs = {"E0": refs.fast, "Esup": refs.slow}
     contenders: list[tuple[str, Policy]] = []
     for i in top:
         contenders.append((f"cand{i}", _levels_to_policy(matrix[i], horizon, n_intervals)))
@@ -407,7 +409,9 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     best = None   # (value, cut_key, order_idx, name, policy)
     for idx, (name, policy) in enumerate(itertools.chain(
             canon.items(), contenders)):
-        traj = integrate(scenario, policy, horizon, step=fine_step)
+        traj = reference_trajs.get(name)
+        if traj is None:
+            traj = integrate(scenario, policy, horizon, step=fine_step)
         if not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12):
             if name in canonical_values:
                 canonical_values[name] = None
@@ -431,7 +435,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
 
-    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min)
+    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min,
+                       xi_m=refs.xi_lower_bound())
     feasible_canon = [v for v in canonical_values.values() if v is not None]
     gap = best[0] - max(feasible_canon) if feasible_canon else float("nan")
     return SearchResult(
