@@ -1,8 +1,8 @@
-"""Bracketed bisection helpers used by the characteristic-time solvers.
+"""Bracketed bisection for the one characteristic time without a closed form.
 
-All solvers in this package use plain bisection: every target function is
-monotone in its argument, brackets are cheap to establish by a doubling scan,
-and bisection gives a guaranteed absolute tolerance on the root.
+The arc-leaving time of the exact-target policy ``et`` solves a monotone
+equation with a known bracket; bisection gives a guaranteed absolute
+tolerance on its root.  Every other characteristic time is a closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ MAX_ITER = 200
 
 
 class BracketError(RuntimeError):
-    """No sign change found while scanning for a bracket."""
+    """``f`` does not change sign on the given bracket."""
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -38,23 +38,3 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def solve_increasing(f: Callable[[float], float], limit: float,
-                     xtol: float = TIME_TOL) -> float | None:
-    """First root of an increasing ``f`` on ``[0, limit]``.
-
-    The bracket is established by a doubling scan from 0.  Returns ``None``
-    when ``f`` stays negative on the whole interval (root unreachable).
-    """
-    f0 = f(0.0)
-    if f0 >= 0.0:
-        return 0.0
-    if f(limit) < 0.0:
-        return None
-    lo = 0.0
-    hi = min(limit, max(xtol, limit / 1024.0))
-    while f(hi) < 0.0:
-        lo = hi
-        hi = min(2.0 * hi, limit)
-    return bisect(f, lo, hi, xtol=xtol)

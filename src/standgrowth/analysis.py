@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 AUDIT_TOL = 1e-6        # relative tolerance of the sampled inequality checks
+H3_GRID = 1024          # time samples of the ceiling-rate check
+HYPOTHESIS_SAMPLES = 512  # random draws per sampled hypothesis check
 GAMMA_UPPER_CAP = 1.0 - 1e-9   # above this the b_star threshold is treated as infinite
 
 
@@ -90,44 +92,40 @@ class HypothesisReport:
         }
 
 
-def check_h3(scenario: Scenario, s_m=None, grid: int = 1024) -> tuple[bool, float]:
-    """Ceiling-rate feasibility: (q/2) V(t) / s_m(t) < e_max on a time grid.
+def check_h3(scenario: Scenario) -> tuple[bool, float]:
+    """Ceiling-rate feasibility: (q/2) V(t) / s(0) < e_max on a time grid.
 
-    ``s_m`` is a lower bound for the basal area at each time; the default is
-    the constant s(0), which is conservative because s never decreases.
-    Returns (pass, worst margin); the margin is e_max minus the largest rate.
+    s(0) bounds the basal area from below at every time, because s never
+    decreases, so the check is conservative.  Returns (pass, worst margin);
+    the margin is e_max minus the largest rate.
     """
     p = scenario.params
-    if s_m is None:
-        s0 = scenario.initial.s
-        s_m = lambda t: np.full_like(np.asarray(t, dtype=float), s0)
-    ts = np.linspace(0.0, p.t_star, grid)
-    rates = p.q / 2.0 * scenario.env.v(ts) / s_m(ts)
+    ts = np.linspace(0.0, p.t_star, H3_GRID)
+    rates = p.q / 2.0 * scenario.env.v(ts) / scenario.initial.s
     margin = float(p.e_max - np.max(rates))
     return margin > 0.0, margin
 
 
-def check_hypotheses(scenario: Scenario, samples: int = 512,
-                     rng: np.random.Generator | None = None) -> HypothesisReport:
-    """Sampled verification of the four standing model hypotheses."""
-    rng = rng or np.random.default_rng(0)
+def check_hypotheses(scenario: Scenario) -> HypothesisReport:
+    """Sampled verification of the four standing model hypotheses (fixed seed)."""
+    rng = np.random.default_rng(0)
     growth = scenario.growth
     env = scenario.env
     witnesses = []
 
     # H1: V positive, non-increasing, midpoint-convex.
-    ts = np.sort(rng.uniform(0.0, scenario.params.t_star, samples))
+    ts = np.sort(rng.uniform(0.0, scenario.params.t_star, HYPOTHESIS_SAMPLES))
     v = env.v(ts)
     h1 = bool(np.all(v > 0.0) and np.all(np.diff(v) <= 1e-12 * v[0]))
-    a = rng.uniform(0.0, scenario.params.t_star, samples)
-    b = rng.uniform(0.0, scenario.params.t_star, samples)
+    a = rng.uniform(0.0, scenario.params.t_star, HYPOTHESIS_SAMPLES)
+    b = rng.uniform(0.0, scenario.params.t_star, HYPOTHESIS_SAMPLES)
     mid = env.v((a + b) / 2.0)
     h1 = h1 and bool(np.all(mid <= (env.v(a) + env.v(b)) / 2.0 + 1e-12 * env.v(0.0)))
     if not h1:
         witnesses.append(("H1", float(ts[0])))
 
     # H2: g increasing, concave, above the identity on (0, 1), endpoints fixed.
-    rs = np.sort(rng.uniform(1e-4, 1.0 - 1e-4, samples))
+    rs = np.sort(rng.uniform(1e-4, 1.0 - 1e-4, HYPOTHESIS_SAMPLES))
     g = growth.g(rs)
     dg = growth.g_prime(rs)
     eps = 1e-5
@@ -222,9 +220,7 @@ class XiLowerBound:
 
 
 def _sdot(scenario: Scenario, traj: Trajectory) -> np.ndarray:
-    p = scenario.params
-    r = p.A * traj.n * traj.s ** (p.q / 2.0)
-    return scenario.growth.g(r) / traj.n * scenario.env.v(traj.t)
+    return scenario.growth.g(traj.r) / traj.n * scenario.env.v(traj.t)
 
 
 @dataclass(frozen=True)
@@ -356,15 +352,13 @@ def _collect(violations: list, mask: np.ndarray, times: np.ndarray, name: str,
 
 
 def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
-                     *, b_values=None, terminal: bool = False,
-                     xi_m: XiLowerBound | None = None,
-                     tol: float = AUDIT_TOL) -> BoundReport:
+                     *, terminal: bool = False,
+                     xi_m: XiLowerBound | None = None) -> BoundReport:
     """Check the envelope and monotonicity bounds at every trajectory sample.
 
-    ``b_values`` overrides the evaluated exponents for the weighted-product
-    comparisons; by default one admissible small b (plus q/2 when admissible)
-    and one b above b_star are used.  All product comparisons are recorded as
-    diagnostics, never asserted (see the module docstring).
+    The weighted-product comparisons use one admissible small b (plus q/2
+    when admissible) and one b above b_star.  All product comparisons are
+    recorded as diagnostics, never asserted (see the module docstring).
     ``terminal=True`` additionally audits the end-constrained envelopes
     (requires refs.terminal and only makes sense for trajectories ending at
     n_min).
@@ -382,7 +376,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     def rel_le(name: str, lhs, rhs, scale=None) -> None:
         checks.append(name)
         sc = np.abs(rhs) if scale is None else scale
-        _collect(violations, lhs > rhs + tol * np.maximum(sc, 1e-300), ts, name, lhs, rhs)
+        _collect(violations, lhs > rhs + AUDIT_TOL * np.maximum(sc, 1e-300), ts, name, lhs, rhs)
 
     # Count sandwich and basal-area envelopes.
     rel_le("n_ge_fast", n_lo, n)
@@ -399,15 +393,15 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
             rel_le("s_ge_terminal", s_T, s)
 
     # Per-tree growth sandwich and its monotonicity in time.
-    gpt = growth.g(p.A * n * s ** (p.q / 2.0)) / n
-    gpt_hi = growth.g(p.A * n_hi * s_hi ** (p.q / 2.0)) / n_hi
+    gpt = growth.g(rdi(p, n, s)) / n
+    gpt_hi = growth.g(rdi(p, n_hi, s_hi)) / n_hi
     rel_le("growth_per_tree_ge_slow", gpt_hi, gpt)
     if power:
-        gpt_lo = growth.g(p.A * n_lo * s_lo ** (p.q / 2.0)) / n_lo
+        gpt_lo = growth.g(rdi(p, n_lo, s_lo)) / n_lo
         rel_le("growth_per_tree_le_fast", gpt, gpt_lo)
     checks.append("growth_per_tree_nondecreasing")
     diffs = np.diff(gpt)
-    _collect(violations, diffs < -tol * np.abs(gpt[:-1]), ts[1:],
+    _collect(violations, diffs < -AUDIT_TOL * np.abs(gpt[:-1]), ts[1:],
              "growth_per_tree_nondecreasing", -diffs, np.zeros_like(diffs))
 
     # Weighted-product sandwiches, in log space.
@@ -416,20 +410,19 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
         thresholds = b_star(scenario)
     except ValueError:
         pass
-    if b_values is None:
-        b_values = []
-        if thresholds is not None and np.isfinite(thresholds.small_b_limit):
-            small_limit = thresholds.small_b_limit
-            if small_limit > 0.0:
-                b_values.append(("small", 0.5 * small_limit))
-                # The density-index sandwich (b = q/2) is audited only with a
-                # real margin below the admissibility threshold.
-                if p.q / 2.0 < 0.95 * small_limit:
-                    b_values.append(("small", p.q / 2.0))
-            b_values.append(("large", 1.05 * thresholds.b_star))
-        elif thresholds is None and growth.gamma_lower >= GAMMA_UPPER_CAP:
-            # Linear growth: every positive b admits the direct sandwich.
-            b_values.append(("small", p.q / 2.0))
+    b_values = []
+    if thresholds is not None and np.isfinite(thresholds.small_b_limit):
+        small_limit = thresholds.small_b_limit
+        if small_limit > 0.0:
+            b_values.append(("small", 0.5 * small_limit))
+            # The density-index sandwich (b = q/2) is audited only with a
+            # real margin below the admissibility threshold.
+            if p.q / 2.0 < 0.95 * small_limit:
+                b_values.append(("small", p.q / 2.0))
+        b_values.append(("large", 1.05 * thresholds.b_star))
+    elif thresholds is None and growth.gamma_lower >= GAMMA_UPPER_CAP:
+        # Linear growth: every positive b admits the direct sandwich.
+        b_values.append(("small", p.q / 2.0))
     ln_s, ln_n = np.log(s), np.log(n)
     ln_slo, ln_nlo = np.log(s_lo), np.log(n_lo)
     ln_shi, ln_nhi = np.log(s_hi), np.log(n_hi)
@@ -438,7 +431,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     def log_le(name: str, lhs, rhs, sink=None) -> None:
         checks.append(name)
         _collect(violations if sink is None else sink,
-                 lhs > rhs + tol, ts, name, lhs, rhs)
+                 lhs > rhs + AUDIT_TOL, ts, name, lhs, rhs)
 
     for regime, b in b_values:
         w = ln_n + b * ln_s
@@ -460,7 +453,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
         checks.append("xi_ge_xi_m")
         xi = _sdot(scenario, traj) / s
         bound = xi_m(ts)
-        _collect(violations, xi < bound - tol * np.maximum(np.abs(bound), 1e-300),
+        _collect(violations, xi < bound - AUDIT_TOL * np.maximum(np.abs(bound), 1e-300),
                  ts, "xi_ge_xi_m", bound, xi)
 
     hyp = check_hypotheses(scenario)

@@ -6,14 +6,18 @@ The state (s, n) evolves by
     dn/dt = -e(t)
 
 subject to 0 <= e <= e_max, n >= n_min, and the density ceiling r <= 1.
-Integration is classic fixed-step fourth-order Runge-Kutta with three pieces
-of event handling:
+Off the ceiling, integration is classic fixed-step fourth-order Runge-Kutta
+with this event handling:
 
-* when r crosses 1 or n crosses n_min inside a step, the crossing time is
-  localized by bisection on the step fraction (time tolerance 1e-9);
+* when r crosses 1 inside a step, the crossing time is localized by
+  bisection on the step fraction (time tolerance 1e-9);
+* when n crosses n_min inside a step, the rate is constant, so the crossing
+  time (n - n_min)/e is exact;
 * while a policy rides the density ceiling, the applied control is the
-  ceiling-holding rate (q/2) V(t)/s and the state is projected back onto
-  r = 1 after every step (rescaling s keeps the drift at round-off level);
+  ceiling-holding rate (q/2) V(t)/s, and each step follows the closed-form
+  count relation on r = 1 (:meth:`Scenario.arc_count_after`) with s =
+  (A n)**(-2/q); the arc's exhaustion time is closed-form as well
+  (:meth:`Scenario.arc_exhaustion_time`);
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
@@ -34,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Environment, Scenario, StandState
+from .model import Environment, Scenario, StandState, rdi
 
 __all__ = [
     "HOLD",
@@ -54,6 +58,7 @@ __all__ = [
 EVENT_TIME_TOL = 1e-9       # bisection tolerance for event times
 EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) corner
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
+SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
 
 
 class _HoldLevel:
@@ -136,13 +141,6 @@ class Policy:
             i += 1
         return i
 
-    def level_at(self, t: float):
-        return self.levels[self.segment_index(t)]
-
-    def max_level(self) -> float:
-        rates = [float(lv) for lv in self.levels if lv is not HOLD]
-        return max(rates) if rates else 0.0
-
     def meta_dict(self) -> dict:
         return dict(self.meta)
 
@@ -192,10 +190,6 @@ class Trajectory:
         for arr in (self.t, self.s, self.n, self.e, self.r, self.drdt, self.on_arc):
             arr.flags.writeable = False
 
-    @property
-    def final_state(self) -> StandState:
-        return StandState(t=float(self.t[-1]), s=float(self.s[-1]), n=float(self.n[-1]))
-
     def interp_s(self, times) -> np.ndarray:
         return np.interp(times, self.t, self.s)
 
@@ -210,8 +204,7 @@ def rhs(scenario: Scenario, state: StandState, e: float) -> tuple[float, float]:
         raise ValueError("rhs requires n > 0")
     if not 0.0 <= e <= p.e_max * (1.0 + 1e-12):
         raise ValueError(f"thinning rate {e} outside [0, {p.e_max}]")
-    r = p.A * state.n * state.s ** (p.q / 2.0)
-    ds = scenario.growth.g(r) / state.n * scenario.env.v(state.t)
+    ds = scenario.growth.g(rdi(p, state.n, state.s)) / state.n * scenario.env.v(state.t)
     return float(ds), -float(e)
 
 
@@ -220,14 +213,14 @@ def drdt(scenario: Scenario, state: StandState, e: float) -> float:
     p = scenario.params
     if state.n <= 0.0:
         raise ValueError("drdt requires n > 0")
-    r = p.A * state.n * state.s ** (p.q / 2.0)
+    r = rdi(p, state.n, state.s)
     g = scenario.growth.g(r)
     return float(r / state.n * (p.q / 2.0 * g / state.s * scenario.env.v(state.t) - e))
 
 
 def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:
     p = scenario.params
-    r = p.A * n * s ** (p.q / 2.0)
+    r = rdi(p, n, s)
     g = scenario.growth.g(r)
     return r / n * (p.q / 2.0 * g / s * scenario.env.v(t) - e)
 
@@ -275,8 +268,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     p = scenario.params
     growth = scenario.growth
     env_v = scenario.env.v
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive (got {horizon})")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive (got {horizon})")
     if horizon > p.t_star * (1.0 + 1e-12):
         raise ValueError(f"horizon {horizon} exceeds the model validity limit t_star={p.t_star}")
     if on_n_min not in ("clamp", "error"):
@@ -286,8 +279,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
             raise ValueError(f"policy rate {lv} exceeds e_max={p.e_max}")
     if step is None:
         step = horizon / DEFAULT_STEPS
-    if step <= 0.0:
-        raise ValueError(f"step must be positive (got {step})")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive (got {step})")
 
     A, q2, e_max, n_min = p.A, p.q / 2.0, p.e_max, p.n_min
     arc_exp = -2.0 / p.q                    # s on the ceiling: (A n) ** arc_exp
@@ -304,27 +297,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
         return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
 
-    def rk4_arc(t: float, s: float, n: float, h: float) -> tuple[float, float]:
-        h2 = 0.5 * h
-        v0 = env_v(t)
-        vm = env_v(t + h2)
-        v1 = env_v(t + h)
-        k1s = g(A * n * s ** q2) / n * v0
-        k1n = -q2 * v0 / s
-        sa, na = s + h2 * k1s, n + h2 * k1n
-        k2s = g(A * na * sa ** q2) / na * vm
-        k2n = -q2 * vm / sa
-        sb, nb = s + h2 * k2s, n + h2 * k2n
-        k3s = g(A * nb * sb ** q2) / nb * vm
-        k3n = -q2 * vm / sb
-        sc, nc = s + h * k3s, n + h * k3n
-        k4s = g(A * nc * sc ** q2) / nc * v1
-        k4n = -q2 * v1 / sc
-        return (s + h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
-                n + h / 6.0 * (k1n + 2.0 * k2n + 2.0 * k3n + k4n))
-
     def bisect_step(f, h_hi: float) -> float:
-        """Smallest h' in (0, h_hi] with f(h') = 0, f(0) < 0 <= f(h_hi)."""
+        """Root h' in (0, h_hi] of f, f(0) < 0 <= f(h_hi), to EVENT_TIME_TOL / 2."""
         lo, hi = 0.0, h_hi
         while hi - lo > EVENT_TIME_TOL:
             mid = 0.5 * (lo + hi)
@@ -332,7 +306,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return 0.5 * (lo + hi)
 
     t = 0.0
     s = scenario.initial.s
@@ -356,7 +330,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         ns = np.asarray(rec.n)
         es = np.asarray(rec.e)
         arcs = np.asarray(rec.arc, dtype=bool)
-        rs = A * ns * ss ** q2
+        rs = rdi(p, ns, ss)
         dr = _drdt_values(scenario, ts, ss, ns, es)
         brks = tuple(sorted(b for b in rec.breaks if b <= end_time + 1e-12))
         return Trajectory(t=ts, s=ss, n=ns, e=es, r=rs, drdt=dr, on_arc=arcs,
@@ -400,17 +374,16 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 if e_req > e_max * (1.0 + 1e-9):
                     raise InfeasibleBoundary(
                         f"ceiling-holding rate {e_req:.6g} exceeds e_max={e_max} at t={t:.6g}")
-                s1, n1 = rk4_arc(t, s, n, h)
+                n1 = scenario.arc_count_after(n, env_v.integral(t, t_after_full))
                 if n1 < n_min:
-                    h_cross = bisect_step(lambda hh: n_min - rk4_arc(t, s, n, hh)[1], h)
-                    t = t + h_cross
+                    t = min(scenario.arc_exhaustion_time(t, n), t_after_full)
                     s = (A * n_min) ** arc_exp
                     n = n_min
                     rec.add(t, s, n, q2 * env_v(t) / s, True)
                     return finish(t, "ExitPoint", True)
                 t = t_after_full
                 n = n1
-                s = (A * n) ** arc_exp   # projection back onto r = 1
+                s = (A * n) ** arc_exp
                 if fault_s_drift:
                     s *= 1.0 + fault_s_drift
                 rec.add(t, s, n, q2 * env_v(t) / s, True)
@@ -421,7 +394,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                     if on_n_min == "error":
                         raise NonViable(
                             f"policy would cut below n_min={n_min} near t={t:.6g}")
-                    h = bisect_step(lambda hh: n_min - (n - e * hh), h)
+                    h = (n - n_min) / e
                     t_after_full = t + h
                     hit_n_min = True
                 s1, n1 = rk4_free(t, s, n, h, e)
@@ -441,18 +414,19 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                         n = n_min
                         rec.add(t, s, n, 0.0, False)
                         return finish(t, "ExitPoint", True)
-                    if hold:
-                        n = n1
-                        s = (A * n) ** arc_exp
-                        on_arc = True
-                        rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
-                        rec.breaks.add(t)
-                        rec.add(t, s, n, q2 * env_v(t) / s, True)
-                        r = 1.0
-                        continue
-                    s, n = s1, n1
-                    rec.add(t, s, n, e, False)
-                    return finish(t, "RdiHitOne", False)
+                    # The localized crossing lies within EVENT_TIME_TOL of the
+                    # root; the state is placed exactly on the ceiling.
+                    n = n1
+                    s = (A * n) ** arc_exp
+                    if not hold:
+                        rec.add(t, s, n, e, False)
+                        return finish(t, "RdiHitOne", False)
+                    on_arc = True
+                    rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
+                    rec.breaks.add(t)
+                    rec.add(t, s, n, q2 * env_v(t) / s, True)
+                    r = 1.0
+                    continue
                 t = t_after_full
                 s, n = s1, n1
                 if fault_s_drift:
@@ -470,8 +444,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
 
 
 def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,
-                    horizon: float, *, terminal: bool = False,
-                    allow_hold: bool = True, max_segments: int = 6) -> list[Policy]:
+                    horizon: float, *, terminal: bool = False) -> list[Policy]:
     """Random piecewise policies for sweeps and stress tests.
 
     Levels are drawn from {0, HOLD, uniform rate}; with ``terminal=True`` the
@@ -481,7 +454,7 @@ def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,
     p = scenario.params
     policies = []
     for _ in range(count):
-        k = int(rng.integers(1, max_segments + 1))
+        k = int(rng.integers(1, SAMPLED_MAX_SEGMENTS + 1))
         bps = np.sort(rng.uniform(0.0, horizon, size=k - 1))
         bps = [float(b) for b in bps if 1e-6 < b < horizon - 1e-6]
         levels = []
@@ -489,7 +462,7 @@ def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,
             u = rng.uniform()
             if u < 0.30:
                 levels.append(0.0)
-            elif u < 0.55 and allow_hold:
+            elif u < 0.55:
                 levels.append(HOLD)
             else:
                 levels.append(float(rng.uniform(0.0, p.e_max)))

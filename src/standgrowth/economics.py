@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .model import Environment, Scenario
+from .model import Environment, Scenario, _require_finite, rdi
 
 __all__ = [
     "EconomicModel",
@@ -55,6 +55,7 @@ class EconomicModel:
     delta: float
 
     def __post_init__(self) -> None:
+        _require_finite({"k": self.k, "alpha": self.alpha, "delta": self.delta})
         if self.k <= 0.0:
             raise ValueError(f"k must be positive (got {self.k})")
         if self.alpha <= 0.0:
@@ -168,10 +169,8 @@ def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):
     Uses h0' - delta h0 directly so the expression stays finite at t = 0
     where the effective discount itself is singular.
     """
-    p = scenario.params
     env = scenario.env
-    r = p.A * n * s ** (p.q / 2.0)
-    g = scenario.growth.g(r)
+    g = scenario.growth.g(rdi(scenario.params, n, s))
     disc = np.exp(-econ.delta * t)
     growth_term = econ.alpha * s ** (econ.alpha - 1.0) * env.h0(t) * g * env.v(t)
     decay_term = n * s ** econ.alpha * (env.h0.derivative(t) - econ.delta * env.h0(t))

@@ -25,6 +25,7 @@ scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,6 +60,13 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_finite(fields: dict) -> None:
+    """Reject NaN and infinite values, naming the offending field."""
+    for name, value in fields.items():
+        _require(value is None or math.isfinite(value),
+                 f"{name} must be finite (got {value})")
+
+
 @dataclass(frozen=True)
 class StandParams:
     """Species/site constants of the stand.
@@ -77,6 +85,8 @@ class StandParams:
     t_star: float
 
     def __post_init__(self) -> None:
+        _require_finite({"q": self.q, "A": self.A, "n_min": self.n_min,
+                         "e_max": self.e_max, "t_star": self.t_star})
         _require(1.0 < self.q < 2.0, f"q must satisfy 1 < q < 2 (got {self.q})")
         _require(self.A > 0.0, f"A must be positive (got {self.A})")
         _require(self.n_min > 0.0, f"n_min must be positive (got {self.n_min})")
@@ -100,6 +110,7 @@ class StandState:
     n: float
 
     def __post_init__(self) -> None:
+        _require_finite({"t": self.t, "s": self.s, "n": self.n})
         _require(self.s > 0.0, f"s must be positive (got {self.s})")
         _require(self.n > 0.0, f"n must be positive (got {self.n})")
 
@@ -130,6 +141,7 @@ class GrowthFunction:
     gamma_upper: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _require_finite({"p": self.p, "theta": self.theta})
         if self.kind == "fagacees":
             _require(self.p is not None and self.p > 0.0,
                      f"fagacees shape p must be positive (got {self.p})")
@@ -242,6 +254,7 @@ class GrowthEnergy:
     def __post_init__(self) -> None:
         _require(self.family in ("exponential", "hyperbolic"),
                  f"unknown energy family {self.family!r}")
+        _require_finite({"v0": self.v0, "lambda": self.lam})
         _require(self.v0 > 0.0, f"v0 must be positive (got {self.v0})")
         _require(self.lam >= 0.0, f"lambda must be non-negative (got {self.lam})")
         object.__setattr__(self, "weakly_decreasing", self.lam == 0.0)
@@ -256,15 +269,39 @@ class GrowthEnergy:
 
     __call__ = value
 
-    def integral(self, t0: float, t1: float) -> float:
-        """Closed-form cumulative energy over [t0, t1]."""
-        if t1 < t0:
+    def integral(self, t0, t1):
+        """Closed-form cumulative energy over [t0, t1] (floats or ndarrays)."""
+        # np.any only for arrays: it would triple the cost of a ceiling step.
+        arrays = isinstance(t0, np.ndarray) or isinstance(t1, np.ndarray)
+        if np.any(t1 < t0) if arrays else t1 < t0:
             raise ValueError(f"empty interval: t0={t0} > t1={t1}")
+        # Written in expm1/log1p so that no digits cancel over short spans.
         if self.lam == 0.0:
             return self.v0 * (t1 - t0)
         if self.family == "exponential":
-            return self.v0 * (np.exp(-self.lam * t0) - np.exp(-self.lam * t1)) / self.lam
-        return self.v0 / self.lam * np.log((1.0 + self.lam * t1) / (1.0 + self.lam * t0))
+            return -self.v0 * np.exp(-self.lam * t0) * np.expm1(-self.lam * (t1 - t0)) / self.lam
+        return self.v0 / self.lam * np.log1p(self.lam * (t1 - t0) / (1.0 + self.lam * t0))
+
+    def time_at(self, t0, amount):
+        """Inverse of :meth:`integral` in its upper limit: the time t1 >= t0
+        with ``integral(t0, t1) == amount`` for ``amount >= 0``.
+
+        ``inf`` where the supply left after t0 (v0 exp(-lam t0) / lam for the
+        exponential family) falls short of ``amount``.  Polymorphic in
+        ``amount`` and ``t0`` (float or ndarray).
+        """
+        amount = np.asarray(amount, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.lam == 0.0:
+                t1 = t0 + amount / self.v0
+            elif self.family == "hyperbolic":
+                # 1 + lam t1 = (1 + lam t0) exp(lam amount / v0)
+                t1 = t0 + (1.0 + self.lam * t0) * np.expm1(self.lam * amount / self.v0) / self.lam
+            else:
+                # exp(-lam t1) = exp(-lam t0) (1 - y), y the share of the supply used
+                y = self.lam * amount / self.v0 * np.exp(self.lam * t0)
+                t1 = np.where(y < 1.0, t0 - np.log1p(-y) / self.lam, np.inf)
+        return t1 if np.ndim(t1) else float(t1)
 
 
 @dataclass(frozen=True)
@@ -281,6 +318,7 @@ class DominantHeight:
     def __post_init__(self) -> None:
         _require(self.family == "saturating",
                  f"unknown height family {self.family!r}")
+        _require_finite({"h_inf": self.h_inf, "tau": self.tau})
         _require(self.h_inf > 0.0, f"h_inf must be positive (got {self.h_inf})")
         _require(self.tau > 0.0, f"tau must be positive (got {self.tau})")
 
@@ -291,10 +329,6 @@ class DominantHeight:
 
     def derivative(self, t):
         return self.h_inf * self.tau / (t + self.tau) ** 2
-
-    def relative_rate(self, t):
-        """h0'(t) / h0(t) = tau / (t (t + tau)); singular at t = 0."""
-        return self.tau / (t * (t + self.tau))
 
 
 @dataclass(frozen=True)
@@ -329,6 +363,31 @@ class Scenario:
     @property
     def rdi0(self) -> float:
         return self.initial.rdi(self.params)
+
+    # Along the density ceiling r = 1 the control is (q/2) V/s and s =
+    # (A n)**(-2/q), so the count obeys dn/dt = -(q/2) A**(2/q) n**(2/q) V(t),
+    # which separates into
+    #
+    #     n(t1)**(1-2/q) = n(t0)**(1-2/q) + A**(2/q) (1-q/2) * Energy(t0, t1).
+    #
+    # The two methods below are that relation solved for the count and for
+    # the time; both are polymorphic in n (float or ndarray).
+
+    def _arc_terms(self) -> tuple[float, float]:
+        q = self.params.q
+        return 1.0 - 2.0 / q, self.params.A ** (2.0 / q) * (1.0 - q / 2.0)
+
+    def arc_count_after(self, n, amount):
+        """Count on the density ceiling after a stand at count ``n`` absorbs
+        ``amount`` of growth energy."""
+        expo, coef = self._arc_terms()
+        return (n ** expo + coef * amount) ** (1.0 / expo)
+
+    def arc_exhaustion_time(self, t, n):
+        """Time at which a stand riding the density ceiling from (t, n)
+        reaches n_min; ``inf`` when the energy supply never suffices."""
+        expo, coef = self._arc_terms()
+        return self.env.v.time_at(t, (self.params.n_min ** expo - n ** expo) / coef)
 
 
 # ---------------------------------------------------------------------------

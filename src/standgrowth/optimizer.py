@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 CANONICAL_NAMES = ("E0", "ET", "Esup", "Zero", "Max")
+PROP2_GRID = 1024       # time samples of the sufficient-condition margins
 
 
 class NoFeasiblePolicy(RuntimeError):
@@ -86,7 +87,7 @@ def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
 
 
 def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
-                *, terminal_n_min: bool = False, grid: int = 1024,
+                *, terminal_n_min: bool = False,
                 xi_m: XiLowerBound | None = None) -> Prop2Report:
     """Evaluate the sufficient-optimality conditions on a time grid.
 
@@ -101,7 +102,7 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     if xi_m is None:
         xi_m = xi_lower_bound(scenario, horizon)
-    ts = np.linspace(horizon / grid, horizon, grid)
+    ts = np.linspace(horizon / PROP2_GRID, horizon, PROP2_GRID)
     dh = delta_h(econ, scenario.env, ts)
     xv = xi_m(ts)
 
@@ -147,10 +148,13 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                        levels_matrix: np.ndarray, steps_total: int = 1024):
     """Approximate objectives for a batch of interval-coded policies.
 
-    One fixed-step RK4 pass vectorized across candidates.  Ceiling crossings
-    are refined with a single proportional substep and then projected, which
-    is accurate enough for ranking; winners are re-integrated exactly.
-    Returns (values, feasible, n_checkpoints).
+    One fixed-step pass vectorized across candidates: free growth takes RK4
+    steps, and ceiling riders follow the closed-form arc relation
+    (:meth:`Scenario.arc_count_after`), with exact exhaustion times
+    (:meth:`Scenario.arc_exhaustion_time`).  A ceiling crossing is located
+    with a single proportional substep, and the rest of that step follows
+    the arc; this is accurate enough for ranking, and winners are
+    re-integrated exactly.  Returns (values, feasible, n_checkpoints, n_end).
     """
     p = scenario.params
     growth_g = scenario.growth.g
@@ -173,22 +177,18 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     n_checkpoints = np.empty((m, k + 1))
     n_checkpoints[:, 0] = n
 
-    def make_rk4(arc_mask):
-        def deriv(t_loc, s_loc, n_loc, e_loc):
-            r = A * n_loc * s_loc ** q2
-            e_stage = np.where(arc_mask, q2 * env_v(t_loc) / s_loc, e_loc) \
-                if arc_mask is not None else e_loc
-            return growth_g(r) / n_loc * env_v(t_loc), -e_stage
+    def deriv(t_loc, s_loc, n_loc, e_loc):
+        r = A * n_loc * s_loc ** q2
+        return growth_g(r) / n_loc * env_v(t_loc), -e_loc
 
-        def rk4(t0, s0, n0, e0, hh):
-            k1s, k1n = deriv(t0, s0, n0, e0)
-            k2s, k2n = deriv(t0 + hh / 2, s0 + hh / 2 * k1s, n0 + hh / 2 * k1n, e0)
-            k3s, k3n = deriv(t0 + hh / 2, s0 + hh / 2 * k2s, n0 + hh / 2 * k2n, e0)
-            k4s, k4n = deriv(t0 + hh, s0 + hh * k3s, n0 + hh * k3n, e0)
-            return (s0 + hh / 6 * (k1s + 2 * k2s + 2 * k3s + k4s),
-                    n0 + hh / 6 * (k1n + 2 * k2n + 2 * k3n + k4n))
-
-        return rk4
+    def rk4(t0, s0, n0, e0, hh):
+        """One free-growth step at the constant rates e0."""
+        k1s, k1n = deriv(t0, s0, n0, e0)
+        k2s, k2n = deriv(t0 + hh / 2, s0 + hh / 2 * k1s, n0 + hh / 2 * k1n, e0)
+        k3s, k3n = deriv(t0 + hh / 2, s0 + hh / 2 * k2s, n0 + hh / 2 * k2n, e0)
+        k4s, k4n = deriv(t0 + hh, s0 + hh * k3s, n0 + hh * k3n, e0)
+        return (s0 + hh / 6 * (k1s + 2 * k2s + 2 * k3s + k4s),
+                n0 + hh / 6 * (k1n + 2 * k2n + 2 * k3n + k4n))
 
     t = 0.0
     for seg in range(k):
@@ -208,31 +208,29 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
             e[~active] = 0.0
             pr0 = econ.k * s ** econ.alpha * scenario.env.h0(t) * np.exp(-econ.delta * t)
 
-            rk4 = make_rk4(on_arc & active)
+            # Ceiling riders' free-growth results are replaced below.
             s_new, n_new = rk4(t, s, n, e, h)
-            # Project ceiling riders back onto r = 1; catch their exhaustion.
-            proj = on_arc & active
-            if proj.any():
-                hit = proj & (n_new < n_min)
+            riding = on_arc & active
+            if riding.any():
+                n_arc = scenario.arc_count_after(n, env_v.integral(t, t + h))
+                hit = riding & (n_arc < n_min)
                 if hit.any():
-                    frac = (n[hit] - n_min) / np.maximum(n[hit] - n_new[hit], 1e-300)
-                    t_end[hit] = t + frac * h
+                    t_end[hit] = np.minimum(scenario.arc_exhaustion_time(t, n[hit]), t + h)
                     s_end[hit] = (A * n_min) ** arc_exp
                     n_end[hit] = n_min
-                    value[hit] += frac * h * pr0[hit] * e[hit]
+                    value[hit] += (t_end[hit] - t) * pr0[hit] * e[hit]
                     exited |= hit
-                    proj &= ~hit
-                n_new = np.where(proj, np.maximum(n_new, n_min), n_new)
-                s_new = np.where(proj, (A * n_new) ** arc_exp, s_new)
+                    riding &= ~hit
+                n_new = np.where(riding, n_arc, n_new)
+                s_new = np.where(riding, (A * n_new) ** arc_exp, s_new)
 
             r_new = A * n_new * s_new ** q2
             crossing = active & ~on_arc & (r_new > 1.0)
             if crossing.any():
-                rk4_free = make_rk4(None)
                 r_old = A * n[crossing] * s[crossing] ** q2
                 frac = np.clip((1.0 - r_old) / np.maximum(r_new[crossing] - r_old, 1e-300),
                                0.0, 1.0)
-                s_c, n_c = rk4_free(t, s[crossing], n[crossing], e[crossing], frac * h)
+                s_c, n_c = rk4(t, s[crossing], n[crossing], e[crossing], frac * h)
                 idx = np.flatnonzero(crossing)
                 at_corner = n_c <= n_min * (1.0 + 1e-7)
                 allowed = hold_mask[idx]
@@ -247,15 +245,10 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                 # Ceiling reached under a hold level: ride it from here on.
                 ride_idx = idx[~at_corner & allowed]
                 if ride_idx.size:
-                    rk4_arc = make_rk4(True)
                     fr = frac[~at_corner & allowed]
-                    nn = n_c[~at_corner & allowed]
-                    nn = np.maximum(nn, n_min)
-                    s_ride = (A * nn) ** arc_exp
+                    nn = np.maximum(n_c[~at_corner & allowed], n_min)
                     # Finish the step on the arc.
-                    s_fin, n_fin = rk4_arc(t + fr * h, s_ride, nn,
-                                           q2 * env_v(t + fr * h) / s_ride,
-                                           (1.0 - fr) * h)
+                    n_fin = scenario.arc_count_after(nn, env_v.integral(t + fr * h, t + h))
                     n_fin = np.maximum(n_fin, n_min * (1.0 + 1e-12))
                     s_new[ride_idx] = (A * n_fin) ** arc_exp
                     n_new[ride_idx] = n_fin

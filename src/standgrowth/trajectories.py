@@ -22,8 +22,10 @@ integral form is
     n(T)**(1-2/q) = n(t_up)**(1-2/q) + A**(2/q) (1-q/2) * Energy(t_up, T),
 
 which yields the ceiling-exhaustion time T_exit (count n_min reached on the
-arc) and, equivalently, the maximal exit time.  All roots are found by
-bracketed bisection; unreachable values are reported with the explicit
+arc) and, equivalently, the maximal exit time.  The cumulative energy has a
+closed-form inverse (:meth:`GrowthEnergy.time_at`), so t_up and T_exit are
+closed forms too; only the arc-leaving time of ``et`` is found by bracketed
+bisection.  Unreachable values are reported with the explicit
 :data:`UNREACHABLE` marker rather than sentinel numbers.
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect, solve_increasing
+from ._rootfind import bisect
 from .dynamics import HOLD, Policy, integrate
 from .model import Scenario, StandParams, energy
 
@@ -70,6 +72,8 @@ class Unreachable:
 
 
 UNREACHABLE = Unreachable()
+# Steps over [0, t_star] of the cut-first run that measures the minimal exit time.
+EXTREMAL_STEPS = 8192
 
 
 def is_unreachable(value) -> bool:
@@ -86,55 +90,36 @@ def time_to_count(params: StandParams, n0: float, n: float) -> float:
 def t_sup0(scenario: Scenario):
     """First time the density reaches the ceiling under zero cutting.
 
-    Solves the separated density equation by bisection on the cumulative
-    energy; returns :data:`UNREACHABLE` when the energy over [0, t_star] is
+    Inverts the separated density equation through the closed-form energy
+    inverse; returns :data:`UNREACHABLE` when the energy over [0, t_star] is
     insufficient.
     """
     p = scenario.params
     r0 = scenario.rdi0
     target = float(scenario.growth.density_integral(r0, 2.0 / p.q - 1.0))
     coeff = p.q / 2.0 * scenario.initial.n ** (2.0 / p.q - 1.0) * p.A ** (2.0 / p.q)
-
-    root = solve_increasing(lambda T: coeff * energy(scenario.env, 0.0, T) - target,
-                            limit=p.t_star)
-    if root is None:
-        return UNREACHABLE
-    return root
+    root = scenario.env.v.time_at(0.0, target / coeff)
+    return UNREACHABLE if root > p.t_star else root
 
 
 def arc_count(scenario: Scenario, n_start: float, t_start: float, t) -> np.ndarray:
     """Tree count along the density ceiling starting from (t_start, n_start)."""
-    p = scenario.params
-    expo = 1.0 - 2.0 / p.q          # negative for 1 < q < 2
-    coef = p.A ** (2.0 / p.q) * (1.0 - p.q / 2.0)
-    ts = np.asarray(t, dtype=float)
-    vals = np.array([energy(scenario.env, t_start, float(u)) for u in np.atleast_1d(ts)])
-    counts = (n_start ** expo + coef * vals) ** (1.0 / expo)
-    return counts if ts.ndim else float(counts[0])
+    amount = scenario.env.v.integral(t_start, np.asarray(t, dtype=float))
+    counts = scenario.arc_count_after(n_start, amount)
+    return counts if np.ndim(counts) else float(counts)
 
 
 def t_cap0(scenario: Scenario):
     """Time at which the ceiling arc started at t_sup0 exhausts the stand.
 
-    Solves the constant-density count relation for the time where the count
-    reaches n_min; :data:`UNREACHABLE` when t_sup0 is unreachable or the
-    remaining energy is insufficient.
+    :data:`UNREACHABLE` when t_sup0 is unreachable or the remaining energy
+    is insufficient within t_star.
     """
-    p = scenario.params
     t_up = t_sup0(scenario)
     if is_unreachable(t_up):
         return UNREACHABLE
-    expo = 1.0 - 2.0 / p.q
-    target = (p.n_min ** expo - scenario.initial.n ** expo) \
-        / (p.A ** (2.0 / p.q) * (1.0 - p.q / 2.0))
-    if target <= 0.0:
-        return t_up
-    root = solve_increasing(
-        lambda T: energy(scenario.env, t_up, max(T, t_up)) - target,
-        limit=p.t_star)
-    if root is None or root < t_up:
-        return UNREACHABLE
-    return root
+    root = scenario.arc_exhaustion_time(t_up, scenario.initial.n)
+    return UNREACHABLE if root > scenario.params.t_star else root
 
 
 def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Policy:
@@ -207,11 +192,11 @@ class ExtremalTimes:
     t_lower_heuristic: bool
 
 
-def extremal_times(scenario: Scenario, step: float | None = None) -> ExtremalTimes:
+def extremal_times(scenario: Scenario) -> ExtremalTimes:
     p = scenario.params
     t_upper = t_cap0(scenario)
     policy = build_policy(scenario, "e0")
-    traj = integrate(scenario, policy, p.t_star, step=step or p.t_star / 8192)
+    traj = integrate(scenario, policy, p.t_star, step=p.t_star / EXTREMAL_STEPS)
     t_lower = traj.validity_end if traj.exited else UNREACHABLE
     heuristic = scenario.growth.kind not in ("power", "linear")
     return ExtremalTimes(t_lower=t_lower, t_upper=t_upper, t_lower_heuristic=heuristic)

@@ -75,6 +75,15 @@ class TestConfig:
             sg.load_scenario(path)
 
 
+    def test_infinite_value_cites_invariant_and_line(self, scenario_file, capsys):
+        path = scenario_file(v0="inf")
+        assert main(["times", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "v0 must be finite" in err
+        lineno = int(err.split(f"{path}:")[1].split(":")[0])
+        assert path.read_text().splitlines()[lineno - 1].startswith("v0")
+
+
 class TestSimulateCommand:
     def test_zero_policy_constraint_exit(self, scenario_file, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,10 +1,17 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import standgrowth as sg
+from conftest import load, scenarios
+
+SCENARIO_FILES = ("concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
+                  "linear_growth.ini", "low_energy.ini")
 
 
 def small_stand(n_min=100.0, e_max=40.0, A=0.001, growth=None, v0=2.0, lam=0.02,
@@ -110,7 +117,7 @@ class TestIntegrate:
         assert 10.0 < ratio < 24.0
 
     def test_fourth_order_holds_through_ceiling_arc(self, convex_price):
-        # The per-step projection onto r = 1 must not degrade the order.
+        # Following the ceiling in closed form must not degrade the order.
         scn = convex_price.scenario
         pol = sg.build_policy(scn, "esup")
         ref = sg.integrate(scn, pol, 20.0, step=20.0 / 4096)
@@ -155,6 +162,12 @@ class TestIntegrate:
     def test_horizon_beyond_validity_rejected(self, convex_price):
         with pytest.raises(ValueError):
             sg.integrate(convex_price.scenario, sg.Policy.zero(), 200.0)
+
+    @pytest.mark.parametrize("horizon,step,name", [
+        (math.nan, None, "horizon"), (10.0, math.nan, "step"), (10.0, math.inf, "step")])
+    def test_non_finite_horizon_or_step_rejected(self, convex_price, horizon, step, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            sg.integrate(convex_price.scenario, sg.Policy.zero(), horizon, step=step)
 
     def test_policy_rate_above_e_max_rejected(self, convex_price):
         policy = sg.Policy.piecewise([], [60.0])
@@ -205,3 +218,79 @@ class TestPolicyValidation:
     def test_non_finite_breakpoint_rejected(self, bad):
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             sg.Policy.piecewise([bad], [10.0, 0.0])
+
+
+def rk4_arc_step(scenario, t, s, n, h):
+    """One RK4 step of the ceiling-riding system under the ceiling-holding
+    rate (q/2) V/s: the arc step ``integrate`` took before the closed form."""
+    p, g, v = scenario.params, scenario.growth.g, scenario.env.v
+    A, q2 = p.A, p.q / 2.0
+
+    def deriv(tt, ss, nn):
+        return g(A * nn * ss ** q2) / nn * v(tt), -q2 * v(tt) / ss
+
+    k1s, k1n = deriv(t, s, n)
+    k2s, k2n = deriv(t + h / 2, s + h / 2 * k1s, n + h / 2 * k1n)
+    k3s, k3n = deriv(t + h / 2, s + h / 2 * k2s, n + h / 2 * k2n)
+    k4s, k4n = deriv(t + h, s + h * k3s, n + h * k3n)
+    return (s + h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+            n + h / 6.0 * (k1n + 2.0 * k2n + 2.0 * k3n + k4n))
+
+
+class TestCeilingArcAgainstRk4:
+    """Differential test: the closed-form ceiling steps of ``integrate``
+    against the RK4 arc step (with projection onto r = 1) they replaced,
+    replayed over the same sample times from the first ceiling sample."""
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    @pytest.mark.parametrize("kind", ["esup", "et"])
+    def test_states_agree(self, name, kind):
+        scn = load(name).scenario
+        p = scn.params
+        if kind == "esup":
+            horizon = p.t_star
+        else:   # a target late enough that et rides the ceiling before its burst
+            t_cap = sg.t_cap0(scn)
+            horizon = 0.8 * (p.t_star if sg.is_unreachable(t_cap) else t_cap)
+        policy = sg.build_policy(scn, kind, T=horizon if kind == "et" else None)
+        traj = sg.integrate(scn, policy, horizon)
+        arc = np.flatnonzero(traj.on_arc[:-1] & traj.on_arc[1:])
+        if traj.exited:
+            arc = arc[:-1]          # the exit step ends at the root, not a node
+        assert arc.size > 100
+        assert np.all(np.diff(arc) == 1)   # one contiguous stretch
+        s, n = traj.s[arc[0]], traj.n[arc[0]]
+        for i in arc:
+            s, n = rk4_arc_step(scn, traj.t[i], s, n, traj.t[i + 1] - traj.t[i])
+            s = (p.A * n) ** (-2.0 / p.q)
+            assert traj.n[i + 1] == pytest.approx(n, rel=1e-12, abs=0.0)
+            assert traj.s[i + 1] == pytest.approx(s, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_exit_at_closed_form_time(self, name):
+        scn = load(name).scenario
+        traj = sg.integrate(scn, sg.build_policy(scn, "esup"), scn.params.t_star)
+        t_cap = sg.t_cap0(scn)
+        assert traj.exited == (not sg.is_unreachable(t_cap))
+        if traj.exited:
+            assert traj.validity_end == pytest.approx(t_cap, abs=1e-9)
+
+
+class TestInvariantsOnGeneratedScenarios:
+    """Model invariants along random policies on generated scenarios."""
+
+    @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_sampled_policies(self, scn, horizon, seed):
+        p = scn.params
+        rng = np.random.default_rng(seed)
+        econ = sg.EconomicModel(k=1.0, alpha=2.0, delta=0.01)
+        policies = sg.sample_policies(scn, 2, rng, horizon) \
+            + sg.sample_policies(scn, 2, rng, horizon, terminal=True)
+        for policy in policies:
+            traj = sg.integrate(scn, policy, horizon)
+            assert np.all(traj.r <= 1.0 + 1e-12)
+            assert np.all(traj.n >= p.n_min * (1.0 - 1e-12))
+            assert np.all(np.diff(traj.s) >= 0.0)
+            assert sg.objective(scn, econ, traj) == pytest.approx(
+                sg.objective_ibp(scn, econ, traj), rel=1e-6)

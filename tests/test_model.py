@@ -252,3 +252,64 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="t = 0"):
             sg.Scenario(params=p, growth=sg.GrowthFunction.linear(), env=env,
                         initial=sg.StandState(t=1.0, s=0.05, n=300.0))
+
+
+class TestFiniteInputs:
+    """Every constructor rejects NaN and infinite values, naming the field."""
+
+    VALID = {
+        "StandParams": (sg.StandParams, dict(q=1.6, A=0.001, n_min=100.0, e_max=40.0,
+                                             t_star=150.0)),
+        "StandState": (sg.StandState, dict(t=0.0, s=0.05, n=300.0)),
+        "fagacees": (sg.GrowthFunction, dict(kind="fagacees", p=3.0)),
+        "power": (sg.GrowthFunction, dict(kind="power", theta=0.3)),
+        "GrowthEnergy": (sg.GrowthEnergy, dict(family="exponential", v0=2.0, lam=0.02)),
+        "DominantHeight": (sg.DominantHeight, dict(h_inf=30.0, tau=20.0)),
+        "EconomicModel": (sg.EconomicModel, dict(k=1.0, alpha=2.0, delta=0.01)),
+    }
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("ctor,field,name", [
+        ("StandParams", "q", "q"), ("StandParams", "A", "A"),
+        ("StandParams", "n_min", "n_min"), ("StandParams", "e_max", "e_max"),
+        ("StandParams", "t_star", "t_star"),
+        ("StandState", "t", "t"), ("StandState", "s", "s"), ("StandState", "n", "n"),
+        ("fagacees", "p", "p"), ("power", "theta", "theta"),
+        ("GrowthEnergy", "v0", "v0"), ("GrowthEnergy", "lam", "lambda"),
+        ("DominantHeight", "h_inf", "h_inf"), ("DominantHeight", "tau", "tau"),
+        ("EconomicModel", "k", "k"), ("EconomicModel", "alpha", "alpha"),
+        ("EconomicModel", "delta", "delta"),
+    ])
+    def test_non_finite_rejected(self, ctor, field, name, value):
+        cls, valid = self.VALID[ctor]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            cls(**{**valid, field: value})
+
+
+class TestEnergyInverse:
+    """``time_at`` inverts ``integral`` in its upper limit, in closed form."""
+
+    @staticmethod
+    def energy(family, v0, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # lambda = 0 warns by design
+            return sg.GrowthEnergy(family, v0, lam)
+
+    @given(family=st.sampled_from(["exponential", "hyperbolic"]),
+           v0=st.floats(0.1, 10.0),
+           lam=st.one_of(st.just(0.0), st.floats(1e-4, 0.2)),
+           t0=st.floats(0.0, 100.0), span=st.floats(1e-3, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, family, v0, lam, t0, span):
+        v = self.energy(family, v0, lam)
+        amount = v.integral(t0, t0 + span)
+        t1 = v.time_at(t0, amount)
+        assert v.integral(t0, t1) == pytest.approx(amount, rel=1e-12)
+
+    def test_exponential_supply_runs_out(self):
+        v = sg.GrowthEnergy("exponential", 2.0, 0.05)
+        left = 2.0 * math.exp(-0.05 * 10.0) / 0.05     # all energy after t = 10
+        assert v.time_at(10.0, 0.999 * left) < math.inf
+        assert v.time_at(10.0, left * (1.0 + 1e-9)) == math.inf
+        np.testing.assert_array_equal(v.time_at(10.0, np.array([0.0, 2.0 * left])),
+                                      [10.0, math.inf])

@@ -122,6 +122,11 @@ class TestBruteForce:
 
 
 class TestCompareCanonicals:
+    def test_nan_horizon_rejected(self, convex_price):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            sg.compare_canonicals(convex_price.scenario, convex_price.economics,
+                                  float("nan"))
+
     def test_convex_price_cut_first_dominates(self, convex_price):
         cmp = sg.compare_canonicals(convex_price.scenario, convex_price.economics, 30.0)
         assert cmp.cut_first_dominates

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import standgrowth as sg
+from conftest import scenarios
+from standgrowth._rootfind import bisect
 from standgrowth.trajectories import arc_count
 
 
@@ -123,12 +125,43 @@ class TestCeilingExhaustion:
         t_ex = sg.t_cap0(scn)
         traj = sg.integrate(scn, sg.build_policy(scn, "esup"), 50.0)
         assert traj.exited
-        assert traj.validity_end == pytest.approx(t_ex, abs=1e-5)
+        assert traj.validity_end == pytest.approx(t_ex, abs=1e-9)
 
     def test_doubling_energy_speeds_exhaustion(self, convex_price):
         scn = convex_price.scenario
         fast = with_env(convex_price, v0=2.0 * scn.env.v.v0)
         assert sg.t_cap0(fast) < sg.t_cap0(scn)
+
+
+class TestClosedFormTimes:
+    """t_sup0 and t_cap0 invert the energy in closed form; the oracle bisects
+    the defining energy equations, as the solvers did before."""
+
+    @staticmethod
+    def bisect_root(f, hi):
+        """Root of the increasing f on [0, hi], None when f(hi) < 0."""
+        return None if f(hi) < 0.0 else bisect(f, 0.0, hi, xtol=1e-12)
+
+    @given(scn=scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_match_bisection_on_energy_equations(self, scn):
+        p = scn.params
+        # Ceiling hit: coeff * Energy(0, t_up) = Int_r0^1 u**(2/q-1)/g(u) du.
+        target = scn.growth.density_integral(scn.rdi0, 2.0 / p.q - 1.0)
+        coeff = p.q / 2.0 * scn.initial.n ** (2.0 / p.q - 1.0) * p.A ** (2.0 / p.q)
+        # Exhaustion: Energy(t_up, T) = need, i.e. Energy(0, T) = target/coeff + need,
+        # which keeps the oracle's error in t_up out of T.
+        expo = 1.0 - 2.0 / p.q
+        need = (p.n_min ** expo - scn.initial.n ** expo) \
+            / (p.A ** (2.0 / p.q) * (1.0 - p.q / 2.0))
+        t_up = self.bisect_root(lambda T: coeff * sg.energy(scn.env, 0.0, T) - target,
+                                p.t_star)
+        t_cap = None if t_up is None else self.bisect_root(
+            lambda T: sg.energy(scn.env, 0.0, T) - (target / coeff + need), p.t_star)
+        for closed, oracle in ((sg.t_sup0(scn), t_up), (sg.t_cap0(scn), t_cap)):
+            assert sg.is_unreachable(closed) == (oracle is None)
+            if oracle is not None:
+                assert closed == pytest.approx(oracle, abs=1e-9)
 
 
 class TestBuildPolicy:
