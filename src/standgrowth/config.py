@@ -160,10 +160,13 @@ def load_scenario(path) -> LoadedScenario:
     reader.check_schema()
 
     def build(section: str, key: str, ctor, **kwargs):
+        """Construct ``ctor``; a failure cites the key that its message
+        starts with, or ``key`` when it names none."""
         try:
             return ctor(**kwargs)
         except ValueError as exc:
-            reader.fail(section, key, str(exc))
+            named = str(exc).split(" ", 1)[0]
+            reader.fail(section, named if (section, named) in reader.lines else key, str(exc))
 
     params = build("stand", "q", StandParams,
                    q=reader.get_float("stand", "q"),

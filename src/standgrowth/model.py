@@ -18,9 +18,10 @@ output only: it never feeds back into the dynamics.
 
 This module holds the immutable parameter/state containers, the competition
 function family ``g`` with its derived functionals, the environment families
-for ``V`` and ``h0``, and the pointwise operations (``rdi``, ``g_eval``,
-``script_g``, ``gamma``, ``boundary_control``, ``energy``).  All of them accept
-scalars or numpy arrays.
+for ``V`` (with the closed-form energy and its inverse) and ``h0``, the
+closed-form count relation along the density ceiling (on :class:`Scenario`),
+and the pointwise operations (``rdi``, ``g_eval``, ``script_g``, ``gamma``,
+``boundary_control``, ``energy``).  All of them accept scalars or numpy arrays.
 """
 
 from __future__ import annotations

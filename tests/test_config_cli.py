@@ -75,13 +75,14 @@ class TestConfig:
             sg.load_scenario(path)
 
 
-    def test_infinite_value_cites_invariant_and_line(self, scenario_file, capsys):
-        path = scenario_file(v0="inf")
+    @pytest.mark.parametrize("key", ["v0", "lambda", "A", "t_star", "tau", "s", "k"])
+    def test_non_finite_value_cites_invariant_and_line(self, scenario_file, capsys, key):
+        path = scenario_file(**{key: "inf" if key != "lambda" else "nan"})
         assert main(["times", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "v0 must be finite" in err
+        assert f"] {key}: {key} must be finite" in err
         lineno = int(err.split(f"{path}:")[1].split(":")[0])
-        assert path.read_text().splitlines()[lineno - 1].startswith("v0")
+        assert path.read_text().splitlines()[lineno - 1].startswith(key)
 
 
 class TestSimulateCommand:
