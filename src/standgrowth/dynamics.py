@@ -340,6 +340,12 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     def near_corner(nv: float) -> bool:
         return nv <= n_min * (1.0 + EXIT_REL_TOL)
 
+    def exit_at(t_exit: float, arc: bool) -> Trajectory:
+        """Stop at the (1, n_min) corner, under the ceiling-holding rate on an arc."""
+        s_bar = p.s_bar
+        rec.add(t_exit, s_bar, n_min, q2 * env_v(t_exit) / s_bar if arc else 0.0, arc)
+        return finish(t_exit, "ExitPoint", True)
+
     r = A * n * s ** q2
     rec.add(0.0, s, n, 0.0, False)  # e backfilled below once the first span is known
 
@@ -352,10 +358,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         elif r >= 1.0 - 1e-9:
             # Entering a hold span already at the ceiling.
             if near_corner(n):
-                s = (A * n_min) ** arc_exp
-                n = n_min
-                rec.add(t, s, n, q2 * env_v(t) / s, True)
-                return finish(t, "ExitPoint", True)
+                return exit_at(t, True)
             on_arc = True
             s = (A * n) ** arc_exp
         if rec.t and abs(rec.t[-1] - ta) < 1e-13:
@@ -376,11 +379,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                         f"ceiling-holding rate {e_req:.6g} exceeds e_max={e_max} at t={t:.6g}")
                 n1 = scenario.arc_count_after(n, env_v.integral(t, t_after_full))
                 if n1 < n_min:
-                    t = min(scenario.arc_exhaustion_time(t, n), t_after_full)
-                    s = (A * n_min) ** arc_exp
-                    n = n_min
-                    rec.add(t, s, n, q2 * env_v(t) / s, True)
-                    return finish(t, "ExitPoint", True)
+                    return exit_at(min(scenario.arc_exhaustion_time(t, n), t_after_full), True)
                 t = t_after_full
                 n = n1
                 s = (A * n) ** arc_exp
@@ -410,10 +409,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                         s1, n1 = s, n
                     t = t + h_cross
                     if near_corner(n1):
-                        s = (A * n_min) ** arc_exp
-                        n = n_min
-                        rec.add(t, s, n, 0.0, False)
-                        return finish(t, "ExitPoint", True)
+                        return exit_at(t, False)
                     # The localized crossing lies within EVENT_TIME_TOL of the
                     # root; the state is placed exactly on the ceiling.
                     n = n1

@@ -21,10 +21,14 @@ Integrating by parts (dn/dt = -e) gives the equivalent form
 
     J = Int_0^T dP(s(t), t)/dt * n(t) dt + P(s(0), 0) n(0),
 
-whose integrand expands to k e^{-delta t} [alpha s**(alpha-1) h0 g(r) V
-+ n s**alpha (h0' - delta h0)].  Both forms are computed independently
-(composite Simpson on the trajectory grid, split at control-regime changes)
-and agreeing values are a strong end-to-end check of the integration.
+whose integrand k e^{-delta t} n s**alpha [alpha h0 (ds/dt)/s + h0' - delta h0]
+depends on the state alone, with the clear-cut inside the integral.
+``objective`` and ``objective_ibp`` compute the two forms independently
+(composite Simpson on the trajectory grid, split at control-regime changes);
+agreeing values are a strong end-to-end check of the integration.  The
+search's screen sums the same integrand (``_revenue_rate``) by the per-step
+trapezoid: where the control jumps the integrand only kinks, so that ranking
+is second order in the step.
 """
 
 from __future__ import annotations
@@ -163,18 +167,21 @@ def objective(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> floa
     return float(total)
 
 
-def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):
-    """Integrand of the by-parts objective: d/dt[P(s(t), t)] * n at a state.
+def _revenue_rate(econ: EconomicModel, env: Environment, s, n, t, dsdt):
+    """By-parts integrand d/dt[P(s(t), t)] * n at a state moving at ds/dt = dsdt.
 
     Uses h0' - delta h0 directly so the expression stays finite at t = 0
     where the effective discount itself is singular.
     """
-    env = scenario.env
-    g = scenario.growth.g(rdi(scenario.params, n, s))
-    disc = np.exp(-econ.delta * t)
-    growth_term = econ.alpha * s ** (econ.alpha - 1.0) * env.h0(t) * g * env.v(t)
-    decay_term = n * s ** econ.alpha * (env.h0.derivative(t) - econ.delta * env.h0(t))
-    return econ.k * disc * (growth_term + decay_term)
+    h = env.h0(t)
+    return econ.k * np.exp(-econ.delta * t) * n * s ** econ.alpha * (
+        econ.alpha * h * dsdt / s + env.h0.derivative(t) - econ.delta * h)
+
+
+def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):
+    """Integrand of the by-parts objective: d/dt[P(s(t), t)] * n at a state."""
+    dsdt = scenario.growth.g(rdi(scenario.params, n, s)) / n * scenario.env.v(t)
+    return _revenue_rate(econ, scenario.env, s, n, t, dsdt)
 
 
 def objective_ibp(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> float:

@@ -13,9 +13,11 @@ Two independent routes to the same question:
 * :func:`brute_force` enumerates piecewise-constant policies over equal time
   intervals with the semantic level set {0, e_max, ride-the-ceiling}, which
   spans the bang-bang-plus-singular-arc structure of the candidate optima.
-  Candidates are screened with a vectorized coarse-step integrator, the best
-  few re-integrated at a fine step together with the canonical policies, and
-  the exact objective decides.
+  A vectorized coarse-step integrator screens the candidates and ranks them
+  on the by-parts form of the objective, whose integrand depends on the
+  state alone and so is second order in the step; the best few are
+  re-integrated at a fine step together with the canonical policies, and the
+  exact objective decides.
 
 Ties are broken toward earlier cutting (lexicographically larger cumulative
 harvest), then by enumeration order, so results are deterministic.
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import HOLD, Policy, integrate
-from .economics import EconomicModel, delta_h, objective
+from .dynamics import EXIT_REL_TOL, HOLD, Policy, integrate
+from .economics import EconomicModel, _revenue_rate, delta_h, objective, price
 from .model import Scenario
 from .trajectories import build_policy, is_unreachable, t_cap0, time_to_count
 
@@ -150,98 +152,86 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     One fixed-step pass vectorized across candidates: free growth takes RK4
     steps, and ceiling riders follow the closed-form arc relation
-    (:meth:`Scenario.arc_count_after`), with exact exhaustion times
-    (:meth:`Scenario.arc_exhaustion_time`).  A ceiling crossing is located
-    with a single proportional substep, and the rest of that step follows
-    the arc; this is accurate enough for ranking, and winners are
-    re-integrated exactly.  Returns (values, feasible, n_checkpoints, n_end).
+    (:meth:`Scenario.arc_count_after`) with exact exhaustion times
+    (:meth:`Scenario.arc_exhaustion_time`).  Values are the by-parts
+    objective, its integrand (shared with ``objective_ibp``) summed by the
+    per-step trapezoid; it depends on the state alone and only kinks where
+    the control jumps, so the ranking is second order in the step.  A row
+    reaching the exit corner adds its trapezoid up to the exit time at the
+    corner state, then freezes.  The rate clamp at n_min and the single
+    proportional substep to a ceiling crossing perturb only the state, at
+    second order; winners are re-integrated exactly.  Returns (values,
+    feasible, n_end).
     """
     p = scenario.params
-    growth_g = scenario.growth.g
-    env_v = scenario.env.v
-    A, q2, e_max, n_min = p.A, p.q / 2.0, p.e_max, p.n_min
+    env = scenario.env
+    growth_g, env_v = scenario.growth.g, env.v
+    A, q2, n_min, s_bar = p.A, p.q / 2.0, p.n_min, p.s_bar
     arc_exp = -2.0 / p.q
     m, k = levels_matrix.shape
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
 
+    def growth_rate(t_loc, s_loc, n_loc):
+        return growth_g(A * n_loc * s_loc ** q2) / n_loc * env_v(t_loc)
+
+    def rk4(t0, s0, n0, e0, k1, hh):
+        """One free-growth step at the constant rates e0 from the first stage k1."""
+        n_mid, n_end = n0 - hh / 2 * e0, n0 - hh * e0
+        k2 = growth_rate(t0 + hh / 2, s0 + hh / 2 * k1, n_mid)
+        k3 = growth_rate(t0 + hh / 2, s0 + hh / 2 * k2, n_mid)
+        k4 = growth_rate(t0 + hh, s0 + hh * k3, n_end)
+        return s0 + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4), n_end
+
     s = np.full(m, scenario.initial.s)
     n = np.full(m, scenario.initial.n)
     on_arc = np.zeros(m, dtype=bool)
     dead = np.zeros(m, dtype=bool)
-    exited = np.zeros(m, dtype=bool)
-    t_end = np.full(m, horizon)
-    s_end = np.zeros(m)
-    n_end = np.zeros(m)
-    value = np.zeros(m)
-    n_checkpoints = np.empty((m, k + 1))
-    n_checkpoints[:, 0] = n
-
-    def deriv(t_loc, s_loc, n_loc, e_loc):
-        r = A * n_loc * s_loc ** q2
-        return growth_g(r) / n_loc * env_v(t_loc), -e_loc
-
-    def rk4(t0, s0, n0, e0, hh):
-        """One free-growth step at the constant rates e0."""
-        k1s, k1n = deriv(t0, s0, n0, e0)
-        k2s, k2n = deriv(t0 + hh / 2, s0 + hh / 2 * k1s, n0 + hh / 2 * k1n, e0)
-        k3s, k3n = deriv(t0 + hh / 2, s0 + hh / 2 * k2s, n0 + hh / 2 * k2n, e0)
-        k4s, k4n = deriv(t0 + hh, s0 + hh * k3s, n0 + hh * k3n, e0)
-        return (s0 + hh / 6 * (k1s + 2 * k2s + 2 * k3s + k4s),
-                n0 + hh / 6 * (k1n + 2 * k2n + 2 * k3n + k4n))
-
+    done = np.zeros(m, dtype=bool)          # dead or exited: value frozen
+    t_exit = np.empty(m)
     t = 0.0
+    # The growth rate at each step end is the next step's first RK4 stage.
+    dsdt = growth_rate(t, s, n)
+    rate = _revenue_rate(econ, env, s, n, t, dsdt)
+    value = np.full(m, price(econ, env, scenario.initial.s, t) * scenario.initial.n)
+
     for seg in range(k):
         seg_levels = levels_matrix[:, seg]
         hold_mask = seg_levels == _HOLD_CODE
         on_arc &= hold_mask          # numeric segments leave the ceiling
+        # Hold rows grow freely; ceiling riders' results are replaced below.
+        e_level = np.where(hold_mask, 0.0, np.maximum(seg_levels, 0.0))
         for _ in range(steps_per):
-            active = ~(dead | exited)
-            if not active.any():
+            if done.all():
                 break
-            # Rates: ceiling-holding where on the arc, else the coded level
-            # clamped so the count cannot undershoot n_min inside the step.
-            e_free = np.where(hold_mask, 0.0, np.maximum(seg_levels, 0.0))
-            e_free = np.minimum(e_free, np.maximum(n - n_min, 0.0) / h)
-            e_arc = q2 * env_v(t) / s
-            e = np.where(on_arc, e_arc, e_free)
-            e[~active] = 0.0
-            pr0 = econ.k * s ** econ.alpha * scenario.env.h0(t) * np.exp(-econ.delta * t)
-
-            # Ceiling riders' free-growth results are replaced below.
-            s_new, n_new = rk4(t, s, n, e, h)
-            riding = on_arc & active
+            # Clamp the rate so the count cannot undershoot n_min in the step.
+            e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
+            s_new, n_new = rk4(t, s, n, e, dsdt, h)
+            exiting = np.zeros(m, dtype=bool)
+            riding = on_arc & ~done
             if riding.any():
                 n_arc = scenario.arc_count_after(n, env_v.integral(t, t + h))
-                hit = riding & (n_arc < n_min)
-                if hit.any():
-                    t_end[hit] = np.minimum(scenario.arc_exhaustion_time(t, n[hit]), t + h)
-                    s_end[hit] = (A * n_min) ** arc_exp
-                    n_end[hit] = n_min
-                    value[hit] += (t_end[hit] - t) * pr0[hit] * e[hit]
-                    exited |= hit
-                    riding &= ~hit
+                exiting = riding & (n_arc < n_min)
+                if exiting.any():
+                    t_exit[exiting] = np.minimum(
+                        scenario.arc_exhaustion_time(t, n[exiting]), t + h)
                 n_new = np.where(riding, n_arc, n_new)
                 s_new = np.where(riding, (A * n_new) ** arc_exp, s_new)
 
             r_new = A * n_new * s_new ** q2
-            crossing = active & ~on_arc & (r_new > 1.0)
+            crossing = ~done & ~on_arc & (r_new > 1.0)
             if crossing.any():
                 r_old = A * n[crossing] * s[crossing] ** q2
                 frac = np.clip((1.0 - r_old) / np.maximum(r_new[crossing] - r_old, 1e-300),
                                0.0, 1.0)
-                s_c, n_c = rk4(t, s[crossing], n[crossing], e[crossing], frac * h)
+                s_c, n_c = rk4(t, s[crossing], n[crossing], e[crossing], dsdt[crossing],
+                               frac * h)
                 idx = np.flatnonzero(crossing)
-                at_corner = n_c <= n_min * (1.0 + 1e-7)
+                at_corner = n_c <= n_min * (1.0 + EXIT_REL_TOL)
                 allowed = hold_mask[idx]
                 # Corner reached while crossing: legitimate exit.
-                corner_idx = idx[at_corner]
-                if corner_idx.size:
-                    t_end[corner_idx] = t + frac[at_corner] * h
-                    s_end[corner_idx] = (A * n_min) ** arc_exp
-                    n_end[corner_idx] = n_min
-                    value[corner_idx] += frac[at_corner] * h * pr0[corner_idx] * e[corner_idx]
-                    exited[corner_idx] = True
+                t_exit[idx[at_corner]] = t + frac[at_corner] * h
+                exiting[idx[at_corner]] = True
                 # Ceiling reached under a hold level: ride it from here on.
                 ride_idx = idx[~at_corner & allowed]
                 if ride_idx.size:
@@ -258,24 +248,24 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                 if dead_idx.size:
                     dead[dead_idx] = True
 
-            adv = ~(dead | exited)
-            s = np.where(adv, s_new, s)
-            n = np.where(adv, n_new, n)
-            pr1 = econ.k * s ** econ.alpha * scenario.env.h0(t + h) * np.exp(-econ.delta * (t + h))
-            e_val = np.where(on_arc, q2 * env_v(t + h) / s, e)
-            value += np.where(adv, 0.5 * h * (pr0 * e + pr1 * e_val), 0.0)
+            if exiting.any():
+                te = t_exit[exiting]
+                corner = _revenue_rate(econ, env, s_bar, n_min, te,
+                                       growth_rate(te, s_bar, n_min))
+                value[exiting] += 0.5 * (te - t) * (rate[exiting] + corner)
+                s_new[exiting], n_new[exiting] = s_bar, n_min
+            done |= dead               # rows breaking the ceiling keep their last state
+            s = np.where(done, s, s_new)
+            n = np.where(done, n, n_new)
+            done |= exiting
             t += h
-        n_checkpoints[:, seg + 1] = n
+            dsdt = growth_rate(t, s, n)
+            rate_new = _revenue_rate(econ, env, s, n, t, dsdt)
+            value += np.where(done, 0.0, 0.5 * h * (rate + rate_new))
+            rate = rate_new
 
-    final = ~(dead | exited)
-    s_end = np.where(final, s, s_end)
-    n_end = np.where(final, n, n_end)
-    t_end = np.where(final, horizon, t_end)
-    terminal_value = econ.k * s_end ** econ.alpha * scenario.env.h0(t_end) \
-        * np.exp(-econ.delta * t_end) * n_end
-    values = value + terminal_value
-    values[dead] = -np.inf
-    return values, ~dead, n_checkpoints, n_end
+    value[dead] = -np.inf
+    return value, ~dead, n
 
 
 def _levels_to_policy(levels_row: np.ndarray, horizon: float, k: int) -> Policy:
@@ -314,7 +304,7 @@ class SearchResult:
         }
 
 
-def _cumulative_cut_key(scenario: Scenario, traj, horizon: float) -> tuple:
+def _cumulative_cut_key(traj, horizon: float) -> tuple:
     ts = np.linspace(0.0, min(horizon, traj.validity_end), 129)
     return tuple(np.round(-traj.interp_n(ts), 9))
 
@@ -372,7 +362,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     codes = sorted(set(codes))
 
     matrix = np.array(list(itertools.product(codes, repeat=n_intervals)))
-    values, feasible, n_checks, n_end = _screen_candidates(
+    values, feasible, n_end = _screen_candidates(
         scenario, econ, horizon, matrix)
     if terminal_n_min:
         reaches = n_end <= p.n_min * (1.0 + 1e-6)
@@ -418,10 +408,10 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
             canonical_values[name] = val
         tie_tol = 1e-12 * max(1.0, abs(val), 0.0 if best is None else abs(best[0]))
         if best is None or val > best[0] + tie_tol:
-            key = _cumulative_cut_key(scenario, traj, horizon)
+            key = _cumulative_cut_key(traj, horizon)
             best = (val, key, idx, name, policy)
         elif val >= best[0] - tie_tol:
-            key = _cumulative_cut_key(scenario, traj, horizon)
+            key = _cumulative_cut_key(traj, horizon)
             if key > best[1]:
                 best = (val, key, idx, name, policy)
 

@@ -277,7 +277,18 @@ class TestCeilingArcAgainstRk4:
 
 
 class TestInvariantsOnGeneratedScenarios:
-    """Model invariants along random policies on generated scenarios."""
+    """Model invariants along random policies on generated scenarios.
+
+    The by-parts check runs at the default step H/4096.  At H/1024 the two
+    forms can differ by 1e-6 after a cutting burst shorter than two steps
+    (e h / n about 0.2): the direct form integrates P e over that burst on a
+    three-sample Simpson panel.  On one such generated scenario its error
+    against an H/65536 reference fell 8.6e-7 -> 5.3e-8 -> 8.7e-10 at H/1024,
+    H/2048 and H/4096, and the panel carried 8.4e-7 of the 8.6e-7.  The
+    panel error stays the same with the exact state at its nodes, although
+    s there is off by 1.1e-7 relative, so it is quadrature error, and it
+    converges like the rest of the rule.
+    """
 
     @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)

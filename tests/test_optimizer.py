@@ -1,9 +1,14 @@
 import dataclasses
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 import standgrowth as sg
+from standgrowth.optimizer import _HOLD_CODE, _levels_to_policy, _screen_candidates
+
+from conftest import load
 
 
 class TestProp2Conditions:
@@ -104,6 +109,9 @@ class TestBruteForce:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == res.enumerated + 1
         assert lines[0] == "candidate,levels,approx_value,feasible"
+        # Growing freely under numeric levels breaks the ceiling: no value.
+        rows = {line.split(",")[1]: line.split(",") for line in lines[1:]}
+        assert rows["0|0"][2:] == ["", "0"]
 
     def test_result_serializes(self, convex_price, tmp_path):
         from standgrowth.optimizer import search_result_to_json
@@ -119,6 +127,51 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
                            n_intervals=11)
+
+
+def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:
+    scn = loaded.scenario
+    policy = _levels_to_policy(codes, horizon, len(codes))
+    traj = sg.integrate(scn, policy, horizon, step=horizon / steps)
+    return sg.objective(scn, loaded.economics, traj)
+
+
+class TestScreen:
+    """The screen's by-parts values against the exact objective."""
+
+    @pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                      "fagacees.ini", "linear_growth.ini", "low_energy.ini"])
+    def test_top_candidates_match_fine_objective(self, name):
+        loaded = load(name)
+        scn, econ = loaded.scenario, loaded.economics
+        p = scn.params
+        t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
+        t_upper = sg.t_cap0(scn)
+        t_upper = p.t_star if sg.is_unreachable(t_upper) else min(t_upper, p.t_star)
+        matrix = np.array(list(itertools.product((_HOLD_CODE, 0.0, p.e_max), repeat=8)))
+        for u in (0.25, 0.5, 0.75):
+            horizon = t0n + u * (t_upper - t0n)
+            values = _screen_candidates(scn, econ, horizon, matrix)[0]
+            top = [i for i in np.argsort(-values, kind="stable")[:8] if np.isfinite(values[i])]
+            assert len(top) == 8
+            for i in top:
+                fine = _fine_objective(loaded, matrix[i], horizon, 4096)
+                assert values[i] == pytest.approx(fine, rel=1e-5), (horizon, matrix[i])
+
+    @pytest.mark.parametrize("horizon, row, event", [
+        (10.174, "hhhhhhhh", "RdiHitOne"),     # crosses the ceiling, then rides it
+        (29.0, "mhhhhhhh", "ExitPoint"),       # rides the ceiling down to the exit corner
+    ])
+    def test_second_order_in_the_step(self, concave_price, horizon, row, event):
+        scn, econ = concave_price.scenario, concave_price.economics
+        codes = np.array([{"h": _HOLD_CODE, "m": scn.params.e_max}[c] for c in row])
+        policy = _levels_to_policy(codes, horizon, len(codes))
+        assert event in [ev.kind for ev in sg.integrate(scn, policy, horizon).events]
+        exact = _fine_objective(concave_price, codes, horizon, 16384)
+        err = {steps: abs(_screen_candidates(scn, econ, horizon, codes[None, :],
+                                             steps_total=steps)[0][0] - exact)
+               for steps in (1024, 4096)}
+        assert err[4096] <= err[1024] / 8.0
 
 
 class TestCompareCanonicals:
