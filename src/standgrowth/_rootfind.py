@@ -1,8 +1,13 @@
-"""Bracketed bisection for the one characteristic time without a closed form.
+"""Bracketed bisection for the two times the model has no closed form for.
 
-The arc-leaving time of the exact-target policy ``et`` solves a monotone
-equation with a known bracket; bisection gives a guaranteed absolute
-tolerance on its root.  Every other characteristic time is a closed form.
+* The arc-leaving time of the exact-target policy ``et`` solves a monotone
+  equation with a known bracket.
+* A ceiling crossing under a positive thinning rate, inside one integrator
+  step: the count then falls while the basal area grows, and the density
+  equation no longer separates.  Such a crossing ends the run.
+
+Bisection gives a guaranteed absolute tolerance on either root.  Every other
+characteristic and event time is a closed form.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, integrate
-from .model import Scenario, rdi
+from .model import Scenario, boundary_control, rdi
 from .trajectories import build_policy
 
 __all__ = [
@@ -101,7 +101,7 @@ def check_h3(scenario: Scenario) -> tuple[bool, float]:
     """
     p = scenario.params
     ts = np.linspace(0.0, p.t_star, H3_GRID)
-    rates = p.q / 2.0 * scenario.env.v(ts) / scenario.initial.s
+    rates = boundary_control(p, scenario.env, scenario.initial.s, ts)
     margin = float(p.e_max - np.max(rates))
     return margin > 0.0, margin
 
@@ -219,10 +219,6 @@ class XiLowerBound:
         return np.interp(times, self.t, self.values)
 
 
-def _sdot(scenario: Scenario, traj: Trajectory) -> np.ndarray:
-    return scenario.growth.g(traj.r) / traj.n * scenario.env.v(traj.t)
-
-
 @dataclass(frozen=True)
 class EnvelopeRefs:
     """Reference trajectories the envelope inequalities compare against.
@@ -251,8 +247,7 @@ class EnvelopeRefs:
 
     def fast_sn(self, times) -> tuple[np.ndarray, np.ndarray]:
         p = self.scenario.params
-        s = np.interp(times, self.fast.t, self.fast.s)
-        n = np.interp(times, self.fast.t, self.fast.n)
+        s, n = self.fast.interp_s(times), self.fast.interp_n(times)
         if self.fast.exited:
             past = np.asarray(times) > self.fast.validity_end
             s = np.where(past, p.s_bar, s)
@@ -260,16 +255,12 @@ class EnvelopeRefs:
         return s, n
 
     def slow_sn(self, times) -> tuple[np.ndarray, np.ndarray]:
-        s = np.interp(times, self.slow.t, self.slow.s)
-        n = np.interp(times, self.slow.t, self.slow.n)
-        return s, n
+        return self.slow.interp_s(times), self.slow.interp_n(times)
 
     def terminal_sn(self, times) -> tuple[np.ndarray, np.ndarray]:
         if self.terminal is None:
             raise ValueError("terminal reference was not built")
-        s = np.interp(times, self.terminal.t, self.terminal.s)
-        n = np.interp(times, self.terminal.t, self.terminal.n)
-        return s, n
+        return self.terminal.interp_s(times), self.terminal.interp_n(times)
 
     def xi_lower_bound(self, form: str | None = None) -> XiLowerBound:
         """xi_m on the slow reference's samples, capped by the fast reference's
@@ -281,9 +272,10 @@ class EnvelopeRefs:
             s_cap = self.fast_sn(self.slow.t)[0]
         else:
             s_cap = np.full_like(self.slow.t, p.s_bar)
-        vals = _sdot(self.scenario, self.slow) \
-            / (self.slow.s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
-        return XiLowerBound(t=self.slow.t, values=vals, form=form)
+        slow = self.slow
+        vals = self.scenario.growth_rate(slow.t, slow.s, slow.n) \
+            / (slow.s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
+        return XiLowerBound(t=slow.t, values=vals, form=form)
 
 
 def xi_lower_bound(scenario: Scenario, horizon: float,
@@ -451,7 +443,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     # Relative-increase floor.
     if xi_m is not None:
         checks.append("xi_ge_xi_m")
-        xi = _sdot(scenario, traj) / s
+        xi = scenario.growth_rate(ts, s, n) / s
         bound = xi_m(ts)
         _collect(violations, xi < bound - AUDIT_TOL * np.maximum(np.abs(bound), 1e-300),
                  ts, "xi_ge_xi_m", bound, xi)

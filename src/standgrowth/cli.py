@@ -47,14 +47,40 @@ def _parse_policy(spec: str, scenario) -> Policy:
     if spec == "esup":
         return build_policy(scenario, "esup")
     if spec.startswith("et:"):
-        return build_policy(scenario, "et", T=float(spec[3:]))
+        try:
+            T = float(spec[3:])
+        except ValueError:
+            raise ConfigError(
+                f"et:T needs a numeric target horizon T (got {spec[3:]!r})") from None
+        return build_policy(scenario, "et", T=T)
     if spec.startswith("pw:"):
-        with open(spec[3:]) as fh:
-            data = json.load(fh)
-        levels = [HOLD if lv == "hold" else float(lv) for lv in data["levels"]]
-        return Policy.piecewise(data["breakpoints"], levels)
+        return _read_piecewise(spec[3:])
     raise ConfigError(f"unknown policy spec {spec!r} "
                       "(expected zero|max|e0|esup|et:T|pw:FILE)")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_piecewise(path: str) -> Policy:
+    """Policy from a JSON object {"breakpoints": [numbers], "levels": [rates or "hold"]}."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict) or not {"breakpoints", "levels"} <= data.keys():
+        raise ConfigError(f'{path}: a piecewise policy must be a JSON object with '
+                          f'"breakpoints" and "levels" lists')
+    bps, levels = data["breakpoints"], data["levels"]
+    if not isinstance(bps, list) or not all(_is_number(b) for b in bps):
+        raise ConfigError(f'{path}: "breakpoints" must be a list of numbers '
+                          f'(got {json.dumps(bps)})')
+    if not isinstance(levels, list) or not all(lv == "hold" or _is_number(lv) for lv in levels):
+        raise ConfigError(f'{path}: "levels" must be a list of rates or "hold" '
+                          f'(got {json.dumps(levels)})')
+    return Policy.piecewise(bps, [HOLD if lv == "hold" else lv for lv in levels])
 
 
 def _horizon(args, loaded) -> float:

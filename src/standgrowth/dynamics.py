@@ -9,8 +9,10 @@ subject to 0 <= e <= e_max, n >= n_min, and the density ceiling r <= 1.
 Off the ceiling, integration is classic fixed-step fourth-order Runge-Kutta
 with this event handling:
 
-* when r crosses 1 inside a step, the crossing time is localized by
-  bisection on the step fraction (time tolerance 1e-9);
+* when r crosses 1 inside a step without cutting, the crossing time is the
+  closed form of :meth:`Scenario.ceiling_time`; under a positive rate the
+  crossing ends the run, and its time is bisected on the step fraction
+  (time tolerance 1e-9).  The count at a crossing is n - e * h_cross;
 * when n crosses n_min inside a step, the rate is constant, so the crossing
   time (n - n_min)/e is exact;
 * while a policy rides the density ceiling, the applied control is the
@@ -38,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Environment, Scenario, StandState, rdi
+from ._rootfind import bisect
+from .model import Environment, Scenario, StandState, boundary_control, rdi
 
 __all__ = [
     "HOLD",
@@ -132,15 +135,6 @@ class Policy:
         return cls(tuple(float(b) for b in breakpoints),
                    tuple(lv if lv is HOLD else float(lv) for lv in levels))
 
-    def segment_index(self, t: float) -> int:
-        """Index of the segment active at time t (right-continuous)."""
-        i = 0
-        for b in self.breakpoints:
-            if t < b:
-                break
-            i += 1
-        return i
-
     def meta_dict(self) -> dict:
         return dict(self.meta)
 
@@ -204,25 +198,20 @@ def rhs(scenario: Scenario, state: StandState, e: float) -> tuple[float, float]:
         raise ValueError("rhs requires n > 0")
     if not 0.0 <= e <= p.e_max * (1.0 + 1e-12):
         raise ValueError(f"thinning rate {e} outside [0, {p.e_max}]")
-    ds = scenario.growth.g(rdi(p, state.n, state.s)) / state.n * scenario.env.v(state.t)
-    return float(ds), -float(e)
+    return float(scenario.growth_rate(state.t, state.s, state.n)), -float(e)
 
 
 def drdt(scenario: Scenario, state: StandState, e: float) -> float:
     """Rate of change of the density index: (r/n) [ (q/2) g(r)/s V(t) - e ]."""
-    p = scenario.params
     if state.n <= 0.0:
         raise ValueError("drdt requires n > 0")
-    r = rdi(p, state.n, state.s)
-    g = scenario.growth.g(r)
-    return float(r / state.n * (p.q / 2.0 * g / state.s * scenario.env.v(state.t) - e))
+    return float(_drdt_values(scenario, state.t, state.s, state.n, e))
 
 
 def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:
-    p = scenario.params
-    r = rdi(p, n, s)
-    g = scenario.growth.g(r)
-    return r / n * (p.q / 2.0 * g / s * scenario.env.v(t) - e)
+    """dr/dt = r [(q/2) (ds/dt)/s - e/n], from r = A n s**(q/2)."""
+    r = rdi(scenario.params, n, s)
+    return r * (scenario.params.q / 2.0 * scenario.growth_rate(t, s, n) / s - e / n)
 
 
 class _Recorder:
@@ -260,7 +249,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     ``"clamp"`` freezes the rate at zero (recording an NMinHit event) and
     ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
     ``1 + fault_s_drift`` after every step; it exists solely so verification
-    harnesses can prove they detect a corrupted integrator.
+    harnesses can prove they detect a corrupted integrator, and must be
+    finite and above -1 so that s stays positive.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.
@@ -281,6 +271,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         step = horizon / DEFAULT_STEPS
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive (got {step})")
+    if not (math.isfinite(fault_s_drift) and fault_s_drift > -1.0):
+        raise ValueError(f"fault_s_drift must be finite and above -1 (got {fault_s_drift})")
 
     A, q2, e_max, n_min = p.A, p.q / 2.0, p.e_max, p.n_min
     arc_exp = -2.0 / p.q                    # s on the ceiling: (A n) ** arc_exp
@@ -297,17 +289,6 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
         return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
 
-    def bisect_step(f, h_hi: float) -> float:
-        """Root h' in (0, h_hi] of f, f(0) < 0 <= f(h_hi), to EVENT_TIME_TOL / 2."""
-        lo, hi = 0.0, h_hi
-        while hi - lo > EVENT_TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            if f(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
@@ -316,11 +297,6 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
 
     rec = _Recorder()
     rec.breaks.add(0.0)
-
-    spans: list[tuple[float, float, object]] = []
-    bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
-    for i in range(len(bounds) - 1):
-        spans.append((bounds[i], bounds[i + 1], policy.levels[policy.segment_index(bounds[i])]))
 
     def finish(end_time: float, terminal_kind: str, exited: bool) -> Trajectory:
         rec.events.append(TrajectoryEvent(end_time, terminal_kind, True))
@@ -343,13 +319,16 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     def exit_at(t_exit: float, arc: bool) -> Trajectory:
         """Stop at the (1, n_min) corner, under the ceiling-holding rate on an arc."""
         s_bar = p.s_bar
-        rec.add(t_exit, s_bar, n_min, q2 * env_v(t_exit) / s_bar if arc else 0.0, arc)
+        rec.add(t_exit, s_bar, n_min,
+                boundary_control(p, scenario.env, s_bar, t_exit) if arc else 0.0, arc)
         return finish(t_exit, "ExitPoint", True)
 
     r = A * n * s ** q2
     rec.add(0.0, s, n, 0.0, False)  # e backfilled below once the first span is known
 
-    for ta, tb, level in spans:
+    # Level i holds from bounds[i]: breakpoints are positive and increasing.
+    bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
+    for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
         hold = level is HOLD
         rate = 0.0 if hold else float(level)
         rec.breaks.add(ta)
@@ -360,10 +339,11 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
             if near_corner(n):
                 return exit_at(t, True)
             on_arc = True
-            s = (A * n) ** arc_exp
+            s = p.ceiling_s(n)
         if rec.t and abs(rec.t[-1] - ta) < 1e-13:
             # Backfill the control column of the span-opening sample.
-            rec.e[-1] = q2 * env_v(t) / s if on_arc else (0.0 if exhausted else rate)
+            rec.e[-1] = (boundary_control(p, scenario.env, s, t) if on_arc
+                         else (0.0 if exhausted else rate))
             rec.arc[-1] = on_arc
         n_steps = max(1, round((tb - ta) / step))
         h_nom = (tb - ta) / n_steps
@@ -399,28 +379,28 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 s1, n1 = rk4_free(t, s, n, h, e)
                 r1 = A * n1 * s1 ** q2
                 if r1 > 1.0:
-                    def r_excess(hh: float) -> float:
-                        s2, n2 = rk4_free(t, s, n, hh, e)
-                        return A * n2 * s2 ** q2 - 1.0
-                    h_cross = bisect_step(r_excess, h) if r < 1.0 - 1e-12 else 0.0
-                    if h_cross > 0.0:
-                        s1, n1 = rk4_free(t, s, n, h_cross, e)
+                    if r >= 1.0 - 1e-12:
+                        h_cross = 0.0
+                    elif e == 0.0:
+                        h_cross = min(max(scenario.ceiling_time(t, s, n) - t, 0.0), h)
                     else:
-                        s1, n1 = s, n
+                        def r_excess(hh: float) -> float:
+                            s2, n2 = rk4_free(t, s, n, hh, e)
+                            return A * n2 * s2 ** q2 - 1.0
+                        h_cross = bisect(r_excess, 0.0, h, xtol=EVENT_TIME_TOL)
                     t = t + h_cross
-                    if near_corner(n1):
+                    n = n - h_cross * e
+                    if near_corner(n):
                         return exit_at(t, False)
-                    # The localized crossing lies within EVENT_TIME_TOL of the
-                    # root; the state is placed exactly on the ceiling.
-                    n = n1
-                    s = (A * n) ** arc_exp
+                    # The state is placed exactly on the ceiling.
+                    s = p.ceiling_s(n)
                     if not hold:
                         rec.add(t, s, n, e, False)
                         return finish(t, "RdiHitOne", False)
                     on_arc = True
                     rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
                     rec.breaks.add(t)
-                    rec.add(t, s, n, q2 * env_v(t) / s, True)
+                    rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
                     r = 1.0
                     continue
                 t = t_after_full
@@ -448,6 +428,8 @@ def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,
     before the horizon (the integrator's clamp then pins n(T) = n_min).
     """
     p = scenario.params
+    if count < 0:
+        raise ValueError(f"policy count must be non-negative (got {count})")
     policies = []
     for _ in range(count):
         k = int(rng.integers(1, SAMPLED_MAX_SEGMENTS + 1))

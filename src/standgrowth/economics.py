@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .model import Environment, Scenario, _require_finite, rdi
+from .model import Environment, Scenario, _require_finite, boundary_control
 
 __all__ = [
     "EconomicModel",
@@ -142,8 +142,7 @@ def _left_rates(scenario: Scenario, traj: Trajectory, a: int, b: int) -> np.ndar
     """
     e = traj.e[a:b + 1].copy()
     if traj.on_arc[a]:
-        p = scenario.params
-        e[-1] = p.q / 2.0 * scenario.env.v(traj.t[b]) / traj.s[b]
+        e[-1] = boundary_control(scenario.params, scenario.env, traj.s[b], traj.t[b])
     else:
         e[-1] = e[0]
     return e
@@ -180,8 +179,7 @@ def _revenue_rate(econ: EconomicModel, env: Environment, s, n, t, dsdt):
 
 def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):
     """Integrand of the by-parts objective: d/dt[P(s(t), t)] * n at a state."""
-    dsdt = scenario.growth.g(rdi(scenario.params, n, s)) / n * scenario.env.v(t)
-    return _revenue_rate(econ, scenario.env, s, n, t, dsdt)
+    return _revenue_rate(econ, scenario.env, s, n, t, scenario.growth_rate(t, s, n))
 
 
 def objective_ibp(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> float:

@@ -16,12 +16,19 @@ per year at full density), reduced at lower density by a competition factor
 a rate ``e(t)`` bounded by ``e_max``.  The dominant height ``h0(t)`` is an
 output only: it never feeds back into the dynamics.
 
-This module holds the immutable parameter/state containers, the competition
-function family ``g`` with its derived functionals, the environment families
-for ``V`` (with the closed-form energy and its inverse) and ``h0``, the
-closed-form count relation along the density ceiling (on :class:`Scenario`),
-and the pointwise operations (``rdi``, ``g_eval``, ``script_g``, ``gamma``,
-``boundary_control``, ``energy``).  All of them accept scalars or numpy arrays.
+This module holds the immutable parameter/state containers (with the
+ceiling basal area ``StandParams.ceiling_s``), the competition function family
+``g`` with its derived functionals, the environment families for ``V`` (with
+the closed-form energy and its inverse) and ``h0``, and the pointwise
+operations (``rdi``, ``g_eval``, ``script_g``, ``gamma``, ``boundary_control``,
+``energy``).  :class:`Scenario` holds the closed forms of the dynamics:
+
+* ``growth_rate``: the per-tree growth g(r)/n * V(t);
+* ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
+* ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
+  ceiling, and when it reaches n_min.
+
+All of them accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -96,10 +103,15 @@ class StandParams:
         _require(np.isfinite(self.s_bar) and self.s_bar > 0.0,
                  "derived maximal basal area (A*n_min)**(-2/q) must be finite and positive")
 
+    def ceiling_s(self, n):
+        """Basal area (A n)**(-2/q) at which a stand of n trees sits on the
+        density ceiling r = 1."""
+        return (self.A * n) ** (-2.0 / self.q)
+
     @property
     def s_bar(self) -> float:
         """Largest basal area compatible with the density ceiling at n = n_min."""
-        return float((self.A * self.n_min) ** (-2.0 / self.q))
+        return float(self.ceiling_s(self.n_min))
 
 
 @dataclass(frozen=True)
@@ -364,6 +376,25 @@ class Scenario:
     @property
     def rdi0(self) -> float:
         return self.initial.rdi(self.params)
+
+    def growth_rate(self, t, s, n):
+        """Basal-area growth per tree ds/dt = g(r)/n * V(t) at the state (t, s, n)."""
+        p = self.params
+        return self.growth.g(p.A * n * s ** (p.q / 2.0)) / n * self.env.v(t)
+
+    def ceiling_time(self, t, s, n):
+        """Time t1 at which a stand growing uncut from (t, s, n), below the
+        density ceiling, reaches r = 1; ``inf`` when the energy never suffices.
+
+        At constant count the density equation separates into
+
+            Int_r^1 u**(2/q-1)/g(u) du = (q/2) A**(2/q) n**(2/q-1) * Energy(t, t1).
+        """
+        p = self.params
+        b = 2.0 / p.q - 1.0
+        r = p.A * n * s ** (p.q / 2.0)
+        coeff = p.q / 2.0 * n ** b * p.A ** (2.0 / p.q)
+        return self.env.v.time_at(t, self.growth.density_integral(r, b) / coeff)
 
     # Along the density ceiling r = 1 the control is (q/2) V/s and s =
     # (A n)**(-2/q), so the count obeys dn/dt = -(q/2) A**(2/q) n**(2/q) V(t),

@@ -150,38 +150,29 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                        levels_matrix: np.ndarray, steps_total: int = 1024):
     """Approximate objectives for a batch of interval-coded policies.
 
-    One fixed-step pass vectorized across candidates: free growth takes RK4
-    steps, and ceiling riders follow the closed-form arc relation
-    (:meth:`Scenario.arc_count_after`) with exact exhaustion times
-    (:meth:`Scenario.arc_exhaustion_time`).  Values are the by-parts
-    objective, its integrand (shared with ``objective_ibp``) summed by the
-    per-step trapezoid; it depends on the state alone and only kinks where
-    the control jumps, so the ranking is second order in the step.  A row
-    reaching the exit corner adds its trapezoid up to the exit time at the
-    corner state, then freezes.  The rate clamp at n_min and the single
-    proportional substep to a ceiling crossing perturb only the state, at
-    second order; winners are re-integrated exactly.  Returns (values,
-    feasible, n_end).
+    One fixed-step pass vectorized across candidates, under the event rules
+    of ``integrate``: free growth takes RK4 steps; an uncut row reaches the
+    density ceiling at :meth:`Scenario.ceiling_time`; riders follow the arc
+    relation (:meth:`Scenario.arc_count_after`) from the step's start or
+    their crossing, up to the exact exhaustion time
+    (:meth:`Scenario.arc_exhaustion_time`); a crossing at n_min is the exit
+    corner.  A row crossing elsewhere under a positive rate dies; the
+    ceiling time at its starting count only decides its corner test.
+    Values are the by-parts objective, its integrand (shared with
+    ``objective_ibp``) summed by the per-step trapezoid; it depends on the
+    state alone and only kinks where the control jumps, so the ranking is
+    second order in the step.  A row reaching the exit corner adds its
+    trapezoid up to the exit time at the corner state, then freezes.  The
+    rate clamp at n_min perturbs only the state, at second order; winners
+    are re-integrated exactly.  Returns (values, feasible, n_end).
     """
     p = scenario.params
     env = scenario.env
-    growth_g, env_v = scenario.growth.g, env.v
+    growth_rate, env_v = scenario.growth_rate, env.v
     A, q2, n_min, s_bar = p.A, p.q / 2.0, p.n_min, p.s_bar
-    arc_exp = -2.0 / p.q
     m, k = levels_matrix.shape
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
-
-    def growth_rate(t_loc, s_loc, n_loc):
-        return growth_g(A * n_loc * s_loc ** q2) / n_loc * env_v(t_loc)
-
-    def rk4(t0, s0, n0, e0, k1, hh):
-        """One free-growth step at the constant rates e0 from the first stage k1."""
-        n_mid, n_end = n0 - hh / 2 * e0, n0 - hh * e0
-        k2 = growth_rate(t0 + hh / 2, s0 + hh / 2 * k1, n_mid)
-        k3 = growth_rate(t0 + hh / 2, s0 + hh / 2 * k2, n_mid)
-        k4 = growth_rate(t0 + hh, s0 + hh * k3, n_end)
-        return s0 + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4), n_end
 
     s = np.full(m, scenario.initial.s)
     n = np.full(m, scenario.initial.n)
@@ -206,47 +197,40 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                 break
             # Clamp the rate so the count cannot undershoot n_min in the step.
             e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-            s_new, n_new = rk4(t, s, n, e, dsdt, h)
+            n_mid, n_new = n - h / 2 * e, n - h * e
+            k2 = growth_rate(t + h / 2, s + h / 2 * dsdt, n_mid)
+            k3 = growth_rate(t + h / 2, s + h / 2 * k2, n_mid)
+            k4 = growth_rate(t + h, s + h * k3, n_new)
+            s_new = s + h / 6 * (dsdt + 2 * k2 + 2 * k3 + k4)
+
             exiting = np.zeros(m, dtype=bool)
+            t_arc, n_arc = t, n              # where each rider's arc starts
+            crossing = ~done & ~on_arc & (A * n_new * s_new ** q2 > 1.0)
+            if crossing.any():
+                idx = np.flatnonzero(crossing)
+                t_c = np.clip(scenario.ceiling_time(t, s[idx], n[idx]), t, t + h)
+                n_c = n[idx] - (t_c - t) * e[idx]
+                at_corner = n_c <= n_min * (1.0 + EXIT_REL_TOL)
+                rides = ~at_corner & hold_mask[idx]
+                t_exit[idx[at_corner]] = t_c[at_corner]
+                exiting[idx[at_corner]] = True
+                dead[idx[~at_corner & ~rides]] = True
+                if rides.any():
+                    on_arc[idx[rides]] = True
+                    t_arc, n_arc = np.full(m, t), n.copy()
+                    t_arc[idx[rides]], n_arc[idx[rides]] = t_c[rides], n_c[rides]
+
             riding = on_arc & ~done
             if riding.any():
-                n_arc = scenario.arc_count_after(n, env_v.integral(t, t + h))
-                exiting = riding & (n_arc < n_min)
-                if exiting.any():
-                    t_exit[exiting] = np.minimum(
-                        scenario.arc_exhaustion_time(t, n[exiting]), t + h)
-                n_new = np.where(riding, n_arc, n_new)
-                s_new = np.where(riding, (A * n_new) ** arc_exp, s_new)
-
-            r_new = A * n_new * s_new ** q2
-            crossing = ~done & ~on_arc & (r_new > 1.0)
-            if crossing.any():
-                r_old = A * n[crossing] * s[crossing] ** q2
-                frac = np.clip((1.0 - r_old) / np.maximum(r_new[crossing] - r_old, 1e-300),
-                               0.0, 1.0)
-                s_c, n_c = rk4(t, s[crossing], n[crossing], e[crossing], dsdt[crossing],
-                               frac * h)
-                idx = np.flatnonzero(crossing)
-                at_corner = n_c <= n_min * (1.0 + EXIT_REL_TOL)
-                allowed = hold_mask[idx]
-                # Corner reached while crossing: legitimate exit.
-                t_exit[idx[at_corner]] = t + frac[at_corner] * h
-                exiting[idx[at_corner]] = True
-                # Ceiling reached under a hold level: ride it from here on.
-                ride_idx = idx[~at_corner & allowed]
-                if ride_idx.size:
-                    fr = frac[~at_corner & allowed]
-                    nn = np.maximum(n_c[~at_corner & allowed], n_min)
-                    # Finish the step on the arc.
-                    n_fin = scenario.arc_count_after(nn, env_v.integral(t + fr * h, t + h))
-                    n_fin = np.maximum(n_fin, n_min * (1.0 + 1e-12))
-                    s_new[ride_idx] = (A * n_fin) ** arc_exp
-                    n_new[ride_idx] = n_fin
-                    on_arc[ride_idx] = True
-                # Ceiling reached under a numeric level: constraint violated.
-                dead_idx = idx[~at_corner & ~allowed]
-                if dead_idx.size:
-                    dead[dead_idx] = True
+                n_end = scenario.arc_count_after(n_arc, env_v.integral(t_arc, t + h))
+                ends = riding & (n_end < n_min)
+                if ends.any():
+                    t_from = t_arc[ends] if np.ndim(t_arc) else t_arc
+                    t_exit[ends] = np.minimum(
+                        scenario.arc_exhaustion_time(t_from, n_arc[ends]), t + h)
+                    exiting |= ends
+                n_new = np.where(riding, n_end, n_new)
+                s_new = np.where(riding, p.ceiling_s(n_new), s_new)
 
             if exiting.any():
                 te = t_exit[exiting]
@@ -355,10 +339,16 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         elif lv == "max":
             codes.append(p.e_max)
         else:
-            val = float(lv)
+            try:
+                val = float(lv)
+            except (TypeError, ValueError):
+                raise ValueError(f"level {lv!r} must be a rate in [0, e_max], "
+                                 "'max' or 'hold'") from None
             if not 0.0 <= val <= p.e_max:
                 raise ValueError(f"level {lv} outside [0, e_max]")
             codes.append(val)
+    if not codes:
+        raise ValueError("levels must name at least one level")
     codes = sorted(set(codes))
 
     matrix = np.array(list(itertools.product(codes, repeat=n_intervals)))
@@ -382,19 +372,23 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     fine_step = fine_step if fine_step is not None else horizon / 4096
     refs = EnvelopeRefs.build(scenario, horizon, step=fine_step)
-    reference_trajs = {"E0": refs.fast, "Esup": refs.slow}
     contenders: list[tuple[str, Policy]] = []
     for i in top:
         contenders.append((f"cand{i}", _levels_to_policy(matrix[i], horizon, n_intervals)))
     canon = canonical_policies(scenario, horizon)
+    # Each schedule is integrated once: a contender may repeat a canonical
+    # policy (all-hold is Esup), and the references are E0 and Esup.
+    fine_trajs = {(canon[name].breakpoints, canon[name].levels): traj
+                  for name, traj in (("E0", refs.fast), ("Esup", refs.slow))}
     canonical_values: dict[str, float | None] = {name: None for name in CANONICAL_NAMES}
 
     best = None   # (value, cut_key, order_idx, name, policy)
     for idx, (name, policy) in enumerate(itertools.chain(
             canon.items(), contenders)):
-        traj = reference_trajs.get(name)
+        key = (policy.breakpoints, policy.levels)
+        traj = fine_trajs.get(key)
         if traj is None:
-            traj = integrate(scenario, policy, horizon, step=fine_step)
+            traj = fine_trajs[key] = integrate(scenario, policy, horizon, step=fine_step)
         if not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12):
             if name in canonical_values:
                 canonical_values[name] = None

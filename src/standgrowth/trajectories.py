@@ -14,7 +14,8 @@ the density equation gives the ceiling-hit time t_up as the root of
     (q/2) n0**(2/q-1) A**(2/q) * Energy(0, t_up) = Int_{r0}^{1} u**(2/q-1)/g(u) du,
 
 whose right side is elementary for every growth variant
-(:meth:`GrowthFunction.density_integral`).
+(:meth:`GrowthFunction.density_integral`); :meth:`Scenario.ceiling_time`
+solves it from any uncut state, and t_up is its case at t = 0.
 
 On the ceiling itself (r = 1) the count obeys a separable equation whose
 integral form is
@@ -31,6 +32,7 @@ bisection.  Unreachable values are reported with the explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,16 +92,12 @@ def time_to_count(params: StandParams, n0: float, n: float) -> float:
 def t_sup0(scenario: Scenario):
     """First time the density reaches the ceiling under zero cutting.
 
-    Inverts the separated density equation through the closed-form energy
-    inverse; returns :data:`UNREACHABLE` when the energy over [0, t_star] is
-    insufficient.
+    The t = 0 case of :meth:`Scenario.ceiling_time`; returns
+    :data:`UNREACHABLE` when the energy over [0, t_star] is insufficient.
     """
-    p = scenario.params
-    r0 = scenario.rdi0
-    target = float(scenario.growth.density_integral(r0, 2.0 / p.q - 1.0))
-    coeff = p.q / 2.0 * scenario.initial.n ** (2.0 / p.q - 1.0) * p.A ** (2.0 / p.q)
-    root = scenario.env.v.time_at(0.0, target / coeff)
-    return UNREACHABLE if root > p.t_star else root
+    init = scenario.initial
+    root = scenario.ceiling_time(0.0, init.s, init.n)
+    return UNREACHABLE if root > scenario.params.t_star else root
 
 
 def arc_count(scenario: Scenario, n_start: float, t_start: float, t) -> np.ndarray:
@@ -149,8 +147,8 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
         raise ValueError(f"unknown canonical policy kind {kind!r}")
     if T is None:
         raise ValueError("the et policy needs a target horizon T")
-    if T <= 0.0:
-        raise ValueError(f"target horizon must be positive (got {T})")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"target horizon must be finite and positive (got {T})")
     if T <= t0n * (1.0 + 1e-12):
         return build_policy(scenario, "e0")
 

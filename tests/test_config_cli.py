@@ -142,6 +142,32 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[5.0, 0.0]", "must be a JSON object"),
+        ('{"levels": [0.0]}', "must be a JSON object"),
+        ('{"breakpoints": 5, "levels": [0.0, 1.0]}', '"breakpoints" must be a list of numbers'),
+        ('{"breakpoints": [true], "levels": [0.0, 1.0]}', '"breakpoints" must be a list'),
+        ('{"breakpoints": [5.0], "levels": [null, 0.0]}', '"levels" must be a list of rates'),
+        ('{"breakpoints": [5.0], "levels": ["Hold", 0.0]}', '"levels" must be a list of rates'),
+        ('{"breakpoints": [5.0], "levels": "hold"}', '"levels" must be a list of rates'),
+        ('{"breakpoints": [5.0', "not valid JSON"),
+    ])
+    def test_malformed_piecewise_file_exits_one(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "policy.json"
+        spec.write_text(text)
+        out = tmp_path / "pw.csv"
+        code = main(["simulate", str(SCENARIO_DIR / "fagacees.ini"), f"pw:{spec}",
+                     "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_target_horizon_exits_one(self, tmp_path, capsys):
+        code = main(["simulate", str(SCENARIO_DIR / "fagacees.ini"), "et:abc",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "et:T needs a numeric target horizon" in capsys.readouterr().err
+
     def test_invalid_config_exits_one(self, scenario_file, tmp_path, capsys):
         path = scenario_file(q=2.5)
         code = main(["simulate", str(path), "zero", "--out", str(tmp_path / "x.csv")])
@@ -189,6 +215,12 @@ class TestOptimizeCommand:
         assert payload["enumerated"] == 2
         assert payload["condition_report"]["branch"] == "E0Optimal"
 
+    def test_empty_level_exits_one(self, capsys):
+        code = main(["optimize", str(SCENARIO_DIR / "convex_price_power.ini"),
+                     "--intervals", "1", "--levels", ","])
+        assert code == 1
+        assert "must be a rate in [0, e_max]" in capsys.readouterr().err
+
     def test_missing_economics_exits_one(self, tmp_path, capsys):
         base = (SCENARIO_DIR / "convex_price_power.ini").read_text()
         cut = base.split("[economics]")[0]
@@ -219,6 +251,20 @@ class TestVerifyCommand:
                          *self.ARGS, "--out", str(out)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_policy_count_exits_one(self, capsys):
+        code = main(["verify", str(SCENARIO_DIR / "convex_price_power.ini"),
+                     "--policies", "-3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "policy count must be non-negative" in err
+        assert "PASS" not in err
+
+    def test_non_finite_fault_exits_one(self, capsys):
+        code = main(["verify", str(SCENARIO_DIR / "convex_price_power.ini"),
+                     *self.ARGS, "--inject-fault", "nan"])
+        assert code == 1
+        assert "fault_s_drift must be finite" in capsys.readouterr().err
 
     def test_fault_injection_exits_three(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -169,6 +169,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             sg.integrate(convex_price.scenario, sg.Policy.zero(), horizon, step=step)
 
+    @pytest.mark.parametrize("drift", [float("nan"), float("inf"), -1.0])
+    def test_fault_drift_must_keep_s_finite_and_positive(self, convex_price, drift):
+        with pytest.raises(ValueError, match="fault_s_drift must be finite and above -1"):
+            sg.integrate(convex_price.scenario, sg.Policy.zero(), 5.0, fault_s_drift=drift)
+
+    def test_negative_policy_count_rejected(self, convex_price, rng):
+        with pytest.raises(ValueError, match="policy count must be non-negative"):
+            sg.sample_policies(convex_price.scenario, -3, rng, 20.0)
+
     def test_policy_rate_above_e_max_rejected(self, convex_price):
         policy = sg.Policy.piecewise([], [60.0])
         with pytest.raises(ValueError):

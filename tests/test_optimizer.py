@@ -128,6 +128,31 @@ class TestBruteForce:
             sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
                            n_intervals=11)
 
+    @pytest.mark.parametrize("levels, message", [
+        (("", ""), "must be a rate"), (("0", "Hold"), "must be a rate"),
+        ((), "at least one level")])
+    def test_malformed_levels_name_the_level_set(self, convex_price, levels, message):
+        with pytest.raises(ValueError, match=message):
+            sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
+                           n_intervals=2, levels=levels)
+
+    def test_each_schedule_integrated_once(self, concave_price, monkeypatch):
+        # The all-hold candidate is the Esup schedule, which the references
+        # already hold; no schedule is integrated twice.
+        seen = []
+        integrate = sg.integrate
+
+        def counting(scenario, policy, *args, **kwargs):
+            seen.append((policy.breakpoints, policy.levels))
+            return integrate(scenario, policy, *args, **kwargs)
+
+        monkeypatch.setattr("standgrowth.optimizer.integrate", counting)
+        monkeypatch.setattr("standgrowth.analysis.integrate", counting)
+        sg.brute_force(concave_price.scenario, concave_price.economics, 10.174,
+                       n_intervals=3)
+        assert ((), (sg.HOLD,)) in seen
+        assert len(seen) == len(set(seen))
+
 
 def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:
     scn = loaded.scenario
