@@ -9,9 +9,9 @@ revenue objective, and a brute-force schedule optimizer with closed-form
 sufficient-optimality checks.
 """
 
-from .analysis import (BoundReport, EnvelopeRefs, HypothesisReport, ThresholdSet,
-                       XiLowerBound, audit_trajectory, b_star, check_h3,
-                       check_hypotheses, xi_lower_bound)
+from .analysis import (BoundReport, EnvelopeRefs, HypothesisReport, XiLowerBound,
+                       audit_trajectory, b_star, check_h3, check_hypotheses,
+                       xi_lower_bound)
 from .config import ConfigError, LoadedScenario, load_scenario
 from .dynamics import (HOLD, InfeasibleBoundary, NonViable, Policy, Trajectory,
                        TrajectoryEvent, drdt, integrate, rhs, sample_policies,
@@ -48,7 +48,7 @@ __all__ = [
     "time_to_count", "t_sup0", "t_cap0", "arc_count", "build_policy",
     "extremal_times", "characteristic_times", "validity_diagnostics",
     # analysis
-    "HypothesisReport", "ThresholdSet", "XiLowerBound", "EnvelopeRefs",
+    "HypothesisReport", "XiLowerBound", "EnvelopeRefs",
     "BoundReport", "check_h3", "check_hypotheses", "b_star",
     "xi_lower_bound", "audit_trajectory",
     # economics

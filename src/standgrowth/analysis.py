@@ -13,25 +13,10 @@ ceiling-riding trajectory (subscript "hi").  For any admissible policy
 * the relative basal-area increase s'/s is bounded below by xi_m computed
   from the slow reference.
 
-The weighted-product comparisons (n s**b against the references, for small b
-below the direct-ordering window, for the density index b = q/2, and for b
-above the reversal threshold b_star) are evaluated but not asserted.  Their
-textbook derivation compares the flows of (n s**b)**a along different
-trajectories as if they shared one control, and counterexamples exist for
-every one of the four orderings among admissible policies: a policy whose
-cutting trails the fast reference undercuts the fast reference's product; a
-mid-horizon cutter overtakes the ceiling-riding reference's product once the
-reference is thinning on the ceiling; and the reversed ordering fails for
-every early-cutting policy in an initial layer where the shared starting
-state makes the count factor dominate.  All product comparisons are
-therefore recorded in ``BoundReport.product_diagnostics`` (in log space so
-extreme exponents stay finite) instead of the violation list.
-
-The b-interval endpoints and the a-parametrized auxiliary bounds b1, b2 with
-their crossing a_star feed the optimizer's sufficient conditions.  Audits
-respect the side conditions: inequalities proved only for the power family
-are skipped for other growth functions, and inadmissible b values are never
-evaluated.
+The weighted-product orderings of n s**b against the references are not
+audited, because every one of them has counterexamples among admissible
+policies.  Audits respect the side conditions: inequalities proved only for
+the power family are skipped for other growth functions.
 """
 
 from __future__ import annotations
@@ -47,7 +32,6 @@ from .trajectories import build_policy
 
 __all__ = [
     "HypothesisReport",
-    "ThresholdSet",
     "XiLowerBound",
     "EnvelopeRefs",
     "Violation",
@@ -154,33 +138,8 @@ def check_hypotheses(scenario: Scenario) -> HypothesisReport:
                             witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
-    """The reversed-sandwich threshold b_star with its auxiliary quantities.
-
-    b1(a) and b2(a) are the two sufficient bounds parametrized by the
-    auxiliary exponent a in (0, 1 - gamma_upper); b1 increases, b2 decreases,
-    and they cross at a_star where both equal b_star.  Also carries the upper
-    endpoint of the small-b (direct sandwich) interval.
-    """
-
-    b_star: float
-    a_star: float
-    g_floor: float            # g evaluated at the density r(n_min, s(0))
-    gamma_lower: float
-    gamma_upper: float
-    q: float
-    small_b_limit: float      # sup of admissible b for the direct sandwich
-
-    def b1(self, a):
-        return (self.q / 2.0) * (1.0 - a) / (1.0 - a - self.gamma_upper) / self.g_floor
-
-    def b2(self, a):
-        return (self.q / 2.0) / self.g_floor + (1.0 - self.q / 2.0 * self.gamma_lower) / a
-
-
-def b_star(scenario: Scenario) -> ThresholdSet:
-    """Threshold above which the n s**b sandwich reverses.
+def b_star(scenario: Scenario) -> float:
+    """Threshold above which the n s**b sandwich reverses (feeds ``alpha_star``).
 
     Undefined (raises ValueError) when the elasticity upper bound reaches 1,
     which makes the threshold infinite.
@@ -193,12 +152,7 @@ def b_star(scenario: Scenario) -> ThresholdSet:
     r_floor = rdi(p, p.n_min, scenario.initial.s)
     g_floor = float(growth.g(r_floor))
     q2 = p.q / 2.0
-    bs = (1.0 + q2 * (1.0 / g_floor - gl)) / (1.0 - gu)
-    a_star = (1.0 - gu) * (1.0 - q2 * gl) / (1.0 + q2 * (gu / g_floor - gl))
-    small_b = (1.0 - q2 * gu) / (1.0 - gl) if gl < 1.0 else np.inf
-    return ThresholdSet(b_star=float(bs), a_star=float(a_star), g_floor=g_floor,
-                        gamma_lower=gl, gamma_upper=gu, q=p.q,
-                        small_b_limit=float(small_b))
+    return float((1.0 + q2 * (1.0 / g_floor - gl)) / (1.0 - gu))
 
 
 @dataclass(frozen=True)
@@ -302,19 +256,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of auditing one trajectory against the analytical bounds.
-
-    ``violations`` holds failures of the asserted envelopes;
-    ``product_diagnostics`` records where the non-asserted fast-reference
-    product orderings do not hold and does not affect ``clean``.
-    """
+    """Outcome of auditing one trajectory against the analytical bounds."""
 
     hypotheses: HypothesisReport
-    b_star: float | None
-    a_star: float | None
     xi_m: XiLowerBound | None
     violations: tuple[Violation, ...] = ()
-    product_diagnostics: tuple[Violation, ...] = ()
     checks_run: tuple[str, ...] = ()
 
     @property
@@ -324,13 +270,9 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         return {
             "hypotheses": self.hypotheses.to_json_dict(),
-            "b_star": self.b_star,
-            "a_star": self.a_star,
             "xi_m_form": None if self.xi_m is None else self.xi_m.form,
             "checks_run": list(self.checks_run),
             "violations": [v.to_json_dict() for v in self.violations],
-            "product_diagnostics": [v.to_json_dict()
-                                    for v in self.product_diagnostics],
             "clean": self.clean,
         }
 
@@ -348,9 +290,6 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
                      xi_m: XiLowerBound | None = None) -> BoundReport:
     """Check the envelope and monotonicity bounds at every trajectory sample.
 
-    The weighted-product comparisons use one admissible small b (plus q/2
-    when admissible) and one b above b_star.  All product comparisons are
-    recorded as diagnostics, never asserted (see the module docstring).
     ``terminal=True`` additionally audits the end-constrained envelopes
     (requires refs.terminal and only makes sense for trajectories ending at
     n_min).
@@ -396,50 +335,6 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     _collect(violations, diffs < -AUDIT_TOL * np.abs(gpt[:-1]), ts[1:],
              "growth_per_tree_nondecreasing", -diffs, np.zeros_like(diffs))
 
-    # Weighted-product sandwiches, in log space.
-    thresholds = None
-    try:
-        thresholds = b_star(scenario)
-    except ValueError:
-        pass
-    b_values = []
-    if thresholds is not None and np.isfinite(thresholds.small_b_limit):
-        small_limit = thresholds.small_b_limit
-        if small_limit > 0.0:
-            b_values.append(("small", 0.5 * small_limit))
-            # The density-index sandwich (b = q/2) is audited only with a
-            # real margin below the admissibility threshold.
-            if p.q / 2.0 < 0.95 * small_limit:
-                b_values.append(("small", p.q / 2.0))
-        b_values.append(("large", 1.05 * thresholds.b_star))
-    elif thresholds is None and growth.gamma_lower >= GAMMA_UPPER_CAP:
-        # Linear growth: every positive b admits the direct sandwich.
-        b_values.append(("small", p.q / 2.0))
-    ln_s, ln_n = np.log(s), np.log(n)
-    ln_slo, ln_nlo = np.log(s_lo), np.log(n_lo)
-    ln_shi, ln_nhi = np.log(s_hi), np.log(n_hi)
-    diagnostics: list[Violation] = []
-
-    def log_le(name: str, lhs, rhs, sink=None) -> None:
-        checks.append(name)
-        _collect(violations if sink is None else sink,
-                 lhs > rhs + AUDIT_TOL, ts, name, lhs, rhs)
-
-    for regime, b in b_values:
-        w = ln_n + b * ln_s
-        w_lo = ln_nlo + b * ln_slo
-        w_hi = ln_nhi + b * ln_shi
-        if regime == "small":
-            log_le(f"diag_ns^b_le_slow[b={b:.4g}]", w, w_hi, sink=diagnostics)
-            if power:
-                log_le(f"diag_ns^b_ge_fast[b={b:.4g}]", w_lo, w, sink=diagnostics)
-        else:
-            # The reversed ordering cannot hold in the initial layer where
-            # the shared start makes the count factor dominate.
-            log_le(f"diag_reversed_ge_slow[b={b:.4g}]", w_hi, w, sink=diagnostics)
-            if power:
-                log_le(f"diag_reversed_le_fast[b={b:.4g}]", w, w_lo, sink=diagnostics)
-
     # Relative-increase floor.
     if xi_m is not None:
         checks.append("xi_ge_xi_m")
@@ -451,11 +346,8 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     hyp = check_hypotheses(scenario)
     return BoundReport(
         hypotheses=hyp,
-        b_star=None if thresholds is None else thresholds.b_star,
-        a_star=None if thresholds is None else thresholds.a_star,
         xi_m=xi_m,
         violations=tuple(violations),
-        product_diagnostics=tuple(diagnostics),
         checks_run=tuple(checks),
     )
 

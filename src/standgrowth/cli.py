@@ -147,6 +147,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.policies < 1:
+        raise ConfigError(f"--policies must be at least 1 (got {args.policies})")
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
     horizon = _horizon(args, loaded)

@@ -96,8 +96,8 @@ class Policy:
     ``levels[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` (with the
     outer segments extending to 0 and +inf); each level is a rate in
     ``[0, e_max]`` or the ``HOLD`` marker.  ``kind`` tags the canonical
-    constructions ("zero", "max", "e0", "et", "esup", "boundary_hold",
-    "custom"); ``meta`` carries their characteristic times.
+    constructions ("zero", "max", "e0", "et", "esup", "custom"); ``meta``
+    carries their characteristic times.
     """
 
     breakpoints: tuple[float, ...]
@@ -125,10 +125,6 @@ class Policy:
     @classmethod
     def max_rate(cls, e_max: float) -> "Policy":
         return cls((), (float(e_max),), kind="max")
-
-    @classmethod
-    def boundary_hold(cls) -> "Policy":
-        return cls((), (HOLD,), kind="boundary_hold")
 
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], levels: Sequence) -> "Policy":

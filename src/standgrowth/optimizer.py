@@ -112,7 +112,7 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
     if growth.kind == "power" and growth.theta is not None and growth.theta > 0.0:
         theta = growth.theta
         try:
-            alpha_star = 1.0 + (b_star(scenario).b_star - p.q / 2.0) * (1.0 - theta)
+            alpha_star = 1.0 + (b_star(scenario) - p.q / 2.0) * (1.0 - theta)
         except ValueError:
             alpha_star = None
         if alpha_star is not None and econ.alpha > alpha_star:

@@ -151,10 +151,7 @@ def test_04_envelope_suite(envelope_sweep):
             assert report.clean, (name, policy.describe(), report.violations[:4])
     assert total_policies == 300
     assert envelope_sweep["elapsed"] < 60.0
-    diag = sum(len(r.product_diagnostics) for n in
-               ("power_02", "power_05", "fagacees_3") for _, _, r in envelope_sweep[n])
-    print(f"  (asserted envelopes clean on 300 policies; fast-reference product "
-          f"orderings evaluated separately as diagnostics: {diag} samples outside)")
+    print("  (asserted envelopes clean on 300 policies)")
 
 
 @announce("5 per-tree growth monotone in time")

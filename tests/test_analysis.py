@@ -59,12 +59,6 @@ class TestHypotheses:
 
 
 class TestThresholds:
-    def test_crossing_point_identity(self, convex_price, fagacees):
-        for loaded in (convex_price, fagacees):
-            ths = sg.b_star(loaded.scenario)
-            assert ths.b1(ths.a_star) == pytest.approx(ths.b_star, rel=1e-9)
-            assert ths.b2(ths.a_star) == pytest.approx(ths.b_star, rel=1e-9)
-
     def test_power_closed_form(self, convex_price):
         scn = convex_price.scenario
         p = scn.params
@@ -72,14 +66,7 @@ class TestThresholds:
         r_floor = sg.rdi(p, p.n_min, scn.initial.s)
         g_floor = r_floor ** (1.0 - theta)
         expected = (1.0 + p.q / 2.0 * (1.0 / g_floor - (1.0 - theta))) / theta
-        assert sg.b_star(scn).b_star == pytest.approx(expected, rel=1e-6)
-
-    def test_b1_increasing_b2_decreasing(self, convex_price):
-        ths = sg.b_star(convex_price.scenario)
-        upper = 1.0 - ths.gamma_upper
-        aa = np.linspace(0.05 * upper, 0.95 * upper, 50)
-        assert np.all(np.diff(ths.b1(aa)) > 0.0)
-        assert np.all(np.diff(ths.b2(aa)) < 0.0)
+        assert sg.b_star(scn) == pytest.approx(expected, rel=1e-6)
 
     def test_undefined_for_linear_growth(self, linear_growth):
         with pytest.raises(ValueError):
@@ -162,18 +149,17 @@ class TestAudit:
         traj = sg.integrate(scn, sg.sample_policies(scn, 1, rng, 30.0)[0], 30.0)
         report = sg.audit_trajectory(scn, traj, refs)
         assert report.clean
-        skipped = ("s_le_fast", "growth_per_tree_le_fast", "diag_ns^b_ge_fast",
-                   "diag_reversed_le_fast")
+        skipped = ("s_le_fast", "growth_per_tree_le_fast")
         assert not any(c.startswith(skipped) for c in report.checks_run)
 
-    def test_reversed_ordering_is_diagnostic_only(self, convex_price):
+    def test_reversed_ordering_fails_early_and_is_not_audited(self, convex_price):
         # For b above the threshold the n s**b ordering between the two
         # references fails near t = 0 (shared start, count factor dominates)
-        # and settles into the reversed order later.  The audit must record
-        # this without failing the trajectory.
+        # and settles into the reversed order later.  The audit must not
+        # fail the trajectory over it.
         scn = convex_price.scenario
         refs = envelope_refs(scn, 30.0)
-        b = 1.05 * sg.b_star(scn).b_star
+        b = 1.05 * sg.b_star(scn)
         ts = refs.slow.t
         s_lo, n_lo = refs.fast_sn(ts)
         w_lo = np.log(n_lo) + b * np.log(s_lo)
@@ -183,28 +169,28 @@ class TestAudit:
         assert diff[-1] > 1e-2      # late: reversed ordering holds
         report = sg.audit_trajectory(scn, refs.fast, refs)
         assert report.clean
-        assert len(report.product_diagnostics) > 0
-        assert any(c.startswith("diag_reversed") for c in report.checks_run)
 
     def test_fast_product_lower_bound_has_counterexamples(self, convex_price):
         # A constant-rate policy that removes the same trees as the fast
         # reference but finishes later ends up with a smaller n s**b mid
-        # flight, so that ordering is evaluated as a diagnostic and must not
-        # fail the audit.
+        # flight (here at the density index b = q/2), so that ordering is
+        # not audited and must not fail the audit.
         scn = convex_price.scenario
         refs = envelope_refs(scn, 30.0)
         policy = sg.Policy.piecewise([11.596], [31.237, 0.0])
         traj = sg.integrate(scn, policy, 30.0)
-        report = sg.audit_trajectory(scn, traj, refs)
-        assert report.clean
-        assert any(v.quantity.startswith("diag_ns^b_ge_fast")
-                   for v in report.product_diagnostics)
+        b = 0.8
+        s_lo, n_lo = refs.fast_sn(traj.t)
+        w = np.log(traj.n) + b * np.log(traj.s)
+        w_lo = np.log(n_lo) + b * np.log(s_lo)
+        assert np.max(w_lo - w) > 1e-3
+        assert sg.audit_trajectory(scn, traj, refs).clean
 
     def test_slow_product_upper_bound_has_counterexamples(self):
         # Once the slow reference is thinning on the density ceiling, a
         # policy that cut a window of trees mid-horizon and then grows freely
         # can overtake the reference's n s**b, so the direct-ordering upper
-        # bound is a diagnostic as well.
+        # bound is not audited either.
         params = sg.StandParams(q=1.6, A=0.01741, n_min=150.0, e_max=40.0,
                                 t_star=150.0)
         env = sg.Environment(v=sg.GrowthEnergy("exponential", 2.0, 0.02),
@@ -214,10 +200,12 @@ class TestAudit:
         refs = sg.EnvelopeRefs.build(scn, 30.0, step=30.0 / 2048)
         policy = sg.Policy.piecewise([3.153, 8.646], [0.0, 21.367, 0.0])
         traj = sg.integrate(scn, policy, 30.0, step=30.0 / 2048)
-        report = sg.audit_trajectory(scn, traj, refs)
-        assert report.clean
-        assert any(v.quantity.startswith("diag_ns^b_le_slow")
-                   for v in report.product_diagnostics)
+        b = 0.9
+        s_hi, n_hi = refs.slow_sn(traj.t)
+        w = np.log(traj.n) + b * np.log(traj.s)
+        w_hi = np.log(n_hi) + b * np.log(s_hi)
+        assert np.max(w - w_hi) > 1e-3
+        assert sg.audit_trajectory(scn, traj, refs).clean
 
     def test_corrupted_integrator_is_flagged(self, convex_price, rng):
         scn = convex_price.scenario

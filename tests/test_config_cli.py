@@ -252,12 +252,13 @@ class TestVerifyCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_negative_policy_count_exits_one(self, capsys):
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_policy_count_below_one_exits_one(self, capsys, count):
         code = main(["verify", str(SCENARIO_DIR / "convex_price_power.ini"),
-                     "--policies", "-3"])
+                     "--policies", count])
         assert code == 1
         err = capsys.readouterr().err
-        assert "policy count must be non-negative" in err
+        assert f"--policies must be at least 1 (got {count})" in err
         assert "PASS" not in err
 
     def test_non_finite_fault_exits_one(self, capsys):

@@ -157,7 +157,7 @@ class TestIntegrate:
     def test_infeasible_boundary_raises(self):
         scn = small_stand(A=0.01741, n0=300.0, s0=0.08, e_max=1.0, n_min=150.0)
         with pytest.raises(sg.InfeasibleBoundary):
-            sg.integrate(scn, sg.Policy.boundary_hold(), 40.0)
+            sg.integrate(scn, sg.build_policy(scn, "esup"), 40.0)
 
     def test_horizon_beyond_validity_rejected(self, convex_price):
         with pytest.raises(ValueError):
