@@ -207,6 +207,16 @@ class TestAudit:
         assert np.max(w - w_hi) > 1e-3
         assert sg.audit_trajectory(scn, traj, refs).clean
 
+    def test_report_json_carries_no_threshold_fields(self, convex_price):
+        # The n s**b orderings are not audited, so the report records neither
+        # their threshold nor any product diagnostics.
+        scn = convex_price.scenario
+        refs = envelope_refs(scn, 30.0)
+        doc = sg.audit_trajectory(scn, refs.fast, refs).to_json_dict()
+        assert set(doc) == {"hypotheses", "xi_m_form", "checks_run", "violations",
+                            "clean"}
+        assert not any(c.startswith("diag_") for c in doc["checks_run"])
+
     def test_corrupted_integrator_is_flagged(self, convex_price, rng):
         scn = convex_price.scenario
         refs = envelope_refs(scn, 30.0)

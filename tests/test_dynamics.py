@@ -178,6 +178,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="policy count must be non-negative"):
             sg.sample_policies(convex_price.scenario, -3, rng, 20.0)
 
+    def test_zero_policy_count_is_empty(self, convex_price, rng):
+        # The CLI rejects --policies 0, but library callers may ask for none.
+        assert sg.sample_policies(convex_price.scenario, 0, rng, 20.0) == []
+
     def test_policy_rate_above_e_max_rejected(self, convex_price):
         policy = sg.Policy.piecewise([], [60.0])
         with pytest.raises(ValueError):

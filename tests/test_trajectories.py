@@ -122,7 +122,10 @@ class TestCeilingTime:
     """Differential test: the closed-form ceiling time against uncut growth
     integrated by scipy with a terminal r = 1 event, from states sampled on
     generated scenarios.  At rtol 1e-12 the oracle itself strayed by up to
-    4.2e-9 over 200 draws; at 1e-13 by at most 5.1e-10 over 500."""
+    4.2e-9 over 200 draws; at 1e-13 by at most 5.1e-10 over 500.  Its event
+    is located on the dense output, which drifts over long steps: on linear
+    growth with constant supply one step spanned the crossing at t = 45.46
+    and placed it 1.8e-8 late, so steps are capped at 1."""
 
     SPAN = 200.0
 
@@ -140,7 +143,7 @@ class TestCeilingTime:
         excess.terminal = True
         sol = solve_ivp(lambda t, y: [g(p.A * n * y[0] ** (p.q / 2.0)) / n * v(t)],
                         (t0, t0 + self.SPAN), [s0], method="DOP853", events=excess,
-                        rtol=1e-13, atol=1e-16 * s0)
+                        rtol=1e-13, atol=1e-16 * s0, max_step=1.0)
         t_hit = scn.ceiling_time(t0, s0, n)
         if sol.t_events[0].size:
             assert t_hit == pytest.approx(sol.t_events[0][0], abs=1e-8)
