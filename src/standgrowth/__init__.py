@@ -24,10 +24,9 @@ from .model import (DominantHeight, Environment, GrowthEnergy, GrowthFunction,
 from .optimizer import (CanonicalComparison, NoFeasiblePolicy, Prop2Report,
                         SearchResult, brute_force, check_prop2, compare_canonicals)
 from .trajectories import (UNREACHABLE, CharacteristicTimes, ExtremalTimes,
-                           Unreachable, ValidityDiagnostics, arc_count,
-                           build_policy, characteristic_times, extremal_times,
-                           is_unreachable, t_cap0, t_sup0, time_to_count,
-                           validity_diagnostics)
+                           ValidityDiagnostics, arc_count, build_policy,
+                           characteristic_times, extremal_times, is_unreachable,
+                           t_cap0, t_sup0, time_to_count, validity_diagnostics)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "rhs", "drdt", "integrate", "sample_policies",
     "write_trajectory_csv", "write_events_json",
     # trajectories
-    "UNREACHABLE", "Unreachable", "is_unreachable",
+    "UNREACHABLE", "is_unreachable",
     "CharacteristicTimes", "ExtremalTimes", "ValidityDiagnostics",
     "time_to_count", "t_sup0", "t_cap0", "arc_count", "build_policy",
     "extremal_times", "characteristic_times", "validity_diagnostics",

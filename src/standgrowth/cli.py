@@ -77,10 +77,10 @@ def _read_piecewise(path: str) -> Policy:
     if not isinstance(bps, list) or not all(_is_number(b) for b in bps):
         raise ConfigError(f'{path}: "breakpoints" must be a list of numbers '
                           f'(got {json.dumps(bps)})')
-    if not isinstance(levels, list) or not all(lv == "hold" or _is_number(lv) for lv in levels):
+    if not isinstance(levels, list) or not all(lv == HOLD or _is_number(lv) for lv in levels):
         raise ConfigError(f'{path}: "levels" must be a list of rates or "hold" '
                           f'(got {json.dumps(levels)})')
-    return Policy.piecewise(bps, [HOLD if lv == "hold" else lv for lv in levels])
+    return Policy.piecewise(bps, levels)
 
 
 def _horizon(args, loaded) -> float:

@@ -24,10 +24,12 @@ with this event handling:
   through which a stand can leave its validity domain.
 
 Policies are piecewise: each segment holds either a constant thinning rate or
-the HOLD marker, meaning "grow freely until the density ceiling, then ride
-it".  Once n reaches n_min no further trees can be cut, so the applied rate is
-clamped to zero from that moment on (the crossing is recorded as an NMinHit
-event); pass ``on_n_min="error"`` to treat such a crossing as a failure.
+``HOLD``, meaning "grow freely until the density ceiling, then ride it".
+``HOLD`` is the string ``"hold"``, the same spelling as in ``pw:`` files and
+JSON, so no level needs translating.  Once n reaches n_min no further trees
+can be cut, so the applied rate is clamped to zero from that moment on (the
+crossing is recorded as an NMinHit event); pass ``on_n_min="error"`` to treat
+such a crossing as a failure.
 """
 
 from __future__ import annotations
@@ -58,27 +60,10 @@ __all__ = [
     "write_events_json",
 ]
 
-EVENT_TIME_TOL = 1e-9       # bisection tolerance for event times
 EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) corner
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
 SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
-
-
-class _HoldLevel:
-    """Marker level: ride the density ceiling (grow freely until reaching it)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "HOLD"
-
-
-HOLD = _HoldLevel()
+HOLD = "hold"               # level that grows freely, then rides the density ceiling
 
 
 class InfeasibleBoundary(RuntimeError):
@@ -95,9 +80,10 @@ class Policy:
 
     ``levels[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` (with the
     outer segments extending to 0 and +inf); each level is a rate in
-    ``[0, e_max]`` or the ``HOLD`` marker.  ``kind`` tags the canonical
-    constructions ("zero", "max", "e0", "et", "esup", "custom"); ``meta``
-    carries their characteristic times.
+    ``[0, e_max]`` or ``HOLD``; :meth:`piecewise` maps any level equal to
+    ``"hold"`` to that constant.  ``kind`` tags the canonical constructions
+    ("zero", "max", "e0", "et", "esup", "custom"); ``meta`` carries their
+    characteristic times.
     """
 
     breakpoints: tuple[float, ...]
@@ -115,7 +101,7 @@ class Policy:
         if self.breakpoints and self.breakpoints[0] <= 0.0:
             raise ValueError("breakpoints must be positive")
         for lv in self.levels:
-            if lv is not HOLD and not 0.0 <= float(lv) < math.inf:
+            if lv != HOLD and not 0.0 <= float(lv) < math.inf:
                 raise ValueError(f"thinning rates must be finite and non-negative (got {lv})")
 
     @classmethod
@@ -129,7 +115,7 @@ class Policy:
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], levels: Sequence) -> "Policy":
         return cls(tuple(float(b) for b in breakpoints),
-                   tuple(lv if lv is HOLD else float(lv) for lv in levels))
+                   tuple(HOLD if lv == HOLD else float(lv) for lv in levels))
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -139,7 +125,7 @@ class Policy:
         return {
             "kind": self.kind,
             "breakpoints": list(self.breakpoints),
-            "levels": ["hold" if lv is HOLD else float(lv) for lv in self.levels],
+            "levels": [lv if lv == HOLD else float(lv) for lv in self.levels],
             "meta": {k: v for k, v in self.meta},
         }
 
@@ -261,7 +247,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     if on_n_min not in ("clamp", "error"):
         raise ValueError(f"on_n_min must be 'clamp' or 'error' (got {on_n_min})")
     for lv in policy.levels:
-        if lv is not HOLD and float(lv) > p.e_max * (1.0 + 1e-12):
+        if lv != HOLD and float(lv) > p.e_max * (1.0 + 1e-12):
             raise ValueError(f"policy rate {lv} exceeds e_max={p.e_max}")
     if step is None:
         step = horizon / DEFAULT_STEPS
@@ -325,7 +311,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     # Level i holds from bounds[i]: breakpoints are positive and increasing.
     bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
     for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
-        hold = level is HOLD
+        hold = level == HOLD
         rate = 0.0 if hold else float(level)
         rec.breaks.add(ta)
         if not hold:
@@ -383,7 +369,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                         def r_excess(hh: float) -> float:
                             s2, n2 = rk4_free(t, s, n, hh, e)
                             return A * n2 * s2 ** q2 - 1.0
-                        h_cross = bisect(r_excess, 0.0, h, xtol=EVENT_TIME_TOL)
+                        h_cross = bisect(r_excess, 0.0, h)
                     t = t + h_cross
                     n = n - h_cross * e
                     if near_corner(n):

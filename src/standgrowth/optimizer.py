@@ -36,7 +36,7 @@ from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import EXIT_REL_TOL, HOLD, Policy, integrate
 from .economics import EconomicModel, _revenue_rate, delta_h, objective, price
 from .model import Scenario
-from .trajectories import build_policy, is_unreachable, t_cap0, time_to_count
+from .trajectories import build_policy, t_cap0, time_to_count
 
 __all__ = [
     "Prop2Report",
@@ -84,7 +84,7 @@ def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
     t_upper = t_cap0(scenario)
-    if not is_unreachable(t_upper) and horizon > t_upper * (1.0 + 1e-9):
+    if horizon > t_upper * (1.0 + 1e-9):
         raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
 
 
@@ -258,8 +258,7 @@ def _levels_to_policy(levels_row: np.ndarray, horizon: float, k: int) -> Policy:
     # Merge equal adjacent levels so the integrator sees minimal spans.
     merged_b, merged_l = [], [levels[0]]
     for b, lv in zip(bps, levels[1:]):
-        if lv is merged_l[-1] or (lv is not HOLD and merged_l[-1] is not HOLD
-                                  and float(lv) == float(merged_l[-1])):
+        if lv == merged_l[-1]:
             continue
         merged_b.append(b)
         merged_l.append(lv)
@@ -304,7 +303,7 @@ def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     }
     t0n = time_to_count(p, scenario.initial.n, p.n_min)
     t_exhaust = t_cap0(scenario)
-    if horizon > t0n and (is_unreachable(t_exhaust) or horizon <= t_exhaust * (1.0 + 1e-9)):
+    if t0n < horizon <= t_exhaust * (1.0 + 1e-9):
         out["ET"] = build_policy(scenario, "et", T=horizon)
     return out
 
@@ -332,10 +331,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         raise ValueError("n_intervals must lie in 1..10")
     codes = []
     for lv in levels:
-        if lv == "hold" or lv is HOLD:
+        if lv == HOLD:
             codes.append(_HOLD_CODE)
-        elif lv == "0":
-            codes.append(0.0)
         elif lv == "max":
             codes.append(p.e_max)
         else:
@@ -385,29 +382,23 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     best = None   # (value, cut_key, order_idx, name, policy)
     for idx, (name, policy) in enumerate(itertools.chain(
             canon.items(), contenders)):
-        key = (policy.breakpoints, policy.levels)
-        traj = fine_trajs.get(key)
+        schedule = (policy.breakpoints, policy.levels)
+        traj = fine_trajs.get(schedule)
         if traj is None:
-            traj = fine_trajs[key] = integrate(scenario, policy, horizon, step=fine_step)
-        if not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12):
-            if name in canonical_values:
-                canonical_values[name] = None
-            continue
-        if terminal_n_min and traj.n[-1] > p.n_min * (1.0 + 1e-6):
-            if name in canonical_values:
-                canonical_values[name] = None
+            traj = fine_trajs[schedule] = integrate(scenario, policy, horizon, step=fine_step)
+        if ((not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12))
+                or (terminal_n_min and traj.n[-1] > p.n_min * (1.0 + 1e-6))):
             continue
         val = objective(scenario, econ, traj)
         if name in canonical_values:
             canonical_values[name] = val
         tie_tol = 1e-12 * max(1.0, abs(val), 0.0 if best is None else abs(best[0]))
         if best is None or val > best[0] + tie_tol:
-            key = _cumulative_cut_key(traj, horizon)
-            best = (val, key, idx, name, policy)
+            best = (val, _cumulative_cut_key(traj, horizon), idx, name, policy)
         elif val >= best[0] - tie_tol:
-            key = _cumulative_cut_key(traj, horizon)
-            if key > best[1]:
-                best = (val, key, idx, name, policy)
+            cut_key = _cumulative_cut_key(traj, horizon)
+            if cut_key > best[1]:
+                best = (val, cut_key, idx, name, policy)
 
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")

@@ -26,8 +26,9 @@ which yields the ceiling-exhaustion time T_exit (count n_min reached on the
 arc) and, equivalently, the maximal exit time.  The cumulative energy has a
 closed-form inverse (:meth:`GrowthEnergy.time_at`), so t_up and T_exit are
 closed forms too; only the arc-leaving time of ``et`` is found by bracketed
-bisection.  Unreachable values are reported with the explicit
-:data:`UNREACHABLE` marker rather than sentinel numbers.
+bisection.  A time that never comes within t_star is ``math.inf``
+(:data:`UNREACHABLE`), as the closed forms return it, so it compares
+correctly against any horizon; JSON writes it as ``null``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import Scenario, StandParams, energy
 
 __all__ = [
     "UNREACHABLE",
-    "Unreachable",
     "is_unreachable",
     "CharacteristicTimes",
     "ExtremalTimes",
@@ -59,27 +59,13 @@ __all__ = [
 ]
 
 
-class Unreachable:
-    """Marker for a characteristic time that does not exist within t_star."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unreachable"
-
-
-UNREACHABLE = Unreachable()
+UNREACHABLE = math.inf      # a characteristic time that does not exist within t_star
 # Steps over [0, t_star] of the cut-first run that measures the minimal exit time.
 EXTREMAL_STEPS = 8192
 
 
 def is_unreachable(value) -> bool:
-    return value is UNREACHABLE
+    return value == UNREACHABLE
 
 
 def time_to_count(params: StandParams, n0: float, n: float) -> float:
@@ -89,7 +75,7 @@ def time_to_count(params: StandParams, n0: float, n: float) -> float:
     return (n0 - n) / params.e_max
 
 
-def t_sup0(scenario: Scenario):
+def t_sup0(scenario: Scenario) -> float:
     """First time the density reaches the ceiling under zero cutting.
 
     The t = 0 case of :meth:`Scenario.ceiling_time`; returns
@@ -107,7 +93,7 @@ def arc_count(scenario: Scenario, n_start: float, t_start: float, t) -> np.ndarr
     return counts if np.ndim(counts) else float(counts)
 
 
-def t_cap0(scenario: Scenario):
+def t_cap0(scenario: Scenario) -> float:
     """Time at which the ceiling arc started at t_sup0 exhausts the stand.
 
     :data:`UNREACHABLE` when t_sup0 is unreachable or the remaining energy
@@ -115,6 +101,8 @@ def t_cap0(scenario: Scenario):
     """
     t_up = t_sup0(scenario)
     if is_unreachable(t_up):
+        # Not left to the closed form: with a hyperbolic supply, the energy
+        # inverse from t = inf can be inf * 0 = NaN, which no comparison catches.
         return UNREACHABLE
     root = scenario.arc_exhaustion_time(t_up, scenario.initial.n)
     return UNREACHABLE if root > scenario.params.t_star else root
@@ -154,12 +142,12 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
 
     t_up = t_sup0(scenario)
     t_exhaust = t_cap0(scenario)
-    if is_unreachable(t_up) or T <= t0n + t_up:
+    if T <= t0n + t_up:
         # Short horizon: grow freely, then one maximal-rate burst ending at T.
         t_switch = T - t0n
         return Policy((t_switch,), (0.0, p.e_max), kind="et",
                       meta=(("T", T), ("t_switch", t_switch)))
-    if is_unreachable(t_exhaust) or T < t_exhaust * (1.0 - 1e-12):
+    if T < t_exhaust * (1.0 - 1e-12):
         # Long horizon: free growth, ceiling arc, then a maximal-rate burst.
         # The arc-leaving time solves (T - t) e_max = n_arc(t) - n_min, which
         # is strictly decreasing in t because the arc rate stays below e_max.
@@ -185,8 +173,8 @@ class ExtremalTimes:
     count relation (the slow, ceiling-riding policy attains it).
     """
 
-    t_lower: object
-    t_upper: object
+    t_lower: float
+    t_upper: float
     t_lower_heuristic: bool
 
 
@@ -205,10 +193,10 @@ class CharacteristicTimes:
     """Bundle of the named times of a scenario (JSON-exportable)."""
 
     t0_n: float                   # time to thin from n(0) to n_min at e_max
-    t_sup0: object                # first ceiling hit under zero cutting
-    t_cap0: object                # ceiling-arc exhaustion time
-    t_lower: object               # minimal exit time
-    t_upper: object               # maximal exit time
+    t_sup0: float                 # first ceiling hit under zero cutting
+    t_cap0: float                 # ceiling-arc exhaustion time
+    t_lower: float                # minimal exit time
+    t_upper: float                # maximal exit time
     t_lower_heuristic: bool
     t_star_switch: float | None = None   # arc-leaving time of et(T), if requested
 
@@ -244,7 +232,7 @@ def characteristic_times(scenario: Scenario, T: float | None = None) -> Characte
     return CharacteristicTimes(
         t0_n=time_to_count(p, scenario.initial.n, p.n_min),
         t_sup0=t_sup0(scenario),
-        t_cap0=t_cap0(scenario),
+        t_cap0=ext.t_upper,       # the ceiling-riding exit is t_cap0 by construction
         t_lower=ext.t_lower,
         t_upper=ext.t_upper,
         t_lower_heuristic=ext.t_lower_heuristic,

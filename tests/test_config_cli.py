@@ -132,6 +132,15 @@ class TestSimulateCommand:
                      "--horizon", "20", "--out", str(out)])
         assert code == 0
 
+    def test_piecewise_file_reads_back_described_policy(self, tmp_path):
+        from standgrowth.cli import _read_piecewise
+        policy = sg.Policy.piecewise([5.0, 12.0], [20.0, sg.HOLD, 0.0])
+        spec = tmp_path / "policy.json"
+        spec.write_text(json.dumps(policy.describe()))
+        back = _read_piecewise(str(spec))
+        assert back == policy
+        assert back.levels[1] is sg.HOLD
+
     def test_non_finite_piecewise_level_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "policy.json"
         spec.write_text('{"breakpoints": [5.0], "levels": [NaN, 0.0]}')
@@ -202,6 +211,8 @@ class TestTimesCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["t_upper"] is None
+        assert payload["t_cap0"] is None
+        assert payload["t_lower"] is None
         assert payload["validity"]["classification"] == "unreachable"
 
 

@@ -232,6 +232,15 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             sg.Policy.piecewise([bad], [10.0, 0.0])
 
+    def test_hold_is_spelled_hold(self):
+        # A "hold" built at run time is a distinct str object; piecewise maps
+        # it to the HOLD constant so identity tests on levels keep working.
+        spelled = "".join(["ho", "ld"])
+        policy = sg.Policy.piecewise([5.0], [spelled, 5.0])
+        assert policy == sg.Policy.piecewise([5.0], [sg.HOLD, 5.0])
+        assert policy.levels[0] is sg.HOLD
+        assert policy.describe()["levels"] == ["hold", 5.0]
+
 
 def rk4_arc_step(scenario, t, s, n, h):
     """One RK4 step of the ceiling-riding system under the ceiling-holding

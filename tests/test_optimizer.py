@@ -123,6 +123,13 @@ class TestBruteForce:
         assert payload["best_value"] == pytest.approx(res.best_value)
         assert payload["condition_report"]["branch"] == "E0Optimal"
 
+    def test_hold_constant_and_string_are_one_level(self, convex_price):
+        scn, econ = convex_price.scenario, convex_price.economics
+        spelled = sg.brute_force(scn, econ, 30.0, n_intervals=3)
+        constant = sg.brute_force(scn, econ, 30.0, n_intervals=3,
+                                  levels=(sg.HOLD, "0", "max"))
+        assert constant.to_json_dict() == spelled.to_json_dict()
+
     def test_interval_count_capped(self, convex_price):
         with pytest.raises(ValueError):
             sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,

@@ -324,6 +324,32 @@ class TestCharacteristicTimes:
         assert ct.to_json_dict()["t_upper"] is None
 
 
+class TestUnreachableIsInf:
+    """On low_energy the stand reaches the ceiling but never exhausts on it."""
+
+    def test_t_cap0_is_inf(self, low_energy):
+        t_cap = sg.t_cap0(low_energy.scenario)
+        assert t_cap == math.inf
+        assert sg.is_unreachable(t_cap)
+        assert not sg.is_unreachable(sg.t_sup0(low_energy.scenario))
+
+    def test_long_exact_target_rides_then_cuts(self, low_energy):
+        scn = low_energy.scenario
+        p = scn.params
+        t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
+        T = 0.5 * (t0n + sg.t_sup0(scn) + p.t_star)
+        assert t0n + sg.t_sup0(scn) < T < p.t_star
+        pol = sg.build_policy(scn, "et", T=T)
+        assert pol.kind == "et"
+        assert pol.levels == (sg.HOLD, p.e_max)
+
+    def test_horizon_t_star_is_admitted_with_et(self, low_energy):
+        from standgrowth.optimizer import _require_admissible_horizon, canonical_policies
+        t_star = low_energy.scenario.params.t_star
+        _require_admissible_horizon(low_energy.scenario, t_star)
+        assert "ET" in canonical_policies(low_energy.scenario, t_star)
+
+
 class TestValidityDiagnostics:
     def test_low_energy_unreachable(self, low_energy):
         diag = sg.validity_diagnostics(low_energy.scenario)
