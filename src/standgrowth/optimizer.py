@@ -13,7 +13,8 @@ Two independent routes to the same question:
 * :func:`brute_force` enumerates piecewise-constant policies over equal time
   intervals with the semantic level set {0, e_max, ride-the-ceiling}, which
   spans the bang-bang-plus-singular-arc structure of the candidate optima.
-  A vectorized coarse-step integrator screens the candidates and ranks them
+  A vectorized coarse-step integrator screens the candidates as a prefix
+  tree, stepping each shared prefix of segments once, and ranks them
   on the by-parts form of the objective, whose integrand depends on the
   state alone and so is second order in the step; the best few are
   re-integrated at a fine step together with the canonical policies, and the
@@ -50,6 +51,7 @@ __all__ = [
 
 CANONICAL_NAMES = ("E0", "ET", "Esup", "Zero", "Max")
 PROP2_GRID = 1024       # time samples of the sufficient-condition margins
+MAX_CANDIDATES = 3 ** 10  # schedules one brute_force may enumerate
 
 
 class NoFeasiblePolicy(RuntimeError):
@@ -147,10 +149,16 @@ _HOLD_CODE = -1.0
 
 
 def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
-                       levels_matrix: np.ndarray, steps_total: int = 1024):
-    """Approximate objectives for a batch of interval-coded policies.
+                       codes: np.ndarray, k: int, steps_total: int = 1024):
+    """Approximate objectives of every k-interval schedule over ``codes``.
 
-    One fixed-step pass vectorized across candidates, under the event rules
+    The schedules form a prefix tree: two that agree on their first j
+    segments share their state through segment j.  The pass starts from one
+    row, and at each segment start it repeats every row once per level and
+    tiles the levels, so each shared prefix is stepped once and the leaves
+    come out in ``itertools.product(codes, repeat=k)`` order.
+
+    One fixed-step pass vectorized across rows, under the event rules
     of ``integrate``: free growth takes RK4 steps; an uncut row reaches the
     density ceiling at :meth:`Scenario.ceiling_time`; riders follow the arc
     relation (:meth:`Scenario.arc_count_after`) from the step's start or
@@ -170,7 +178,7 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     env = scenario.env
     growth_rate, env_v = scenario.growth_rate, env.v
     A, q2, n_min, s_bar = p.A, p.q / 2.0, p.n_min, p.s_bar
-    m, k = levels_matrix.shape
+    m, c = 1, len(codes)                    # rows: the prefixes stepped so far
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
 
@@ -186,8 +194,11 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     rate = _revenue_rate(econ, env, s, n, t, dsdt)
     value = np.full(m, price(econ, env, scenario.initial.s, t) * scenario.initial.n)
 
-    for seg in range(k):
-        seg_levels = levels_matrix[:, seg]
+    for _seg in range(k):
+        s, n, on_arc, dead, done, t_exit, dsdt, rate, value = (
+            np.repeat(x, c) for x in (s, n, on_arc, dead, done, t_exit, dsdt, rate, value))
+        m = s.size
+        seg_levels = np.tile(codes, m // c)
         hold_mask = seg_levels == _HOLD_CODE
         on_arc &= hold_mask          # numeric segments leave the ceiling
         # Hold rows grow freely; ceiling riders' results are replaced below.
@@ -315,7 +326,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     """Enumerate interval policies and return the revenue maximizer.
 
     ``levels`` entries are rates, ``"0"``/``"max"``/``"hold"``, or floats.
-    Enumeration is capped at 10 intervals (3^10 candidates).  Candidates that
+    Enumeration is capped at 10 intervals and at most 3^10 candidates
+    (``MAX_CANDIDATES``), whatever the number of levels.  Candidates that
     would break the density ceiling are discarded; candidates that exhaust
     the stand early clear-cut at the exit corner.  With ``terminal_n_min``
     only schedules ending at n(T) = n_min compete.  The screening pass runs
@@ -346,11 +358,15 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
             codes.append(val)
     if not codes:
         raise ValueError("levels must name at least one level")
-    codes = sorted(set(codes))
+    codes = np.array(sorted(set(codes)))
 
-    matrix = np.array(list(itertools.product(codes, repeat=n_intervals)))
+    count = codes.size ** n_intervals
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"{codes.size} levels over {n_intervals} intervals make "
+                         f"{count} candidates; the cap is {MAX_CANDIDATES} (3^10)")
+
     values, feasible, n_end = _screen_candidates(
-        scenario, econ, horizon, matrix)
+        scenario, econ, horizon, codes, n_intervals)
     if terminal_n_min:
         reaches = n_end <= p.n_min * (1.0 + 1e-6)
         values = np.where(reaches, values, -np.inf)
@@ -359,8 +375,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     if candidates_csv is not None:
         with open(candidates_csv, "w") as fh:
             fh.write("candidate,levels,approx_value,feasible\n")
-            for i in range(matrix.shape[0]):
-                lv = "|".join("hold" if c == _HOLD_CODE else f"{c:g}" for c in matrix[i])
+            for i, row in enumerate(itertools.product(codes, repeat=n_intervals)):
+                lv = "|".join("hold" if c == _HOLD_CODE else f"{c:g}" for c in row)
                 v = "" if not np.isfinite(values[i]) else f"{values[i]:.10g}"
                 fh.write(f"{i},{lv},{v},{int(feasible[i])}\n")
 
@@ -371,7 +387,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     refs = EnvelopeRefs.build(scenario, horizon, step=fine_step)
     contenders: list[tuple[str, Policy]] = []
     for i in top:
-        contenders.append((f"cand{i}", _levels_to_policy(matrix[i], horizon, n_intervals)))
+        row = codes[list(np.unravel_index(i, (codes.size,) * n_intervals))]
+        contenders.append((f"cand{i}", _levels_to_policy(row, horizon, n_intervals)))
     canon = canonical_policies(scenario, horizon)
     # Each schedule is integrated once: a contender may repeat a canonical
     # policy (all-hold is Esup), and the references are E0 and Esup.
@@ -413,7 +430,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         canonical_values=canonical_values,
         condition_report=cond,
         gap=float(gap),
-        enumerated=int(matrix.shape[0]),
+        enumerated=int(values.size),
         feasible=int(np.count_nonzero(feasible)),
     )
 

@@ -232,6 +232,12 @@ class TestOptimizeCommand:
         assert code == 1
         assert "must be a rate in [0, e_max]" in capsys.readouterr().err
 
+    def test_too_many_candidates_exits_one(self, capsys):
+        code = main(["optimize", str(SCENARIO_DIR / "convex_price_power.ini"),
+                     "--intervals", "8", "--levels", "0,20,max,hold"])
+        assert code == 1
+        assert "the cap is 59049" in capsys.readouterr().err
+
     def test_missing_economics_exits_one(self, tmp_path, capsys):
         base = (SCENARIO_DIR / "convex_price_power.ini").read_text()
         cut = base.split("[economics]")[0]

@@ -135,6 +135,15 @@ class TestBruteForce:
             sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
                            n_intervals=11)
 
+    def test_candidate_count_capped_before_screening(self, convex_price, monkeypatch):
+        def screen(*args, **kwargs):
+            raise AssertionError("screened a candidate before checking the count")
+
+        monkeypatch.setattr("standgrowth.optimizer._screen_candidates", screen)
+        with pytest.raises(ValueError, match="65536 candidates; the cap is 59049"):
+            sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
+                           n_intervals=8, levels=("0", "20", "max", "hold"))
+
     @pytest.mark.parametrize("levels, message", [
         (("", ""), "must be a rate"), (("0", "Hold"), "must be a rate"),
         ((), "at least one level")])
@@ -180,10 +189,11 @@ class TestScreen:
         t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
         t_upper = sg.t_cap0(scn)
         t_upper = p.t_star if sg.is_unreachable(t_upper) else min(t_upper, p.t_star)
-        matrix = np.array(list(itertools.product((_HOLD_CODE, 0.0, p.e_max), repeat=8)))
+        codes = np.array((_HOLD_CODE, 0.0, p.e_max))
+        matrix = np.array(list(itertools.product(codes, repeat=8)))
         for u in (0.25, 0.5, 0.75):
             horizon = t0n + u * (t_upper - t0n)
-            values = _screen_candidates(scn, econ, horizon, matrix)[0]
+            values = _screen_candidates(scn, econ, horizon, codes, 8)[0]
             top = [i for i in np.argsort(-values, kind="stable")[:8] if np.isfinite(values[i])]
             assert len(top) == 8
             for i in top:
@@ -196,12 +206,15 @@ class TestScreen:
     ])
     def test_second_order_in_the_step(self, concave_price, horizon, row, event):
         scn, econ = concave_price.scenario, concave_price.economics
-        codes = np.array([{"h": _HOLD_CODE, "m": scn.params.e_max}[c] for c in row])
+        level_set = np.array((_HOLD_CODE, scn.params.e_max))
+        digits = ["hm".index(c) for c in row]
+        codes = level_set[digits]
         policy = _levels_to_policy(codes, horizon, len(codes))
         assert event in [ev.kind for ev in sg.integrate(scn, policy, horizon).events]
         exact = _fine_objective(concave_price, codes, horizon, 16384)
-        err = {steps: abs(_screen_candidates(scn, econ, horizon, codes[None, :],
-                                             steps_total=steps)[0][0] - exact)
+        i = np.ravel_multi_index(digits, (level_set.size,) * len(row))
+        err = {steps: abs(_screen_candidates(scn, econ, horizon, level_set, len(row),
+                                             steps_total=steps)[0][i] - exact)
                for steps in (1024, 4096)}
         assert err[4096] <= err[1024] / 8.0
 
