@@ -23,10 +23,10 @@ from .model import (DominantHeight, Environment, GrowthEnergy, GrowthFunction,
                     g_eval, gamma, rdi, script_g)
 from .optimizer import (CanonicalComparison, NoFeasiblePolicy, Prop2Report,
                         SearchResult, brute_force, check_prop2, compare_canonicals)
-from .trajectories import (UNREACHABLE, CharacteristicTimes, ExtremalTimes,
-                           ValidityDiagnostics, arc_count, build_policy,
-                           characteristic_times, extremal_times, is_unreachable,
-                           t_cap0, t_sup0, time_to_count, validity_diagnostics)
+from .trajectories import (UNREACHABLE, CharacteristicTimes, ValidityDiagnostics,
+                           arc_count, build_policy, characteristic_times,
+                           is_unreachable, t_cap0, t_sup0, time_to_count,
+                           validity_diagnostics)
 
 __version__ = "0.1.0"
 
@@ -43,9 +43,9 @@ __all__ = [
     "write_trajectory_csv", "write_events_json",
     # trajectories
     "UNREACHABLE", "is_unreachable",
-    "CharacteristicTimes", "ExtremalTimes", "ValidityDiagnostics",
+    "CharacteristicTimes", "ValidityDiagnostics",
     "time_to_count", "t_sup0", "t_cap0", "arc_count", "build_policy",
-    "extremal_times", "characteristic_times", "validity_diagnostics",
+    "characteristic_times", "validity_diagnostics",
     # analysis
     "HypothesisReport", "XiLowerBound", "EnvelopeRefs",
     "BoundReport", "check_h3", "check_hypotheses", "b_star",

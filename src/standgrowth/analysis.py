@@ -21,7 +21,7 @@ the power family are skipped for other growth functions.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +199,11 @@ class EnvelopeRefs:
                              horizon, step=step)
         return cls(scenario=scenario, fast=fast, slow=slow, terminal=term)
 
+    @functools.cached_property
+    def hypotheses(self) -> HypothesisReport:
+        """The scenario's hypothesis checks, run once per set of references."""
+        return check_hypotheses(self.scenario)
+
     def fast_sn(self, times) -> tuple[np.ndarray, np.ndarray]:
         p = self.scenario.params
         s, n = self.fast.interp_s(times), self.fast.interp_n(times)
@@ -292,7 +297,8 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
 
     ``terminal=True`` additionally audits the end-constrained envelopes
     (requires refs.terminal and only makes sense for trajectories ending at
-    n_min).
+    n_min).  The report carries ``refs.hypotheses``, checked once per set of
+    references.
     """
     p = scenario.params
     growth = scenario.growth
@@ -343,16 +349,10 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
         _collect(violations, xi < bound - AUDIT_TOL * np.maximum(np.abs(bound), 1e-300),
                  ts, "xi_ge_xi_m", bound, xi)
 
-    hyp = check_hypotheses(scenario)
     return BoundReport(
-        hypotheses=hyp,
+        hypotheses=refs.hypotheses,
         xi_m=xi_m,
         violations=tuple(violations),
         checks_run=tuple(checks),
     )
 
-
-def report_to_json(report: BoundReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -24,11 +24,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import EnvelopeRefs, audit_trajectory, check_hypotheses
+from .analysis import EnvelopeRefs, audit_trajectory
 from .config import ConfigError, load_scenario
 from .dynamics import (HOLD, InfeasibleBoundary, NonViable, Policy, integrate,
-                       sample_policies, write_events_json, write_trajectory_csv)
-from .optimizer import NoFeasiblePolicy, brute_force, search_result_to_json
+                       json_text, sample_policies, write_events_json,
+                       write_trajectory_csv)
+from .optimizer import NoFeasiblePolicy, brute_force
 from .trajectories import build_policy, characteristic_times, validity_diagnostics
 
 EXIT_OK = 0
@@ -38,14 +39,8 @@ EXIT_VERIFY = 3
 
 
 def _parse_policy(spec: str, scenario) -> Policy:
-    if spec == "zero":
-        return Policy.zero()
-    if spec == "max":
-        return Policy.max_rate(scenario.params.e_max)
-    if spec == "e0":
-        return build_policy(scenario, "e0")
-    if spec == "esup":
-        return build_policy(scenario, "esup")
+    if spec in ("zero", "max", "e0", "esup"):
+        return build_policy(scenario, spec)
     if spec.startswith("et:"):
         try:
             T = float(spec[3:])
@@ -91,6 +86,16 @@ def _horizon(args, loaded) -> float:
     raise ConfigError("no horizon: pass --horizon or set [run] horizon in the scenario")
 
 
+def _emit(payload: dict, out) -> None:
+    """Write ``payload`` as JSON to the file ``out``, or to stdout without one."""
+    text = json_text(payload)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_simulate(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
@@ -116,12 +121,7 @@ def cmd_times(args) -> int:
     times = characteristic_times(loaded.scenario, T=loaded.run.horizon)
     payload = times.to_json_dict()
     payload["validity"] = validity_diagnostics(loaded.scenario).to_json_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -135,11 +135,9 @@ def cmd_optimize(args) -> int:
                          n_intervals=args.intervals, levels=levels,
                          terminal_n_min=args.terminal_n_min,
                          candidates_csv=args.candidates_csv)
+    _emit(result.to_json_dict(), args.out)
     if args.out:
-        search_result_to_json(result, args.out)
         print(f"wrote {args.out}")
-    else:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     print(f"best value {result.best_value:.6g} with policy kind "
           f"{result.best_policy.kind} ({result.enumerated} candidates enumerated, "
           f"{result.feasible} feasible)")
@@ -155,7 +153,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     refs = EnvelopeRefs.build(scenario, horizon, step=args.step)
     xi_m = refs.xi_lower_bound()
-    hyp = check_hypotheses(scenario)
+    hyp = refs.hypotheses
 
     policies = sample_policies(scenario, args.policies, rng, horizon)
     total_violations = []
@@ -177,12 +175,7 @@ def cmd_verify(args) -> int:
         "violations": total_violations,
         "pass": ok,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
 
     rows = [("H1 energy decreasing+convex", hyp.h1_energy),
             ("H2 competition shape", hyp.h2_competition),

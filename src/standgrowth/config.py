@@ -42,6 +42,7 @@ reported with the offending file line.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .economics import EconomicModel
@@ -224,7 +225,12 @@ def load_scenario(path) -> LoadedScenario:
 
     run = RunConfig()
     if "run" in reader.parser:
-        run = RunConfig(horizon=reader.get_float("run", "horizon", required=False),
-                        step=reader.get_float("run", "step", required=False))
+        values = {}
+        for key in ("horizon", "step"):
+            value = reader.get_float("run", key, required=False)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                reader.fail("run", key, f"{key} must be finite and positive (got {value})")
+            values[key] = value
+        run = RunConfig(**values)
 
     return LoadedScenario(scenario=scenario, economics=econ, run=run, path=path)

@@ -58,6 +58,7 @@ __all__ = [
     "sample_policies",
     "write_trajectory_csv",
     "write_events_json",
+    "json_text",
 ]
 
 EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) corner
@@ -448,6 +449,11 @@ def write_trajectory_csv(trajectory: Trajectory, env: Environment, path) -> None
                              f"{trajectory.e[i]:.12g}", f"{h_vals[i]:.12g}"])
 
 
+def json_text(payload) -> str:
+    """The package's JSON layout: two-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_events_json(trajectory: Trajectory, path) -> None:
     """Write the events sidecar (times, kinds, validity end, exit flag)."""
     payload = {
@@ -457,5 +463,4 @@ def write_events_json(trajectory: Trajectory, path) -> None:
         "exited": trajectory.exited,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))

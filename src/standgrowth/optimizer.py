@@ -27,7 +27,6 @@ harvest), then by enumeration order, so results are deterministic.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -303,15 +302,17 @@ def _cumulative_cut_key(traj, horizon: float) -> tuple:
     return tuple(np.round(-traj.interp_n(ts), 9))
 
 
+def _covers(traj, horizon: float) -> bool:
+    """Whether a run counts over the horizon: it exited at the corner, or it
+    stayed valid up to the horizon."""
+    return traj.exited or traj.validity_end >= horizon * (1.0 - 1e-12)
+
+
 def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     """The five named policies entering every search, deduplicated by window."""
     p = scenario.params
-    out = {
-        "E0": build_policy(scenario, "e0"),
-        "Esup": build_policy(scenario, "esup"),
-        "Zero": Policy.zero(),
-        "Max": Policy.max_rate(p.e_max),
-    }
+    names = (("E0", "e0"), ("Esup", "esup"), ("Zero", "zero"), ("Max", "max"))
+    out = {name: build_policy(scenario, kind) for name, kind in names}
     t0n = time_to_count(p, scenario.initial.n, p.n_min)
     t_exhaust = t_cap0(scenario)
     if t0n < horizon <= t_exhaust * (1.0 + 1e-9):
@@ -403,8 +404,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         traj = fine_trajs.get(schedule)
         if traj is None:
             traj = fine_trajs[schedule] = integrate(scenario, policy, horizon, step=fine_step)
-        if ((not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12))
-                or (terminal_n_min and traj.n[-1] > p.n_min * (1.0 + 1e-6))):
+        if not _covers(traj, horizon) or (
+                terminal_n_min and traj.n[-1] > p.n_min * (1.0 + 1e-6)):
             continue
         val = objective(scenario, econ, traj)
         if name in canonical_values:
@@ -442,11 +443,6 @@ class CanonicalComparison:
     cut_first_dominates: bool
     margins: dict
 
-    def to_json_dict(self) -> dict:
-        return {"values": self.values, "dominant": self.dominant,
-                "cut_first_dominates": self.cut_first_dominates,
-                "margins": self.margins}
-
 
 def compare_canonicals(scenario: Scenario, econ: EconomicModel, horizon: float,
                        step: float | None = None) -> CanonicalComparison:
@@ -458,9 +454,8 @@ def compare_canonicals(scenario: Scenario, econ: EconomicModel, horizon: float,
     values: dict[str, float | None] = {name: None for name in CANONICAL_NAMES}
     for name, policy in canonical_policies(scenario, horizon).items():
         traj = integrate(scenario, policy, horizon, step=step)
-        if not traj.exited and traj.validity_end < horizon * (1.0 - 1e-12):
-            continue
-        values[name] = objective(scenario, econ, traj)
+        if _covers(traj, horizon):
+            values[name] = objective(scenario, econ, traj)
     feasible = {k: v for k, v in values.items() if v is not None}
     dominant = None
     if feasible:
@@ -480,8 +475,3 @@ def compare_canonicals(scenario: Scenario, econ: EconomicModel, horizon: float,
         margins=margins,
     )
 
-
-def search_result_to_json(result: SearchResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,15 +1,19 @@
-"""Canonical thinning policies and their characteristic times.
+"""Named thinning policies and their characteristic times.
 
-Three named policies organize the reachable set of the dynamics:
+Five names cover the policies the model and its searches use, and
+:func:`build_policy` is the one constructor that knows what each means:
 
+* ``zero`` never cut;
+* ``max``  cut at e_max throughout;
 * ``e0``   cut at e_max until the count reaches n_min, then stop;
 * ``esup`` grow freely until the density ceiling, then ride it down to n_min;
 * ``et``   the intermediate family indexed by a target horizon T at which the
            count reaches n_min exactly.
 
-Their switch times have closed defining equations in terms of the cumulative
-energy.  With zero cutting the count is constant and separating variables in
-the density equation gives the ceiling-hit time t_up as the root of
+The last three are the canonical policies that organize the reachable set of
+the dynamics.  Their switch times have closed defining equations in terms of
+the cumulative energy.  With zero cutting the count is constant and separating
+variables in the density equation gives the ceiling-hit time t_up as the root of
 
     (q/2) n0**(2/q-1) A**(2/q) * Energy(0, t_up) = Int_{r0}^{1} u**(2/q-1)/g(u) du,
 
@@ -46,14 +50,12 @@ __all__ = [
     "UNREACHABLE",
     "is_unreachable",
     "CharacteristicTimes",
-    "ExtremalTimes",
     "ValidityDiagnostics",
     "time_to_count",
     "t_sup0",
     "t_cap0",
     "arc_count",
     "build_policy",
-    "extremal_times",
     "characteristic_times",
     "validity_diagnostics",
 ]
@@ -109,16 +111,21 @@ def t_cap0(scenario: Scenario) -> float:
 
 
 def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Policy:
-    """Construct a canonical policy: ``"e0"``, ``"esup"``, or ``"et"`` (needs T).
+    """Construct a named policy: ``"zero"``, ``"max"``, ``"e0"``, ``"esup"``,
+    or ``"et"`` (needs T).
 
     Degenerate identifications: ``et`` with T at or below the pure-cutting
     time returns the ``e0`` policy, and T at the ceiling-exhaustion time
     returns ``esup``.  T beyond that window is a domain error.
     """
     p = scenario.params
+    if kind == "zero":
+        return Policy.zero()
+    if kind == "max":
+        return Policy.max_rate(p.e_max)
+
     n0 = scenario.initial.n
     t0n = time_to_count(p, n0, p.n_min)
-
     if kind == "e0":
         if t0n == 0.0:
             return Policy((), (0.0,), kind="e0", meta=(("t_cut_end", 0.0),))
@@ -132,7 +139,7 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
         return Policy((), (HOLD,), kind="esup", meta=meta)
 
     if kind != "et":
-        raise ValueError(f"unknown canonical policy kind {kind!r}")
+        raise ValueError(f"unknown policy kind {kind!r}")
     if T is None:
         raise ValueError("the et policy needs a target horizon T")
     if not (math.isfinite(T) and T > 0.0):
@@ -164,41 +171,27 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
 
 
 @dataclass(frozen=True)
-class ExtremalTimes:
-    """Minimal/maximal time to reach the exit corner (r, n) = (1, n_min).
-
-    ``t_lower`` comes from integrating the cut-first policy; its minimality is
-    established only for the power growth family, so other growth functions
-    carry ``t_lower_heuristic=True``.  ``t_upper`` is the root of the ceiling
-    count relation (the slow, ceiling-riding policy attains it).
-    """
-
-    t_lower: float
-    t_upper: float
-    t_lower_heuristic: bool
-
-
-def extremal_times(scenario: Scenario) -> ExtremalTimes:
-    p = scenario.params
-    t_upper = t_cap0(scenario)
-    policy = build_policy(scenario, "e0")
-    traj = integrate(scenario, policy, p.t_star, step=p.t_star / EXTREMAL_STEPS)
-    t_lower = traj.validity_end if traj.exited else UNREACHABLE
-    heuristic = scenario.growth.kind not in ("power", "linear")
-    return ExtremalTimes(t_lower=t_lower, t_upper=t_upper, t_lower_heuristic=heuristic)
-
-
-@dataclass(frozen=True)
 class CharacteristicTimes:
-    """Bundle of the named times of a scenario (JSON-exportable)."""
+    """Bundle of the named times of a scenario (JSON-exportable).
+
+    ``t_lower`` and ``t_upper`` are the minimal and maximal times to reach the
+    exit corner (r, n) = (1, n_min).  ``t_lower`` comes from integrating the
+    cut-first policy; its minimality is established only for the power growth
+    family, so other growth functions carry ``t_lower_heuristic=True``.  The
+    slow, ceiling-riding policy attains ``t_upper``, which is ``t_cap0``.
+    """
 
     t0_n: float                   # time to thin from n(0) to n_min at e_max
     t_sup0: float                 # first ceiling hit under zero cutting
     t_cap0: float                 # ceiling-arc exhaustion time
     t_lower: float                # minimal exit time
-    t_upper: float                # maximal exit time
     t_lower_heuristic: bool
     t_star_switch: float | None = None   # arc-leaving time of et(T), if requested
+
+    @property
+    def t_upper(self) -> float:
+        """Maximal exit time."""
+        return self.t_cap0
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -219,23 +212,20 @@ class CharacteristicTimes:
 
 def characteristic_times(scenario: Scenario, T: float | None = None) -> CharacteristicTimes:
     p = scenario.params
-    ext = extremal_times(scenario)
+    cut_first = integrate(scenario, build_policy(scenario, "e0"), p.t_star,
+                          step=p.t_star / EXTREMAL_STEPS)
     t_switch = None
     if T is not None:
         try:
-            policy = build_policy(scenario, "et", T=T)
+            t_switch = build_policy(scenario, "et", T=T).meta_dict().get("t_switch")
         except ValueError:
-            policy = None   # target beyond the exhaustion time: no switch
-        if policy is not None and policy.kind == "et" and policy.breakpoints:
-            md = policy.meta_dict()
-            t_switch = md.get("t_switch")
+            pass   # target beyond the exhaustion time: no switch
     return CharacteristicTimes(
         t0_n=time_to_count(p, scenario.initial.n, p.n_min),
         t_sup0=t_sup0(scenario),
-        t_cap0=ext.t_upper,       # the ceiling-riding exit is t_cap0 by construction
-        t_lower=ext.t_lower,
-        t_upper=ext.t_upper,
-        t_lower_heuristic=ext.t_lower_heuristic,
+        t_cap0=t_cap0(scenario),
+        t_lower=cut_first.validity_end if cut_first.exited else UNREACHABLE,
+        t_lower_heuristic=scenario.growth.kind not in ("power", "linear"),
         t_star_switch=t_switch,
     )
 

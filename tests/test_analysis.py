@@ -217,6 +217,19 @@ class TestAudit:
                             "clean"}
         assert not any(c.startswith("diag_") for c in doc["checks_run"])
 
+    def test_hypotheses_checked_once_per_refs(self, convex_price, rng, monkeypatch):
+        import standgrowth.analysis as analysis
+        calls = []
+        check = analysis.check_hypotheses
+        monkeypatch.setattr(analysis, "check_hypotheses",
+                            lambda scenario: calls.append(scenario) or check(scenario))
+        scn = convex_price.scenario
+        refs = sg.EnvelopeRefs.build(scn, 30.0)
+        for policy in sg.sample_policies(scn, 3, rng, 30.0):
+            report = sg.audit_trajectory(scn, sg.integrate(scn, policy, 30.0), refs)
+            assert report.hypotheses.all_pass
+        assert len(calls) == 1
+
     def test_corrupted_integrator_is_flagged(self, convex_price, rng):
         scn = convex_price.scenario
         refs = envelope_refs(scn, 30.0)
@@ -225,15 +238,13 @@ class TestAudit:
         report = sg.audit_trajectory(scn, traj, refs)
         assert not report.clean
 
-    def test_report_serializes(self, convex_price, rng, tmp_path):
+    def test_report_serializes(self, convex_price, rng):
         import json
-        from standgrowth.analysis import report_to_json
+        from standgrowth.dynamics import json_text
         scn = convex_price.scenario
         refs = envelope_refs(scn, 30.0)
         traj = sg.integrate(scn, sg.sample_policies(scn, 1, rng, 30.0)[0], 30.0)
         report = sg.audit_trajectory(scn, traj, refs)
-        path = tmp_path / "report.json"
-        report_to_json(report, path)
-        payload = json.loads(path.read_text())
+        payload = json.loads(json_text(report.to_json_dict()))
         assert payload["clean"] is True
         assert payload["hypotheses"]["H3_ceiling_rate_below_e_max"] is True

@@ -75,7 +75,8 @@ class TestConfig:
             sg.load_scenario(path)
 
 
-    @pytest.mark.parametrize("key", ["v0", "lambda", "A", "t_star", "tau", "s", "k"])
+    @pytest.mark.parametrize("key", ["v0", "lambda", "A", "t_star", "tau", "s", "k",
+                                     "horizon"])
     def test_non_finite_value_cites_invariant_and_line(self, scenario_file, capsys, key):
         path = scenario_file(**{key: "inf" if key != "lambda" else "nan"})
         assert main(["times", str(path)]) == 1
@@ -83,6 +84,18 @@ class TestConfig:
         assert f"] {key}: {key} must be finite" in err
         lineno = int(err.split(f"{path}:")[1].split(":")[0])
         assert path.read_text().splitlines()[lineno - 1].startswith(key)
+
+    @pytest.mark.parametrize("key", ["horizon", "step"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_run_value_must_be_positive(self, scenario_file, capsys, key, value):
+        path = scenario_file(horizon=value if key == "horizon" else "30")
+        if key == "step":   # [run] is the last section
+            path.write_text(path.read_text() + f"step = {value}\n")
+        assert main(["times", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"] {key}: {key} must be finite and positive (got {float(value)})" in err
+        lineno = int(err.split(f"{path}:")[1].split(":")[0])
+        assert path.read_text().splitlines()[lineno - 1] == f"{key} = {value}"
 
 
 class TestSimulateCommand:

@@ -273,7 +273,7 @@ class TestExtremalTimes:
     def test_linear_growth_times_coincide(self, linear_growth):
         scn = linear_growth.scenario
         p = scn.params
-        ext = sg.extremal_times(scn)
+        ext = sg.characteristic_times(scn)
         expo = 1.0 - p.q / 2.0
         target = (p.s_bar ** expo - scn.initial.s ** expo) / (p.A * expo)
         lam, v0 = scn.env.v.lam, scn.env.v.v0
@@ -283,16 +283,16 @@ class TestExtremalTimes:
         assert not ext.t_lower_heuristic
 
     def test_ordering_power(self, convex_price):
-        ext = sg.extremal_times(convex_price.scenario)
+        ext = sg.characteristic_times(convex_price.scenario)
         assert ext.t_lower <= ext.t_upper
         assert not ext.t_lower_heuristic
 
     def test_fagacees_lower_time_is_heuristic(self, fagacees):
-        assert sg.extremal_times(fagacees.scenario).t_lower_heuristic
+        assert sg.characteristic_times(fagacees.scenario).t_lower_heuristic
 
     def test_random_policy_exits_bracketed(self, concave_price, rng):
         scn = concave_price.scenario
-        ext = sg.extremal_times(scn)
+        ext = sg.characteristic_times(scn)
         lo, hi = ext.t_lower, ext.t_upper
         tol = 1e-5 * hi
         seen = 0
