@@ -14,19 +14,17 @@ from .analysis import (BoundReport, EnvelopeRefs, HypothesisReport, XiLowerBound
                        xi_lower_bound)
 from .config import ConfigError, LoadedScenario, load_scenario
 from .dynamics import (HOLD, InfeasibleBoundary, NonViable, Policy, Trajectory,
-                       TrajectoryEvent, drdt, integrate, rhs, sample_policies,
-                       write_events_json, write_trajectory_csv)
+                       TrajectoryEvent, integrate, sample_policies, write_events_json,
+                       write_trajectory_csv)
 from .economics import (EconomicModel, delta_h, objective, objective_ibp, price,
                         revenue_rate)
 from .model import (DominantHeight, Environment, GrowthEnergy, GrowthFunction,
-                    Scenario, StandParams, StandState, boundary_control, energy,
-                    g_eval, gamma, rdi, script_g)
+                    Scenario, StandParams, StandState, boundary_control, energy, rdi)
 from .optimizer import (CanonicalComparison, NoFeasiblePolicy, Prop2Report,
                         SearchResult, brute_force, check_prop2, compare_canonicals)
 from .trajectories import (UNREACHABLE, CharacteristicTimes, ValidityDiagnostics,
-                           arc_count, build_policy, characteristic_times,
-                           is_unreachable, t_cap0, t_sup0, time_to_count,
-                           validity_diagnostics)
+                           build_policy, characteristic_times, is_unreachable,
+                           t_cap0, t_sup0, time_to_count, validity_diagnostics)
 
 __version__ = "0.1.0"
 
@@ -35,16 +33,16 @@ __all__ = [
     # model
     "StandParams", "StandState", "GrowthFunction", "GrowthEnergy",
     "DominantHeight", "Environment", "Scenario",
-    "rdi", "g_eval", "script_g", "gamma", "boundary_control", "energy",
+    "rdi", "boundary_control", "energy",
     # dynamics
     "HOLD", "Policy", "Trajectory", "TrajectoryEvent",
     "InfeasibleBoundary", "NonViable",
-    "rhs", "drdt", "integrate", "sample_policies",
+    "integrate", "sample_policies",
     "write_trajectory_csv", "write_events_json",
     # trajectories
     "UNREACHABLE", "is_unreachable",
     "CharacteristicTimes", "ValidityDiagnostics",
-    "time_to_count", "t_sup0", "t_cap0", "arc_count", "build_policy",
+    "time_to_count", "t_sup0", "t_cap0", "build_policy",
     "characteristic_times", "validity_diagnostics",
     # analysis
     "HypothesisReport", "XiLowerBound", "EnvelopeRefs",

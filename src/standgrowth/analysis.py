@@ -223,10 +223,10 @@ class EnvelopeRefs:
 
     def xi_lower_bound(self, form: str | None = None) -> XiLowerBound:
         """xi_m on the slow reference's samples, capped by the fast reference's
-        s (form "power", the default for power and linear growth) or by s_bar."""
+        s (form "power", the default for power growth) or by s_bar."""
         p = self.scenario.params
         if form is None:
-            form = "power" if self.scenario.growth.kind in ("power", "linear") else "general"
+            form = "power" if self.scenario.growth.kind == "power" else "general"
         if form == "power":
             s_cap = self.fast_sn(self.slow.t)[0]
         else:
@@ -302,7 +302,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     """
     p = scenario.params
     growth = scenario.growth
-    power = growth.kind in ("power", "linear")
+    power = growth.kind == "power"
     ts = traj.t
     s, n = traj.s, traj.n
     s_lo, n_lo = refs.fast_sn(ts)

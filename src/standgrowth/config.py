@@ -10,7 +10,7 @@ Sections and keys mirror the model types one-to-one::
     t_star = 150
 
     [growth]           # GrowthFunction
-    variant = power    # power | fagacees | linear
+    variant = power    # power | fagacees | linear (= power, theta = 0)
     theta = 0.3        # power only
     # p = 3.0          # fagacees only
 

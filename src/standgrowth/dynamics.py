@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rootfind import bisect
-from .model import Environment, Scenario, StandState, boundary_control, rdi
+from .model import Environment, Scenario, boundary_control, rdi
 
 __all__ = [
     "HOLD",
@@ -52,8 +52,6 @@ __all__ = [
     "Trajectory",
     "InfeasibleBoundary",
     "NonViable",
-    "rhs",
-    "drdt",
     "integrate",
     "sample_policies",
     "write_trajectory_csv",
@@ -65,6 +63,14 @@ EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) cor
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
 SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
 HOLD = "hold"               # level that grows freely, then rides the density ceiling
+
+
+def _rate(level) -> float:
+    """The thinning rate of a level that is not ``HOLD``."""
+    try:
+        return float(level)
+    except (TypeError, ValueError):
+        raise ValueError(f'levels must be rates or "{HOLD}" (got {level!r})') from None
 
 
 class InfeasibleBoundary(RuntimeError):
@@ -102,7 +108,7 @@ class Policy:
         if self.breakpoints and self.breakpoints[0] <= 0.0:
             raise ValueError("breakpoints must be positive")
         for lv in self.levels:
-            if lv != HOLD and not 0.0 <= float(lv) < math.inf:
+            if lv != HOLD and not 0.0 <= _rate(lv) < math.inf:
                 raise ValueError(f"thinning rates must be finite and non-negative (got {lv})")
 
     @classmethod
@@ -116,7 +122,7 @@ class Policy:
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], levels: Sequence) -> "Policy":
         return cls(tuple(float(b) for b in breakpoints),
-                   tuple(HOLD if lv == HOLD else float(lv) for lv in levels))
+                   tuple(HOLD if lv == HOLD else _rate(lv) for lv in levels))
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -172,23 +178,6 @@ class Trajectory:
 
     def interp_n(self, times) -> np.ndarray:
         return np.interp(times, self.t, self.n)
-
-
-def rhs(scenario: Scenario, state: StandState, e: float) -> tuple[float, float]:
-    """Right-hand side (ds/dt, dn/dt) at a state under thinning rate e."""
-    p = scenario.params
-    if state.n <= 0.0:
-        raise ValueError("rhs requires n > 0")
-    if not 0.0 <= e <= p.e_max * (1.0 + 1e-12):
-        raise ValueError(f"thinning rate {e} outside [0, {p.e_max}]")
-    return float(scenario.growth_rate(state.t, state.s, state.n)), -float(e)
-
-
-def drdt(scenario: Scenario, state: StandState, e: float) -> float:
-    """Rate of change of the density index: (r/n) [ (q/2) g(r)/s V(t) - e ]."""
-    if state.n <= 0.0:
-        raise ValueError("drdt requires n > 0")
-    return float(_drdt_values(scenario, state.t, state.s, state.n, e))
 
 
 def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:

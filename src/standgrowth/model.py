@@ -17,11 +17,12 @@ a rate ``e(t)`` bounded by ``e_max``.  The dominant height ``h0(t)`` is an
 output only: it never feeds back into the dynamics.
 
 This module holds the immutable parameter/state containers (with the
-ceiling basal area ``StandParams.ceiling_s``), the competition function family
-``g`` with its derived functionals, the environment families for ``V`` (with
-the closed-form energy and its inverse) and ``h0``, and the pointwise
-operations (``rdi``, ``g_eval``, ``script_g``, ``gamma``, ``boundary_control``,
-``energy``).  :class:`Scenario` holds the closed forms of the dynamics:
+ceiling basal area ``StandParams.ceiling_s``), the two competition families
+for ``g`` (hyperbolic and power; linear growth is power with theta = 0) with
+their derived functionals, the environment families for ``V`` (with the
+closed-form energy and its inverse) and ``h0``, and the pointwise operations
+(``rdi``, ``boundary_control``, ``energy``).  :class:`Scenario` holds the
+closed forms of the dynamics:
 
 * ``growth_rate``: the per-tree growth g(r)/n * V(t);
 * ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
@@ -48,9 +49,6 @@ __all__ = [
     "Environment",
     "Scenario",
     "rdi",
-    "g_eval",
-    "script_g",
-    "gamma",
     "boundary_control",
     "energy",
 ]
@@ -127,24 +125,23 @@ class StandState:
         _require(self.s > 0.0, f"s must be positive (got {self.s})")
         _require(self.n > 0.0, f"n must be positive (got {self.n})")
 
-    def rdi(self, params: StandParams) -> float:
-        return float(rdi(params, self.n, self.s))
-
 
 @dataclass(frozen=True)
 class GrowthFunction:
     """Competition reduction factor g(r) with its derived functionals.
 
-    Three variants:
+    Two families:
 
     * ``fagacees``: g(r) = (1+p) r / (r+p), p > 0 (hyperbolic saturation);
-    * ``power``:    g(r) = r**(1-theta), 0 <= theta < 1;
-    * ``linear``:   g(r) = r, the degenerate theta = 0 case in which
-      competition does not amplify per-tree growth (g(r) > r fails).
+    * ``power``:    g(r) = r**(1-theta), 0 <= theta < 1.
 
-    Derived quantities: ``script_g(r) = d/dr [r/g(r)]`` and the elasticity
-    ``gamma(r) = r g'(r) / g(r)``, together with the bounds ``gamma_lower``
-    and ``gamma_upper`` over densities in (0, 1).
+    :meth:`linear` is ``power(0.0)``, g(r) = r: the degenerate case in which
+    competition does not amplify per-tree growth (g(r) > r fails).
+
+    Derived quantities: the elasticity ``gamma(r) = r g'(r) / g(r)``, with
+    its bounds ``gamma_lower`` and ``gamma_upper`` over densities in (0, 1),
+    and the density integral behind the ceiling-hit time.  The derivative
+    of r/g(r) is (1 - gamma(r)) / g(r).
     """
 
     kind: str
@@ -164,8 +161,6 @@ class GrowthFunction:
             _require(self.theta is not None and 0.0 <= self.theta < 1.0,
                      f"power exponent theta must lie in [0, 1) (got {self.theta})")
             lo = hi = 1.0 - self.theta
-        elif self.kind == "linear":
-            lo = hi = 1.0
         else:
             raise ValueError(f"unknown growth variant {self.kind!r}")
         object.__setattr__(self, "gamma_lower", max(lo - _GAMMA_MARGIN, 0.0))
@@ -181,41 +176,24 @@ class GrowthFunction:
 
     @classmethod
     def linear(cls) -> "GrowthFunction":
-        return cls(kind="linear")
+        return cls.power(0.0)
 
     # The closed forms below are polymorphic in r (float or ndarray).
 
     def g(self, r):
         if self.kind == "fagacees":
             return (1.0 + self.p) * r / (r + self.p)
-        if self.kind == "power":
-            return r ** (1.0 - self.theta)
-        return r
+        return r ** (1.0 - self.theta)
 
     def g_prime(self, r):
         if self.kind == "fagacees":
             return (1.0 + self.p) * self.p / (r + self.p) ** 2
-        if self.kind == "power":
-            if self.theta == 0.0:
-                return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
-            return (1.0 - self.theta) * r ** (-self.theta)
-        return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
-
-    def script_g(self, r):
-        """d/dr [r / g(r)] = (g(r) - r g'(r)) / g(r)**2."""
-        if self.kind == "fagacees":
-            res = 1.0 / (1.0 + self.p)
-            return np.full_like(np.asarray(r, dtype=float), res) if np.ndim(r) else res
-        if self.kind == "power":
-            if self.theta == 0.0:
-                return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-            return self.theta * r ** (self.theta - 1.0)
-        return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
+        return (1.0 - self.theta) * r ** (-self.theta)
 
     def density_integral(self, r, b: float):
         """Int_r^1 u**b / g(u) du for 0 < r <= 1 and b > 0, in closed form.
 
-        Every variant reduces to tails Int_r^1 u**(c-1) du = (1 - r**c)/c,
+        Both families reduce to tails Int_r^1 u**(c-1) du = (1 - r**c)/c,
         evaluated as -expm1(c ln r)/c so that no digits cancel as r -> 1 or
         c -> 0 (the latter as q -> 2 with b = 2/q - 1).
         """
@@ -226,23 +204,19 @@ class GrowthFunction:
 
         if self.kind == "fagacees":
             return tail(b + 1.0) / (1.0 + self.p) + tail(b) * (self.p / (1.0 + self.p))
-        if self.kind == "power":
-            return tail(b + self.theta)
-        return tail(b)
+        return tail(b + self.theta)
 
     def gamma(self, r):
         """Elasticity r g'(r) / g(r); lies in (0, 1] under concavity."""
         if self.kind == "fagacees":
             return self.p / (r + self.p)
-        if self.kind == "power":
-            res = 1.0 - self.theta
-            return np.full_like(np.asarray(r, dtype=float), res) if np.ndim(r) else res
-        return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
+        res = 1.0 - self.theta
+        return np.full_like(np.asarray(r, dtype=float), res) if np.ndim(r) else res
 
     @property
     def amplifies(self) -> bool:
-        """True when g(r) > r on (0, 1) (fails only for the linear variant)."""
-        return not (self.kind == "linear" or (self.kind == "power" and self.theta == 0.0))
+        """True when g(r) > r on (0, 1) (fails only for linear growth, theta = 0)."""
+        return self.kind == "fagacees" or self.theta > 0.0
 
 
 @dataclass(frozen=True)
@@ -366,16 +340,17 @@ class Scenario:
     initial: StandState
 
     def __post_init__(self) -> None:
+        # Led by the key, so that a scenario file error cites the t line.
         _require(self.initial.t == 0.0,
-                 f"initial state must have t = 0 (got {self.initial.t})")
+                 f"t = 0 is required of the initial state (got {self.initial.t})")
         _require(self.initial.n >= self.params.n_min,
                  f"initial n={self.initial.n} below n_min={self.params.n_min}")
-        r0 = self.initial.rdi(self.params)
+        r0 = self.rdi0
         _require(r0 < 1.0, f"initial RDI must be below 1 (got {r0})")
 
     @property
     def rdi0(self) -> float:
-        return self.initial.rdi(self.params)
+        return float(rdi(self.params, self.initial.n, self.initial.s))
 
     def growth_rate(self, t, s, n):
         """Basal-area growth per tree ds/dt = g(r)/n * V(t) at the state (t, s, n)."""
@@ -431,34 +406,6 @@ def rdi(params: StandParams, n, s):
     if np.any(np.asarray(n) <= 0.0) or np.any(np.asarray(s) <= 0.0):
         raise ValueError("rdi requires n > 0 and s > 0")
     return params.A * n * s ** (params.q / 2.0)
-
-
-def _check_r_range(r, lo_open: bool) -> None:
-    arr = np.asarray(r)
-    if lo_open:
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise ValueError("density must lie in (0, 1]")
-    else:
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("density must lie in [0, 1]")
-
-
-def g_eval(growth: GrowthFunction, r):
-    """Competition factor g(r) for r in [0, 1]."""
-    _check_r_range(r, lo_open=False)
-    return growth.g(r)
-
-
-def script_g(growth: GrowthFunction, r):
-    """(g(r) - r g'(r)) / g(r)**2, the derivative of r/g(r); r in (0, 1]."""
-    _check_r_range(r, lo_open=True)
-    return growth.script_g(r)
-
-
-def gamma(growth: GrowthFunction, r):
-    """Elasticity r g'(r)/g(r) of the competition factor; r in (0, 1]."""
-    _check_r_range(r, lo_open=True)
-    return growth.gamma(r)
 
 
 def boundary_control(params: StandParams, env: Environment, s, t):

@@ -110,7 +110,7 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
     xv = xi_m(ts)
 
     alpha_star = None
-    if growth.kind == "power" and growth.theta is not None and growth.theta > 0.0:
+    if growth.kind == "power" and growth.theta > 0.0:
         theta = growth.theta
         try:
             alpha_star = 1.0 + (b_star(scenario) - p.q / 2.0) * (1.0 - theta)

@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._rootfind import bisect
 from .dynamics import HOLD, Policy, integrate
 from .model import Scenario, StandParams, energy
@@ -54,7 +52,6 @@ __all__ = [
     "time_to_count",
     "t_sup0",
     "t_cap0",
-    "arc_count",
     "build_policy",
     "characteristic_times",
     "validity_diagnostics",
@@ -64,6 +61,9 @@ __all__ = [
 UNREACHABLE = math.inf      # a characteristic time that does not exist within t_star
 # Steps over [0, t_star] of the cut-first run that measures the minimal exit time.
 EXTREMAL_STEPS = 8192
+# A target horizon this far (relative) past the ceiling-exhaustion time still
+# names esup; beyond it no et policy exists.
+EXHAUSTION_REL_TOL = 1e-9
 
 
 def is_unreachable(value) -> bool:
@@ -86,13 +86,6 @@ def t_sup0(scenario: Scenario) -> float:
     init = scenario.initial
     root = scenario.ceiling_time(0.0, init.s, init.n)
     return UNREACHABLE if root > scenario.params.t_star else root
-
-
-def arc_count(scenario: Scenario, n_start: float, t_start: float, t) -> np.ndarray:
-    """Tree count along the density ceiling starting from (t_start, n_start)."""
-    amount = scenario.env.v.integral(t_start, np.asarray(t, dtype=float))
-    counts = scenario.arc_count_after(n_start, amount)
-    return counts if np.ndim(counts) else float(counts)
 
 
 def t_cap0(scenario: Scenario) -> float:
@@ -159,12 +152,13 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
         # The arc-leaving time solves (T - t) e_max = n_arc(t) - n_min, which
         # is strictly decreasing in t because the arc rate stays below e_max.
         def excess(t: float) -> float:
-            return (arc_count(scenario, n0, t_up, t) - p.n_min) - (T - t) * p.e_max
+            n_arc = scenario.arc_count_after(n0, scenario.env.v.integral(t_up, t))
+            return (n_arc - p.n_min) - (T - t) * p.e_max
 
         t_switch = bisect(excess, t_up, T)
         return Policy((t_switch,), (HOLD, p.e_max), kind="et",
                       meta=(("T", T), ("t_switch", t_switch), ("t_rdi_one", t_up)))
-    if T <= t_exhaust * (1.0 + 1e-9):
+    if T <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
         return build_policy(scenario, "esup")
     raise ValueError(f"target horizon T={T} exceeds the ceiling-exhaustion time "
                      f"{t_exhaust}; no policy reaches n_min exactly at T")
@@ -211,21 +205,26 @@ class CharacteristicTimes:
 
 
 def characteristic_times(scenario: Scenario, T: float | None = None) -> CharacteristicTimes:
+    """The named times of ``scenario``, with the arc-leaving time of et(T)
+    when ``T`` is given.
+
+    A finite T beyond the ceiling-exhaustion time has no et policy and gives
+    ``t_star_switch=None``; a T that is not finite and positive is an error.
+    """
     p = scenario.params
     cut_first = integrate(scenario, build_policy(scenario, "e0"), p.t_star,
                           step=p.t_star / EXTREMAL_STEPS)
+    t_exhaust = t_cap0(scenario)
     t_switch = None
-    if T is not None:
-        try:
-            t_switch = build_policy(scenario, "et", T=T).meta_dict().get("t_switch")
-        except ValueError:
-            pass   # target beyond the exhaustion time: no switch
+    if T is not None and not (math.isfinite(T)
+                              and T > t_exhaust * (1.0 + EXHAUSTION_REL_TOL)):
+        t_switch = build_policy(scenario, "et", T=T).meta_dict().get("t_switch")
     return CharacteristicTimes(
         t0_n=time_to_count(p, scenario.initial.n, p.n_min),
         t_sup0=t_sup0(scenario),
-        t_cap0=t_cap0(scenario),
+        t_cap0=t_exhaust,
         t_lower=cut_first.validity_end if cut_first.exited else UNREACHABLE,
-        t_lower_heuristic=scenario.growth.kind not in ("power", "linear"),
+        t_lower_heuristic=scenario.growth.kind != "power",
         t_star_switch=t_switch,
     )
 

@@ -85,6 +85,15 @@ class TestConfig:
         lineno = int(err.split(f"{path}:")[1].split(":")[0])
         assert path.read_text().splitlines()[lineno - 1].startswith(key)
 
+    def test_nonzero_initial_time_cites_t_line(self, scenario_file, capsys):
+        path = scenario_file()
+        path.write_text(path.read_text().replace("[initial]", "[initial]\nt = 5"))
+        assert main(["times", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "] t: t = 0 is required of the initial state (got 5.0)" in err
+        lineno = int(err.split(f"{path}:")[1].split(":")[0])
+        assert path.read_text().splitlines()[lineno - 1] == "t = 5"
+
     @pytest.mark.parametrize("key", ["horizon", "step"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_run_value_must_be_positive(self, scenario_file, capsys, key, value):

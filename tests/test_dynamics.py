@@ -23,36 +23,27 @@ def small_stand(n_min=100.0, e_max=40.0, A=0.001, growth=None, v0=2.0, lam=0.02,
                        env=env, initial=sg.StandState(t=0.0, s=s0, n=n0))
 
 
-class TestRhs:
+class TestGrowthRate:
     def test_full_density_growth_is_energy_over_count(self, convex_price):
         scn = convex_price.scenario
         p = scn.params
         s = 0.12
         n = 1.0 / (p.A * s ** (p.q / 2.0))   # r = 1 exactly
-        ds, _ = sg.rhs(scn, sg.StandState(t=2.0, s=s, n=n), 0.0)
-        assert ds == pytest.approx(scn.env.v(2.0) / n, rel=1e-12)
-
-    def test_zero_cutting_keeps_count(self, convex_price):
-        _, dn = sg.rhs(convex_price.scenario, sg.StandState(t=1.0, s=0.1, n=250.0), 0.0)
-        assert dn == 0.0
+        assert scn.growth_rate(2.0, s, n) == pytest.approx(scn.env.v(2.0) / n, rel=1e-12)
 
     def test_linear_growth_is_count_free(self):
         scn = small_stand(growth=sg.GrowthFunction.linear())
         p = scn.params
         for n in (150.0, 400.0, 900.0):
-            ds, _ = sg.rhs(scn, sg.StandState(t=3.0, s=0.06, n=n), 5.0)
             expected = p.A * 0.06 ** (p.q / 2.0) * scn.env.v(3.0)
-            assert ds == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_out_of_range_rate(self, convex_price):
-        with pytest.raises(ValueError):
-            sg.rhs(convex_price.scenario, sg.StandState(t=0.0, s=0.08, n=300.0), 99.0)
+            assert scn.growth_rate(3.0, 0.06, n) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDrdt:
     def test_positive_under_free_growth(self, convex_price):
         scn = convex_price.scenario
-        assert sg.drdt(scn, sg.StandState(t=0.0, s=0.08, n=300.0), 0.0) > 0.0
+        traj = sg.integrate(scn, sg.build_policy(scn, "zero"), 1.0)
+        assert traj.drdt[0] > 0.0
 
     def test_finite_difference_consistency(self, convex_price):
         # Oracle: centered differences of sampled r along a trajectory; the
@@ -226,6 +217,15 @@ class TestPolicyValidation:
     def test_bad_level_rejected(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             sg.Policy.piecewise([5.0], [bad, 0.0])
+
+    @pytest.mark.parametrize("bad", ["max", None, "Hold"])
+    @pytest.mark.parametrize("build", [
+        lambda lv: sg.Policy.piecewise([], [lv]),
+        lambda lv: sg.Policy((), (lv,)),
+    ], ids=["piecewise", "Policy"])
+    def test_unknown_level_names_invariant(self, build, bad):
+        with pytest.raises(ValueError, match=f'levels must be rates or "hold" \\(got {bad!r}\\)'):
+            build(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_breakpoint_rejected(self, bad):

@@ -56,60 +56,63 @@ class TestRdi:
 
 class TestGrowthFunction:
     def test_endpoints(self):
-        assert sg.g_eval(sg.GrowthFunction.fagacees(2.0), 1.0) == pytest.approx(1.0)
-        assert sg.g_eval(sg.GrowthFunction.power(0.3), 0.0) == pytest.approx(0.0)
+        assert sg.GrowthFunction.fagacees(2.0).g(1.0) == pytest.approx(1.0)
+        assert sg.GrowthFunction.power(0.3).g(0.0) == pytest.approx(0.0)
 
     def test_fagacees_direct_substitution(self):
         g = sg.GrowthFunction.fagacees(2.0)
-        assert sg.g_eval(g, 0.5) == pytest.approx(3.0 * 0.5 / 2.5, rel=1e-15)
+        assert g.g(0.5) == pytest.approx(3.0 * 0.5 / 2.5, rel=1e-15)
 
-    def test_domain(self):
-        g = sg.GrowthFunction.power(0.3)
-        with pytest.raises(ValueError):
-            sg.g_eval(g, 1.5)
-        with pytest.raises(ValueError):
-            sg.g_eval(g, -0.1)
-        with pytest.raises(ValueError):
-            sg.script_g(g, 0.0)
-        with pytest.raises(ValueError):
-            sg.gamma(g, 0.0)
-
-    def test_script_g_fagacees_constant(self):
-        for p_shape in (0.5, 2.0, 7.0):
-            g = sg.GrowthFunction.fagacees(p_shape)
-            rs = np.linspace(0.05, 1.0, 25)
-            np.testing.assert_allclose(sg.script_g(g, rs), 1.0 / (1.0 + p_shape),
-                                       rtol=1e-14)
-
-    def test_script_g_power_matches_derivative_of_r_over_g(self):
-        # Oracle: central finite difference of r/g(r) = r**theta.
-        g = sg.GrowthFunction.power(0.35)
+    @pytest.mark.parametrize("g", [sg.GrowthFunction.fagacees(2.0),
+                                   sg.GrowthFunction.power(0.35),
+                                   sg.GrowthFunction.linear()],
+                             ids=["fagacees", "power", "linear"])
+    def test_slope_of_r_over_g_is_one_minus_gamma_over_g(self, g):
+        # Oracle: central finite difference of r/g(r); d/dr [r/g] = (1 - gamma)/g.
+        eps = 1e-6
         for r in (0.1, 0.4, 0.9):
-            eps = 1e-6
-            fd = ((r + eps) ** 0.35 - (r - eps) ** 0.35) / (2.0 * eps)
-            assert sg.script_g(g, r) == pytest.approx(fd, rel=1e-8)
-            assert sg.script_g(g, r) == pytest.approx(0.35 * r ** (0.35 - 1.0), rel=1e-14)
-
-    def test_script_g_linear_is_zero(self):
-        g = sg.GrowthFunction.linear()
-        assert sg.script_g(g, 0.3) == 0.0
+            fd = ((r + eps) / g.g(r + eps) - (r - eps) / g.g(r - eps)) / (2.0 * eps)
+            assert (1.0 - g.gamma(r)) / g.g(r) == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
     def test_gamma_closed_forms(self):
-        assert sg.gamma(sg.GrowthFunction.power(0.3), 0.77) == pytest.approx(0.7)
-        assert sg.gamma(sg.GrowthFunction.linear(), 0.2) == pytest.approx(1.0)
-        assert sg.gamma(sg.GrowthFunction.fagacees(2.0), 0.5) == pytest.approx(0.8)
+        assert sg.GrowthFunction.power(0.3).gamma(0.77) == pytest.approx(0.7)
+        assert sg.GrowthFunction.linear().gamma(0.2) == pytest.approx(1.0)
+        assert sg.GrowthFunction.fagacees(2.0).gamma(0.5) == pytest.approx(0.8)
 
     @given(r=st.floats(1e-3, 1.0), p_shape=st.floats(0.2, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_gamma_is_elasticity(self, r, p_shape):
         g = sg.GrowthFunction.fagacees(p_shape)
-        assert sg.gamma(g, r) == pytest.approx(r * g.g_prime(r) / g.g(r), rel=1e-12)
+        assert g.gamma(r) == pytest.approx(r * g.g_prime(r) / g.g(r), rel=1e-12)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             sg.GrowthFunction.fagacees(-1.0)
         with pytest.raises(ValueError):
             sg.GrowthFunction.power(1.0)
+
+
+class TestLinearIsPowerZero:
+    """Linear growth is the power family at theta = 0, with the same values
+    bit for bit as the closed forms g(r) = r, g' = gamma = 1."""
+
+    RS = np.concatenate([np.linspace(1e-4, 1.0, 257), [1.0, 0.5, 1e-12]])
+
+    def test_same_function(self):
+        assert sg.GrowthFunction.linear() == sg.GrowthFunction.power(0.0)
+        assert sg.GrowthFunction.linear().kind == "power"
+        assert not sg.GrowthFunction.linear().amplifies
+        assert sg.GrowthFunction.power(0.01).amplifies
+
+    @pytest.mark.parametrize("r", [RS, 1.0, 0.37])
+    def test_closed_forms_bit_for_bit(self, r):
+        g = sg.GrowthFunction.linear()
+        assert np.array_equal(g.g(r), r)
+        assert np.array_equal(g.g_prime(r), np.ones_like(np.asarray(r)))
+        assert np.array_equal(g.gamma(r), np.ones_like(np.asarray(r)))
+        for b in (0.25, 2.0 / 1.6 - 1.0, 2.0 / 1.9 - 1.0):
+            assert np.array_equal(g.density_integral(r, b),
+                                  -np.expm1(b * np.log(r)) / b)
 
 
 class TestGrowthInvariants:
@@ -128,14 +131,16 @@ class TestGrowthInvariants:
             second = g.g(rs + eps) + g.g(rs - eps) - 2.0 * vals
             assert np.all(second <= 1e-12)
 
-    def test_script_g_product_and_gamma_bounds(self, rng):
+    def test_gamma_bounds(self, rng):
+        # The slope of r/g times g is 1 - gamma: at most 1, and positive
+        # unless growth is linear.
         rs = rng.uniform(1e-4, 1.0, size=1000)
         for g in self.FUNCS + [sg.GrowthFunction.linear()]:
-            prod = g.script_g(rs) * g.g(rs)
-            assert np.all(prod <= 1.0 + 1e-12)
-            if g.kind != "linear":
-                assert np.all(prod > 0.0)
-            assert np.all(g.gamma(rs) <= 1.0 + 1e-12)
+            gam = g.gamma(rs)
+            assert np.all(gam >= -1e-12)
+            if g.amplifies:
+                assert np.all(gam < 1.0)
+            assert np.all(gam <= 1.0 + 1e-12)
 
     def test_r_over_g_nondecreasing(self, rng):
         rs = np.sort(rng.uniform(1e-4, 1.0, size=1000))
@@ -224,12 +229,10 @@ class TestBoundaryControl:
         growth = sg.GrowthFunction.power(0.3)
         scn = sg.Scenario(params=p, growth=growth, env=env,
                           initial=sg.StandState(t=0.0, s=0.08, n=300.0))
-        # A state sitting exactly on the ceiling: n chosen so r = 1.
-        s = 0.12
-        n = 1.0 / (p.A * s ** (p.q / 2.0))
-        e = sg.boundary_control(p, env, s, 5.0)
-        state = sg.StandState(t=5.0, s=s, n=n)
-        assert sg.drdt(scn, state, e) == pytest.approx(0.0, abs=1e-14)
+        # Riding the ceiling, the applied rate is the boundary control.
+        traj = sg.integrate(scn, sg.build_policy(scn, "esup"), 40.0)
+        assert np.count_nonzero(traj.on_arc) > 100
+        np.testing.assert_allclose(traj.drdt[traj.on_arc], 0.0, rtol=0.0, atol=1e-14)
 
 
 class TestScenarioValidation:

@@ -10,7 +10,6 @@ from scipy.integrate import quad, solve_ivp
 import standgrowth as sg
 from conftest import load, scenarios
 from standgrowth._rootfind import bisect
-from standgrowth.trajectories import arc_count
 
 
 def with_env(loaded, v0=None, lam=None):
@@ -261,7 +260,8 @@ class TestBuildPolicy:
         pol = sg.build_policy(scn, "et", T=T)
         md = pol.meta_dict()
         t_switch = md["t_switch"]
-        n_at_switch = arc_count(scn, scn.initial.n, md["t_rdi_one"], t_switch)
+        n_at_switch = scn.arc_count_after(
+            scn.initial.n, scn.env.v.integral(md["t_rdi_one"], t_switch))
         assert (T - t_switch) * p.e_max == pytest.approx(n_at_switch - p.n_min,
                                                          rel=1e-9)
         traj = sg.integrate(scn, pol, T)
@@ -317,6 +317,16 @@ class TestCharacteristicTimes:
         d = ct.to_json_dict()
         assert set(d) == {"t0_n_min", "t_sup0", "t_cap0", "t_lower", "t_upper",
                           "t_lower_heuristic", "t_star_switch"}
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -5.0])
+    def test_invalid_target_raises(self, convex_price, T):
+        with pytest.raises(ValueError, match="target horizon must be finite and positive"):
+            sg.characteristic_times(convex_price.scenario, T=T)
+
+    def test_target_beyond_exhaustion_has_no_switch(self, convex_price):
+        scn = convex_price.scenario
+        for T in (sg.t_cap0(scn) * 1.01, 1e6):
+            assert sg.characteristic_times(scn, T=T).t_star_switch is None
 
     def test_unreachable_encoding(self, low_energy):
         ct = sg.characteristic_times(low_energy.scenario)
