@@ -6,20 +6,24 @@ The state (s, n) evolves by
     dn/dt = -e(t)
 
 subject to 0 <= e <= e_max, n >= n_min, and the density ceiling r <= 1.
-Off the ceiling, integration is classic fixed-step fourth-order Runge-Kutta
-with this event handling:
+Samples lie on a fixed grid aligned to the policy breakpoints, and each
+piece of a run between events is solved by its kind:
 
-* when r crosses 1 inside a step without cutting, the crossing time is the
-  closed form of :meth:`Scenario.ceiling_time`; under a positive rate the
-  crossing ends the run, and its time is bisected on the step fraction
-  (time tolerance 1e-9).  The count at a crossing is n - e * h_cross;
-* when n crosses n_min inside a step, the rate is constant, so the crossing
-  time (n - n_min)/e is exact;
-* while a policy rides the density ceiling, the applied control is the
-  ceiling-holding rate (q/2) V(t)/s, and each step follows the closed-form
-  count relation on r = 1 (:meth:`Scenario.arc_count_after`) with s =
-  (A n)**(-2/q); the arc's exhaustion time is closed-form as well
+* **free** (rate 0, a ``HOLD`` level below the ceiling, or any level once n
+  has reached n_min): the count is constant and the density equation
+  separates, so the samples are a closed form
+  (:meth:`Scenario.uncut_s_after`).  The ceiling hit is the closed form of
+  :meth:`Scenario.ceiling_time`, taken from the last sample before it;
+* **arc** (a ``HOLD`` level on the ceiling): the applied control is the
+  ceiling-holding rate (q/2) V(t)/s, the count follows the closed-form
+  relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
+  with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
   (:meth:`Scenario.arc_exhaustion_time`);
+* **cut** (a positive rate): classic fixed-step fourth-order Runge-Kutta.
+  When n crosses n_min inside a step, the rate is constant, so the crossing
+  time (n - n_min)/e is exact; when r crosses 1, the crossing ends the run
+  and its time is bisected on the step fraction (time tolerance 1e-9), with
+  the count at the crossing n - e * h_cross;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
@@ -87,10 +91,10 @@ class Policy:
 
     ``levels[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` (with the
     outer segments extending to 0 and +inf); each level is a rate in
-    ``[0, e_max]`` or ``HOLD``; :meth:`piecewise` maps any level equal to
-    ``"hold"`` to that constant.  ``kind`` tags the canonical constructions
-    ("zero", "max", "e0", "et", "esup", "custom"); ``meta`` carries their
-    characteristic times.
+    ``[0, e_max]`` or ``HOLD``.  Construction stores breakpoints and rates as
+    floats and any level equal to ``"hold"`` as that constant.  ``kind`` tags
+    the canonical constructions ("zero", "max", "e0", "et", "esup",
+    "custom"); ``meta`` carries their characteristic times.
     """
 
     breakpoints: tuple[float, ...]
@@ -99,6 +103,10 @@ class Policy:
     meta: tuple = ()
 
     def __post_init__(self) -> None:
+        # Numbers are stored as floats, so equal schedules compare and hash equal.
+        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
+        object.__setattr__(self, "levels",
+                           tuple(HOLD if lv == HOLD else _rate(lv) for lv in self.levels))
         if len(self.levels) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more level than breakpoints")
         if not all(math.isfinite(b) for b in self.breakpoints):
@@ -108,7 +116,7 @@ class Policy:
         if self.breakpoints and self.breakpoints[0] <= 0.0:
             raise ValueError("breakpoints must be positive")
         for lv in self.levels:
-            if lv != HOLD and not 0.0 <= _rate(lv) < math.inf:
+            if lv != HOLD and not 0.0 <= lv < math.inf:
                 raise ValueError(f"thinning rates must be finite and non-negative (got {lv})")
 
     @classmethod
@@ -121,8 +129,7 @@ class Policy:
 
     @classmethod
     def piecewise(cls, breakpoints: Sequence[float], levels: Sequence) -> "Policy":
-        return cls(tuple(float(b) for b in breakpoints),
-                   tuple(HOLD if lv == HOLD else _rate(lv) for lv in levels))
+        return cls(tuple(breakpoints), tuple(levels))
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -132,7 +139,7 @@ class Policy:
         return {
             "kind": self.kind,
             "breakpoints": list(self.breakpoints),
-            "levels": [lv if lv == HOLD else float(lv) for lv in self.levels],
+            "levels": list(self.levels),
             "meta": {k: v for k, v in self.meta},
         }
 
@@ -154,7 +161,10 @@ class Trajectory:
     (True where the state rides the density ceiling).  ``validity_end`` is
     the last time the solution is defined; ``exited`` marks departure through
     the (1, n_min) corner.  ``breaks`` lists the control-regime change times,
-    which quadratures use as panel boundaries.
+    which quadratures use as panel boundaries.  ``spans`` lists the pieces the
+    integrator solved, as ``(kind, start, end)`` with kind ``"free"``
+    (uncut, below the ceiling), ``"arc"`` (on the ceiling) or ``"cut"``
+    (thinning at a positive rate).
     """
 
     t: np.ndarray
@@ -168,6 +178,7 @@ class Trajectory:
     validity_end: float
     exited: bool
     breaks: tuple[float, ...]
+    spans: tuple[tuple[str, float, float], ...] = ()
 
     def __post_init__(self) -> None:
         for arr in (self.t, self.s, self.n, self.e, self.r, self.drdt, self.on_arc):
@@ -187,27 +198,199 @@ def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:
 
 
 class _Recorder:
-    """Accumulates samples and events during integration."""
+    """Accumulates sample columns span by span, and the events."""
 
-    def __init__(self) -> None:
-        self.t: list[float] = []
-        self.s: list[float] = []
-        self.n: list[float] = []
-        self.e: list[float] = []
-        self.arc: list[bool] = []
+    def __init__(self, t: float, s: float, n: float) -> None:
+        # Columns t, s, n, e, on_arc, each a list of per-span arrays.
+        self.cols: tuple[list, ...] = ([np.array([t])], [np.array([s])], [np.array([n])],
+                                       [np.zeros(1)], [np.zeros(1, dtype=bool)])
         self.events: list[TrajectoryEvent] = []
-        self.breaks: set[float] = set()
+        self.breaks: set[float] = {0.0}
+        self.spans: list[tuple[str, float, float]] = []
+
+    @property
+    def last_t(self) -> float:
+        return float(self.cols[0][-1][-1])
+
+    def set_last(self, e: float, arc: bool) -> None:
+        """Set the control column of the last sample."""
+        self.cols[3][-1][-1] = e
+        self.cols[4][-1][-1] = arc
+
+    def extend(self, t: np.ndarray, s: np.ndarray, n: np.ndarray, e: np.ndarray,
+               arc: bool) -> None:
+        if not t.size:
+            return
+        arcs = np.full(t.size, arc)
+        if t[0] - self.last_t < 1e-13:
+            # Collapse zero-width intervals created by events landing on nodes:
+            # the earlier time stays, with the later state.
+            for col, new in zip(self.cols[1:], (s, n, e, arcs)):
+                col[-1][-1] = new[0]
+            t, s, n, e, arcs = t[1:], s[1:], n[1:], e[1:], arcs[1:]
+        if t.size:
+            for col, new in zip(self.cols, (t, s, n, e, arcs)):
+                col.append(new)
 
     def add(self, t: float, s: float, n: float, e: float, arc: bool) -> None:
-        if self.t and t - self.t[-1] < 1e-13:
-            # Collapse zero-width intervals created by events landing on nodes.
-            self.s[-1], self.n[-1], self.e[-1], self.arc[-1] = s, n, e, arc
-            return
-        self.t.append(t)
-        self.s.append(s)
-        self.n.append(n)
-        self.e.append(e)
-        self.arc.append(arc)
+        self.extend(np.array([t]), np.array([s]), np.array([n]), np.array([e]), arc)
+
+    def columns(self) -> list[np.ndarray]:
+        return [np.concatenate(col) for col in self.cols]
+
+
+def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
+    """Sample times after ``t`` of a span ending at ``tb``.
+
+    Steps of ``h_nom`` are added in order (``np.cumsum`` accumulates
+    sequentially, so the times are those of ``t += h_nom``); the closing
+    step snaps to ``tb``, and stepping stops within 1e-13 * max(1, tb) of it.
+    """
+    t_stop = tb - 1e-13 * max(1.0, tb)
+    # One step more than fits, so the last time lies past tb and ends there.
+    ts = np.cumsum(np.concatenate(([t], np.full(int((tb - t) / h_nom) + 2, h_nom))))
+    left = tb - ts
+    ends = (ts >= t_stop) | (left <= np.minimum(h_nom, left) * (1.0 + 1e-9))
+    k = int(np.argmax(ends))
+    return ts[1:k + 1] if ts[k] >= t_stop else np.append(ts[1:k + 1], tb)
+
+
+def _free_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
+               h_nom: float, fault_s_drift: float):
+    """Uncut growth from (t, s, n) below the ceiling, in closed form.
+
+    Returns the samples after ``t`` as (t, s, n, e) arrays and the event
+    that ends the span early: ``("RdiHitOne", t, n)`` where the density
+    reaches 1 (:meth:`Scenario.ceiling_time`), or None at ``tb``.
+    """
+    p = scenario.params
+    if p.A * n * s ** (p.q / 2.0) >= 1.0 - 1e-12:
+        return (np.empty(0),) * 4, ("RdiHitOne", t, n)
+    ts = _span_grid(t, tb, h_nom)
+    t_hit = float(scenario.ceiling_time(t, s, n))
+    k = int(np.searchsorted(ts, t_hit))            # the step that reaches the ceiling
+    ss = scenario.uncut_s_after(s, n, scenario.env.v.integral(t, ts[:k]))
+    if fault_s_drift:
+        ss = ss * (1.0 + fault_s_drift) ** np.arange(1, k + 1)    # once per step
+    samples = ts[:k], ss, np.full(k, n), np.zeros(k)
+    if k == ts.size:
+        return samples, None
+    if k:
+        # Located from the start of that step, as a stepping integrator would.
+        t_k, s_k = float(ts[k - 1]), float(ss[-1])
+        t_hit = t_k + min(max(float(scenario.ceiling_time(t_k, s_k, n)) - t_k, 0.0),
+                          float(ts[k]) - t_k)
+    return samples, ("RdiHitOne", t_hit, n)
+
+
+def _arc_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
+              h_nom: float, fault_s_drift: float):
+    """The density ceiling ridden from (t, s, n) under the ceiling-holding
+    rate, by :meth:`Scenario.arc_count_after` from the span start.
+
+    Returns the samples after ``t`` as (t, s, n, e) arrays and the time the
+    count reaches n_min (:meth:`Scenario.arc_exhaustion_time` from the last
+    sample), or None when the span reaches ``tb`` first.  Raises
+    :class:`InfeasibleBoundary` at the first step that would need a rate
+    above e_max.
+    """
+    p, v = scenario.params, scenario.env.v
+    q2 = p.q / 2.0
+    ts = _span_grid(t, tb, h_nom)
+    ns = scenario.arc_count_after(n, v.integral(t, ts))
+    ss = p.ceiling_s(ns)
+    if fault_s_drift:
+        ss *= 1.0 + fault_s_drift
+    below = ns < p.n_min
+    last = int(np.argmax(below)) if below.any() else ts.size - 1   # index of the final step
+    step_t = np.append(t, ts[:last])
+    e_req = q2 * v(step_t) / np.append(s, ss[:last])
+    over = e_req > p.e_max * (1.0 + 1e-9)
+    if over.any():
+        i = int(np.argmax(over))
+        raise InfeasibleBoundary(f"ceiling-holding rate {e_req[i]:.6g} exceeds "
+                                 f"e_max={p.e_max} at t={step_t[i]:.6g}")
+    if below.any():
+        n_from = ns[last - 1] if last else n
+        t_exit = min(float(scenario.arc_exhaustion_time(step_t[-1], n_from)), float(ts[last]))
+        return (ts[:last], ss[:last], ns[:last], e_req[1:]), t_exit
+    return (ts, ss, ns, q2 * v(ts) / ss), None
+
+
+def _cut_span(scenario: Scenario, t: float, s: float, n: float, rate: float, tb: float,
+              h_nom: float, fault_s_drift: float, on_n_min: str):
+    """Thinning at ``rate`` > 0 from (t, s, n): fixed-step RK4.
+
+    Returns the samples after ``t`` as (t, s, n, e) arrays and the event
+    that ends the span early: ``("NMinHit", t, n_min)`` at the count floor
+    (its sample is the last, with e = 0), ``("RdiHitOne", t, n)`` where the
+    density crosses 1, with the time bisected on the step fraction, or None
+    at ``tb``.
+    """
+    p, env_v, g = scenario.params, scenario.env.v, scenario.growth.g
+    A, q2, n_min = p.A, p.q / 2.0, p.n_min
+    e = rate
+
+    def rk4(t: float, s: float, n: float, h: float) -> tuple[float, float]:
+        h2 = 0.5 * h
+        k1 = g(A * n * s ** q2) / n * env_v(t)
+        n1 = n - h2 * e
+        vmid = env_v(t + h2)
+        k2 = g(A * n1 * (s + h2 * k1) ** q2) / n1 * vmid
+        k3 = g(A * n1 * (s + h2 * k2) ** q2) / n1 * vmid
+        n2 = n - h * e
+        k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
+        return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
+
+    ts: list[float] = []
+    ss: list[float] = []
+    ns: list[float] = []
+    es: list[float] = []
+
+    def add(*sample: float) -> None:
+        if ts and sample[0] - ts[-1] < 1e-13:
+            # A step of zero width (n_min reached on a node) replaces the state.
+            ss[-1], ns[-1], es[-1] = sample[1:]
+        else:
+            for col, value in zip((ts, ss, ns, es), sample):
+                col.append(value)
+
+    def samples():
+        return np.array(ts), np.array(ss), np.array(ns), np.array(es)
+
+    r = A * n * s ** q2
+    while t < tb - 1e-13 * max(1.0, tb):
+        h = min(h_nom, tb - t)
+        # The closing step of a span snaps to the boundary so breakpoint
+        # sample times are exact and the control backfill can match them.
+        t_after_full = tb if tb - t <= h * (1.0 + 1e-9) else t + h
+        hit_n_min = False
+        if n - e * h < n_min:
+            if on_n_min == "error":
+                raise NonViable(f"policy would cut below n_min={n_min} near t={t:.6g}")
+            h = (n - n_min) / e
+            t_after_full = t + h
+            hit_n_min = True
+        s1, n1 = rk4(t, s, n, h)
+        if A * n1 * s1 ** q2 > 1.0:
+            if r >= 1.0 - 1e-12:
+                h_cross = 0.0
+            else:
+                def r_excess(hh: float) -> float:
+                    s2, n2 = rk4(t, s, n, hh)
+                    return A * n2 * s2 ** q2 - 1.0
+                h_cross = bisect(r_excess, 0.0, h)
+            return samples(), ("RdiHitOne", t + h_cross, n - h_cross * e)
+        t = t_after_full
+        s, n = s1, n1
+        if fault_s_drift:
+            s *= 1.0 + fault_s_drift
+        if hit_n_min:
+            add(t, s, n_min, 0.0)
+            return samples(), ("NMinHit", t, n_min)
+        add(t, s, n, e)
+        r = A * n * s ** q2
+    return samples(), None
 
 
 def integrate(scenario: Scenario, policy: Policy, horizon: float,
@@ -220,16 +403,15 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     ``on_n_min`` selects what happens when thinning would push n below n_min:
     ``"clamp"`` freezes the rate at zero (recording an NMinHit event) and
     ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
-    ``1 + fault_s_drift`` after every step; it exists solely so verification
-    harnesses can prove they detect a corrupted integrator, and must be
-    finite and above -1 so that s stays positive.
+    ``1 + fault_s_drift`` once per step (compounded along a free span, once
+    per sample on the ceiling, where s follows the count); it exists solely
+    so verification harnesses can prove they detect a corrupted integrator,
+    and must be finite and above -1 so that s stays positive.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.
     """
     p = scenario.params
-    growth = scenario.growth
-    env_v = scenario.env.v
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
     if horizon > p.t_star * (1.0 + 1e-12):
@@ -237,7 +419,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     if on_n_min not in ("clamp", "error"):
         raise ValueError(f"on_n_min must be 'clamp' or 'error' (got {on_n_min})")
     for lv in policy.levels:
-        if lv != HOLD and float(lv) > p.e_max * (1.0 + 1e-12):
+        if lv != HOLD and lv > p.e_max * (1.0 + 1e-12):
             raise ValueError(f"policy rate {lv} exceeds e_max={p.e_max}")
     if step is None:
         step = horizon / DEFAULT_STEPS
@@ -246,44 +428,23 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     if not (math.isfinite(fault_s_drift) and fault_s_drift > -1.0):
         raise ValueError(f"fault_s_drift must be finite and above -1 (got {fault_s_drift})")
 
-    A, q2, e_max, n_min = p.A, p.q / 2.0, p.e_max, p.n_min
-    arc_exp = -2.0 / p.q                    # s on the ceiling: (A n) ** arc_exp
-    g = growth.g
-
-    def rk4_free(t: float, s: float, n: float, h: float, e: float) -> tuple[float, float]:
-        h2 = 0.5 * h
-        k1 = g(A * n * s ** q2) / n * env_v(t)
-        n1 = n - h2 * e
-        vmid = env_v(t + h2)
-        k2 = g(A * n1 * (s + h2 * k1) ** q2) / n1 * vmid
-        k3 = g(A * n1 * (s + h2 * k2) ** q2) / n1 * vmid
-        n2 = n - h * e
-        k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
-        return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
-
+    A, q2, n_min = p.A, p.q / 2.0, p.n_min
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
     exhausted = n <= n_min * (1.0 + 1e-12)
     on_arc = False
-
-    rec = _Recorder()
-    rec.breaks.add(0.0)
+    rec = _Recorder(t, s, n)   # e backfilled below once the first span is known
 
     def finish(end_time: float, terminal_kind: str, exited: bool) -> Trajectory:
         rec.events.append(TrajectoryEvent(end_time, terminal_kind, True))
         rec.breaks.add(end_time)
-        ts = np.asarray(rec.t)
-        ss = np.asarray(rec.s)
-        ns = np.asarray(rec.n)
-        es = np.asarray(rec.e)
-        arcs = np.asarray(rec.arc, dtype=bool)
-        rs = rdi(p, ns, ss)
-        dr = _drdt_values(scenario, ts, ss, ns, es)
+        ts, ss, ns, es, arcs = rec.columns()
         brks = tuple(sorted(b for b in rec.breaks if b <= end_time + 1e-12))
-        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rs, drdt=dr, on_arc=arcs,
+        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rdi(p, ns, ss),
+                          drdt=_drdt_values(scenario, ts, ss, ns, es), on_arc=arcs,
                           events=tuple(rec.events), validity_end=end_time,
-                          exited=exited, breaks=brks)
+                          exited=exited, breaks=brks, spans=tuple(rec.spans))
 
     def near_corner(nv: float) -> bool:
         return nv <= n_min * (1.0 + EXIT_REL_TOL)
@@ -296,13 +457,11 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         return finish(t_exit, "ExitPoint", True)
 
     r = A * n * s ** q2
-    rec.add(0.0, s, n, 0.0, False)  # e backfilled below once the first span is known
-
     # Level i holds from bounds[i]: breakpoints are positive and increasing.
     bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
     for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
         hold = level == HOLD
-        rate = 0.0 if hold else float(level)
+        rate = 0.0 if hold else level
         rec.breaks.add(ta)
         if not hold:
             on_arc = False
@@ -312,81 +471,59 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 return exit_at(t, True)
             on_arc = True
             s = p.ceiling_s(n)
-        if rec.t and abs(rec.t[-1] - ta) < 1e-13:
+        if abs(rec.last_t - ta) < 1e-13:
             # Backfill the control column of the span-opening sample.
-            rec.e[-1] = (boundary_control(p, scenario.env, s, t) if on_arc
-                         else (0.0 if exhausted else rate))
-            rec.arc[-1] = on_arc
+            rec.set_last(boundary_control(p, scenario.env, s, t) if on_arc
+                         else (0.0 if exhausted else rate), on_arc)
         n_steps = max(1, round((tb - ta) / step))
         h_nom = (tb - ta) / n_steps
         while t < tb - 1e-13 * max(1.0, tb):
-            h = min(h_nom, tb - t)
-            # The closing step of a span snaps to the boundary so breakpoint
-            # sample times are exact and the control backfill can match them.
-            t_after_full = tb if tb - t <= h * (1.0 + 1e-9) else t + h
+            t0 = t
             if on_arc:
-                e_req = q2 * env_v(t) / s
-                if e_req > e_max * (1.0 + 1e-9):
-                    raise InfeasibleBoundary(
-                        f"ceiling-holding rate {e_req:.6g} exceeds e_max={e_max} at t={t:.6g}")
-                n1 = scenario.arc_count_after(n, env_v.integral(t, t_after_full))
-                if n1 < n_min:
-                    return exit_at(min(scenario.arc_exhaustion_time(t, n), t_after_full), True)
-                t = t_after_full
-                n = n1
-                s = (A * n) ** arc_exp
-                if fault_s_drift:
-                    s *= 1.0 + fault_s_drift
-                rec.add(t, s, n, q2 * env_v(t) / s, True)
+                (ts, ss, ns, es), t_exit = _arc_span(scenario, t, s, n, tb, h_nom,
+                                                     fault_s_drift)
+                rec.extend(ts, ss, ns, es, True)
+                if t_exit is not None:
+                    rec.spans.append(("arc", t0, t_exit))
+                    return exit_at(t_exit, True)
+                t, s, n = float(ts[-1]), float(ss[-1]), float(ns[-1])
+                rec.spans.append(("arc", t0, t))
+                r = A * n * s ** q2
+                continue
+            if exhausted or rate == 0.0:
+                kind, e = "free", 0.0
+                (ts, ss, ns, es), event = _free_span(scenario, t, s, n, tb, h_nom,
+                                                     fault_s_drift)
             else:
-                e = 0.0 if exhausted else rate
-                hit_n_min = False
-                if e > 0.0 and n - e * h < n_min:
-                    if on_n_min == "error":
-                        raise NonViable(
-                            f"policy would cut below n_min={n_min} near t={t:.6g}")
-                    h = (n - n_min) / e
-                    t_after_full = t + h
-                    hit_n_min = True
-                s1, n1 = rk4_free(t, s, n, h, e)
-                r1 = A * n1 * s1 ** q2
-                if r1 > 1.0:
-                    if r >= 1.0 - 1e-12:
-                        h_cross = 0.0
-                    elif e == 0.0:
-                        h_cross = min(max(scenario.ceiling_time(t, s, n) - t, 0.0), h)
-                    else:
-                        def r_excess(hh: float) -> float:
-                            s2, n2 = rk4_free(t, s, n, hh, e)
-                            return A * n2 * s2 ** q2 - 1.0
-                        h_cross = bisect(r_excess, 0.0, h)
-                    t = t + h_cross
-                    n = n - h_cross * e
-                    if near_corner(n):
-                        return exit_at(t, False)
-                    # The state is placed exactly on the ceiling.
-                    s = p.ceiling_s(n)
-                    if not hold:
-                        rec.add(t, s, n, e, False)
-                        return finish(t, "RdiHitOne", False)
-                    on_arc = True
-                    rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
-                    rec.breaks.add(t)
-                    rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
-                    r = 1.0
-                    continue
-                t = t_after_full
-                s, n = s1, n1
-                if fault_s_drift:
-                    s *= 1.0 + fault_s_drift
-                if hit_n_min:
-                    n = n_min
+                kind, e = "cut", rate
+                (ts, ss, ns, es), event = _cut_span(scenario, t, s, n, rate, tb, h_nom,
+                                                    fault_s_drift, on_n_min)
+            rec.extend(ts, ss, ns, es, False)
+            if ts.size:
+                t, s, n = float(ts[-1]), float(ss[-1]), float(ns[-1])
+            if event is not None:
+                t, n = event[1], event[2]
+            if t > t0:
+                rec.spans.append((kind, t0, t))
+            if event is None or event[0] == "NMinHit":
+                if event is not None:
                     exhausted = True
-                    e = 0.0
                     rec.events.append(TrajectoryEvent(t, "NMinHit", False))
                     rec.breaks.add(t)
+                r = A * n * s ** q2
+                continue
+            if near_corner(n):
+                return exit_at(t, False)
+            # The state is placed exactly on the ceiling.
+            s = p.ceiling_s(n)
+            if not hold:
                 rec.add(t, s, n, e, False)
-            r = A * n * s ** q2
+                return finish(t, "RdiHitOne", False)
+            on_arc = True
+            rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
+            rec.breaks.add(t)
+            rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
+            r = 1.0
 
     return finish(horizon, "HorizonEnd", False)
 

@@ -26,6 +26,7 @@ closed forms of the dynamics:
 
 * ``growth_rate``: the per-tree growth g(r)/n * V(t);
 * ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
+* ``uncut_s_after``: the basal area along uncut growth below the ceiling;
 * ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
   ceiling, and when it reaches n_min.
 
@@ -59,6 +60,8 @@ _GAMMA_MARGIN = 1e-9
 # Elasticity of the Fagacees family tends to 1 as r -> 0; its reported upper
 # bound is taken at this offset from 0.
 _GAMMA_EDGE = 1e-6
+# Iteration cap of the Newton inversion in Scenario.uncut_s_after.
+_NEWTON_MAX_ITER = 50
 
 
 def _require(cond: bool, message: str) -> None:
@@ -370,6 +373,50 @@ class Scenario:
         r = p.A * n * s ** (p.q / 2.0)
         coeff = p.q / 2.0 * n ** b * p.A ** (2.0 / p.q)
         return self.env.v.time_at(t, self.growth.density_integral(r, b) / coeff)
+
+    def uncut_s_after(self, s, n, amount):
+        """Basal area of a stand that grows uncut from (s, n), below the
+        density ceiling, while it absorbs ``amount`` of growth energy.
+
+        The relation of :meth:`ceiling_time` solved for the density:
+        D(r1) = D(r) - (q/2) A**(2/q) n**b * amount, with D the density
+        integral.  Power growth inverts it explicitly,
+
+            s1**k = s**k + k A**(1-theta) n**(-theta) * amount,
+            k = 1 - (q/2)(1-theta);
+
+        fagacees by Newton's method in log r from the starting density.  D is
+        decreasing and concave in log r, so the first step lands at or above
+        the root (clipped to r = 1) and the later ones descend to it
+        monotonically.  ``amount`` (float or ndarray) must not carry the
+        stand past the ceiling.
+        """
+        p, growth = self.params, self.growth
+        q2 = p.q / 2.0
+        if growth.kind == "power":
+            k = 1.0 - q2 * (1.0 - growth.theta)
+            return (s ** k + k * p.A ** (1.0 - growth.theta) * n ** (-growth.theta)
+                    * amount) ** (1.0 / k)
+        b = 2.0 / p.q - 1.0
+        x_a = math.log(p.A * n * s ** q2)
+        target = (growth.density_integral(math.exp(x_a), b)
+                  - q2 * n ** b * p.A ** (2.0 / p.q) * np.asarray(amount, dtype=float))
+        x = np.full(np.shape(target), x_a)
+        polish = False
+        for _ in range(_NEWTON_MAX_ITER):
+            r = np.exp(x)
+            slope = -r ** (b + 1.0) / growth.g(r)          # dD/d(log r)
+            x_new = np.minimum(x - (growth.density_integral(r, b) - target) / slope, 0.0)
+            dx = float(np.max(np.abs(x_new - x), initial=0.0))
+            x = x_new
+            if polish or not np.isfinite(dx):
+                break
+            # Convergence is quadratic: one step after 1e-9 reaches rounding.
+            polish = dx < 1e-9
+        if not (polish and np.all(np.isfinite(x))):
+            raise RuntimeError(f"uncut growth inversion did not converge from s={s}, n={n}")
+        s1 = s * np.exp((x - x_a) / q2)
+        return s1 if np.ndim(s1) else float(s1)
 
     # Along the density ceiling r = 1 the control is (q/2) V/s and s =
     # (A n)**(-2/q), so the count obeys dn/dt = -(q/2) A**(2/q) n**(2/q) V(t),

@@ -94,7 +94,11 @@ def t_cap0(scenario: Scenario) -> float:
     :data:`UNREACHABLE` when t_sup0 is unreachable or the remaining energy
     is insufficient within t_star.
     """
-    t_up = t_sup0(scenario)
+    return _exhaustion_after(scenario, t_sup0(scenario))
+
+
+def _exhaustion_after(scenario: Scenario, t_up: float) -> float:
+    """:func:`t_cap0` for a first ceiling hit at ``t_up``."""
     if is_unreachable(t_up):
         # Not left to the closed form: with a hyperbolic supply, the energy
         # inverse from t = inf can be inf * 0 = NaN, which no comparison catches.
@@ -117,31 +121,36 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
     if kind == "max":
         return Policy.max_rate(p.e_max)
 
-    n0 = scenario.initial.n
-    t0n = time_to_count(p, n0, p.n_min)
     if kind == "e0":
+        t0n = time_to_count(p, scenario.initial.n, p.n_min)
         if t0n == 0.0:
             return Policy((), (0.0,), kind="e0", meta=(("t_cut_end", 0.0),))
         return Policy((t0n,), (p.e_max, 0.0), kind="e0", meta=(("t_cut_end", t0n),))
+    if kind not in ("esup", "et"):
+        raise ValueError(f"unknown policy kind {kind!r}")
+    t_up = t_sup0(scenario)
+    return _ceiling_policy(scenario, kind, T, t_up, _exhaustion_after(scenario, t_up))
 
+
+def _ceiling_policy(scenario: Scenario, kind: str, T: float | None, t_up: float,
+                    t_exhaust: float) -> Policy:
+    """``esup`` or ``et`` of :func:`build_policy`, given the first ceiling hit
+    ``t_up`` and the ceiling-exhaustion time ``t_exhaust``."""
+    p = scenario.params
     if kind == "esup":
-        t_up = t_sup0(scenario)
-        t_exhaust = t_cap0(scenario)
         meta = (("t_rdi_one", None if is_unreachable(t_up) else t_up),
                 ("t_exhaust", None if is_unreachable(t_exhaust) else t_exhaust))
         return Policy((), (HOLD,), kind="esup", meta=meta)
 
-    if kind != "et":
-        raise ValueError(f"unknown policy kind {kind!r}")
     if T is None:
         raise ValueError("the et policy needs a target horizon T")
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"target horizon must be finite and positive (got {T})")
+    n0 = scenario.initial.n
+    t0n = time_to_count(p, n0, p.n_min)
     if T <= t0n * (1.0 + 1e-12):
         return build_policy(scenario, "e0")
 
-    t_up = t_sup0(scenario)
-    t_exhaust = t_cap0(scenario)
     if T <= t0n + t_up:
         # Short horizon: grow freely, then one maximal-rate burst ending at T.
         t_switch = T - t0n
@@ -159,7 +168,7 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
         return Policy((t_switch,), (HOLD, p.e_max), kind="et",
                       meta=(("T", T), ("t_switch", t_switch), ("t_rdi_one", t_up)))
     if T <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
-        return build_policy(scenario, "esup")
+        return _ceiling_policy(scenario, "esup", None, t_up, t_exhaust)
     raise ValueError(f"target horizon T={T} exceeds the ceiling-exhaustion time "
                      f"{t_exhaust}; no policy reaches n_min exactly at T")
 
@@ -214,14 +223,15 @@ def characteristic_times(scenario: Scenario, T: float | None = None) -> Characte
     p = scenario.params
     cut_first = integrate(scenario, build_policy(scenario, "e0"), p.t_star,
                           step=p.t_star / EXTREMAL_STEPS)
-    t_exhaust = t_cap0(scenario)
+    t_up = t_sup0(scenario)
+    t_exhaust = _exhaustion_after(scenario, t_up)
     t_switch = None
     if T is not None and not (math.isfinite(T)
                               and T > t_exhaust * (1.0 + EXHAUSTION_REL_TOL)):
-        t_switch = build_policy(scenario, "et", T=T).meta_dict().get("t_switch")
+        t_switch = _ceiling_policy(scenario, "et", T, t_up, t_exhaust).meta_dict().get("t_switch")
     return CharacteristicTimes(
         t0_n=time_to_count(p, scenario.initial.n, p.n_min),
-        t_sup0=t_sup0(scenario),
+        t_sup0=t_up,
         t_cap0=t_exhaust,
         t_lower=cut_first.validity_end if cut_first.exited else UNREACHABLE,
         t_lower_heuristic=scenario.growth.kind != "power",

@@ -97,25 +97,41 @@ class TestIntegrate:
         with pytest.raises(sg.NonViable):
             sg.integrate(scn, sg.Policy.max_rate(40.0), 12.0, on_n_min="error")
 
-    def test_fourth_order_convergence(self, convex_price):
+    def test_uncut_span_is_exact_at_any_step(self, convex_price):
+        # Free growth is a closed form: a coarse run lands on the fine run's
+        # values instead of converging to them.
         scn = convex_price.scenario
-        ref = sg.integrate(scn, sg.Policy.zero(), 8.0, step=8.0 / 2048)
-        errs = []
+        ref = sg.integrate(scn, sg.Policy.zero(), 8.0, step=8.0 / 4096)
         for steps in (32, 64):
             traj = sg.integrate(scn, sg.Policy.zero(), 8.0, step=8.0 / steps)
-            errs.append(abs(traj.s[-1] - ref.s[-1]))
-        ratio = errs[0] / errs[1]
-        assert 10.0 < ratio < 24.0
+            assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
+            # The coarse times are nodes of the fine grid (dyadic steps).
+            np.testing.assert_allclose(traj.s, ref.interp_s(traj.t), rtol=1e-12, atol=0.0)
 
-    def test_fourth_order_holds_through_ceiling_arc(self, convex_price):
-        # Following the ceiling in closed form must not degrade the order.
+    def test_ceiling_arc_is_exact_at_any_step(self, convex_price):
+        # Free growth, the ceiling hit and the arc are all closed forms.
         scn = convex_price.scenario
         pol = sg.build_policy(scn, "esup")
         ref = sg.integrate(scn, pol, 20.0, step=20.0 / 4096)
-        errs = []
+        assert [kind for kind, _, _ in ref.spans] == ["free", "arc"]
         for steps in (32, 64):
             traj = sg.integrate(scn, pol, 20.0, step=20.0 / steps)
-            errs.append(abs(traj.n[-1] - ref.n[-1]))
+            assert traj.n[-1] == pytest.approx(ref.n[-1], rel=1e-12, abs=0.0)
+            assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
+
+    def test_fourth_order_convergence_on_cut_span(self, convex_price):
+        # Cutting at e_max, stopped short of n_min: the one span kind still
+        # stepped by RK4.
+        scn = convex_price.scenario
+        p = scn.params
+        horizon = 0.9 * sg.time_to_count(p, scn.initial.n, p.n_min)
+        pol = sg.Policy.max_rate(p.e_max)
+        ref = sg.integrate(scn, pol, horizon, step=horizon / 2048)
+        assert [kind for kind, _, _ in ref.spans] == ["cut"]
+        errs = []
+        for steps in (32, 64):
+            traj = sg.integrate(scn, pol, horizon, step=horizon / steps)
+            errs.append(abs(traj.s[-1] - ref.s[-1]))
         ratio = errs[0] / errs[1]
         assert 10.0 < ratio < 24.0
 
@@ -179,6 +195,25 @@ class TestIntegrate:
             sg.integrate(convex_price.scenario, policy, 10.0)
 
 
+class TestSpans:
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_esup_never_cuts(self, name):
+        scn = load(name).scenario
+        traj = sg.integrate(scn, sg.build_policy(scn, "esup"), scn.params.t_star)
+        kinds = [kind for kind, _, _ in traj.spans]
+        assert kinds[0] == "free" and "cut" not in kinds
+
+    def test_spans_tile_the_run(self, convex_price, rng):
+        scn = convex_price.scenario
+        for policy in sg.sample_policies(scn, 20, rng, 30.0, terminal=True):
+            traj = sg.integrate(scn, policy, 30.0)
+            kinds, starts, ends = zip(*traj.spans)
+            assert set(kinds) <= {"free", "arc", "cut"}
+            assert starts[0] == 0.0 and ends[-1] == traj.validity_end
+            assert starts[1:] == ends[:-1]
+            assert all(a < b for a, b in zip(starts, ends))
+
+
 class TestExports:
     def test_csv_header_and_events_roundtrip(self, convex_price, tmp_path):
         scn = convex_price.scenario
@@ -231,6 +266,15 @@ class TestPolicyValidation:
     def test_non_finite_breakpoint_rejected(self, bad):
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             sg.Policy.piecewise([bad], [10.0, 0.0])
+
+    def test_numeric_levels_stored_as_floats(self):
+        # Schedules are cache keys by (breakpoints, levels): equal schedules
+        # must compare and hash equal whatever numeric type spelled them.
+        spelled = sg.Policy((5,), ("5", 0))
+        policy = sg.Policy((5.0,), (5.0, 0.0))
+        assert spelled == policy and hash(spelled) == hash(policy)
+        assert all(type(v) is float for v in spelled.breakpoints + spelled.levels)
+        assert sg.Policy((), ("5",)) == sg.Policy((), (5.0,))
 
     def test_hold_is_spelled_hold(self):
         # A "hold" built at run time is a distinct str object; piecewise maps
