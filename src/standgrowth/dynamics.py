@@ -6,8 +6,12 @@ The state (s, n) evolves by
     dn/dt = -e(t)
 
 subject to 0 <= e <= e_max, n >= n_min, and the density ceiling r <= 1.
-Samples lie on a fixed grid aligned to the policy breakpoints, and each
-piece of a run between events is solved by its kind:
+Samples lie on a fixed grid aligned to the policy breakpoints.  A run is a
+sequence of spans.  Each starts from a state under one control, steps over
+the grid of :func:`_span_grid` towards the end of its policy segment, and
+returns its samples with the event that ends it early, or None:
+``("RdiHitOne", t, n)``, ``("NMinHit", t, n_min)`` or ``("ExitPoint", t,
+n_min)``.  Each kind of span is solved by its own method:
 
 * **free** (rate 0, a ``HOLD`` level below the ceiling, or any level once n
   has reached n_min): the count is constant and the density equation
@@ -26,6 +30,10 @@ piece of a run between events is solved by its kind:
   the count at the crossing n - e * h_cross;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
+
+:func:`integrate` has one span call and one switch over the events.  A
+recorder merges samples less than 1e-13 apart and takes the break times
+from the span starts.
 
 Policies are piecewise: each segment holds either a constant thinning rate or
 ``HOLD``, meaning "grow freely until the density ceiling, then ride it".
@@ -160,11 +168,11 @@ class Trajectory:
     (density index), ``drdt`` (density rate at the sample), and ``on_arc``
     (True where the state rides the density ceiling).  ``validity_end`` is
     the last time the solution is defined; ``exited`` marks departure through
-    the (1, n_min) corner.  ``breaks`` lists the control-regime change times,
-    which quadratures use as panel boundaries.  ``spans`` lists the pieces the
-    integrator solved, as ``(kind, start, end)`` with kind ``"free"``
-    (uncut, below the ceiling), ``"arc"`` (on the ceiling) or ``"cut"``
-    (thinning at a positive rate).
+    the (1, n_min) corner.  ``spans`` lists the pieces the integrator
+    solved, as ``(kind, start, end)`` with kind ``"free"`` (uncut, below the
+    ceiling), ``"arc"`` (on the ceiling) or ``"cut"`` (thinning at a positive
+    rate).  ``breaks`` lists 0, the span starts and the end time, which
+    quadratures use as panel boundaries.
     """
 
     t: np.ndarray
@@ -198,45 +206,55 @@ def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:
 
 
 class _Recorder:
-    """Accumulates sample columns span by span, and the events."""
+    """Accumulates the sample columns span by span, and the events and spans.
+
+    All samples pass through :meth:`add`, which applies the one collapse
+    rule; :meth:`finish` takes the break times from the span starts.
+    """
 
     def __init__(self, t: float, s: float, n: float) -> None:
         # Columns t, s, n, e, on_arc, each a list of per-span arrays.
         self.cols: tuple[list, ...] = ([np.array([t])], [np.array([s])], [np.array([n])],
                                        [np.zeros(1)], [np.zeros(1, dtype=bool)])
         self.events: list[TrajectoryEvent] = []
-        self.breaks: set[float] = {0.0}
         self.spans: list[tuple[str, float, float]] = []
 
-    @property
-    def last_t(self) -> float:
-        return float(self.cols[0][-1][-1])
-
-    def set_last(self, e: float, arc: bool) -> None:
-        """Set the control column of the last sample."""
-        self.cols[3][-1][-1] = e
+    def span(self, e0: float, arc: bool, t, s, n, e) -> None:
+        """Open a span at the last sample under control ``e0`` (on the
+        ceiling when ``arc``), then add the span's samples."""
+        self.cols[3][-1][-1] = e0
         self.cols[4][-1][-1] = arc
+        self.add(t, s, n, e, arc)
 
-    def extend(self, t: np.ndarray, s: np.ndarray, n: np.ndarray, e: np.ndarray,
-               arc: bool) -> None:
-        if not t.size:
-            return
-        arcs = np.full(t.size, arc)
-        if t[0] - self.last_t < 1e-13:
-            # Collapse zero-width intervals created by events landing on nodes:
-            # the earlier time stays, with the later state.
-            for col, new in zip(self.cols[1:], (s, n, e, arcs)):
-                col[-1][-1] = new[0]
-            t, s, n, e, arcs = t[1:], s[1:], n[1:], e[1:], arcs[1:]
+    def add(self, t, s, n, e, arc: bool) -> None:
+        """Append samples.  A sample less than 1e-13 after the previous one
+        merges into it: the earlier time stays, with the later state."""
+        t, s, n, e = np.atleast_1d(t, s, n, e)
+        state = (s, n, e, np.full(t.size, arc))
+        kept = np.flatnonzero(np.diff(t, prepend=self.cols[0][-1][-1]) >= 1e-13)
+        if kept.size < t.size:
+            # The state of a run of merged samples is that of its last one.
+            last = np.append(kept, t.size) - 1
+            if last[0] >= 0:
+                for col, new in zip(self.cols[1:], state):
+                    col[-1][-1] = new[last[0]]
+            t, state = t[kept], tuple(new[last[1:]] for new in state)
         if t.size:
-            for col, new in zip(self.cols, (t, s, n, e, arcs)):
+            for col, new in zip(self.cols, (t,) + state):
                 col.append(new)
 
-    def add(self, t: float, s: float, n: float, e: float, arc: bool) -> None:
-        self.extend(np.array([t]), np.array([s]), np.array([n]), np.array([e]), arc)
-
-    def columns(self) -> list[np.ndarray]:
-        return [np.concatenate(col) for col in self.cols]
+    def finish(self, scenario: Scenario, end_time: float, terminal_kind: str,
+               exited: bool) -> Trajectory:
+        """The trajectory, ending with a terminal event at ``end_time``; its
+        break times are 0, the span starts and ``end_time``."""
+        self.events.append(TrajectoryEvent(end_time, terminal_kind, True))
+        ts, ss, ns, es, arcs = (np.concatenate(col) for col in self.cols)
+        breaks = {0.0, end_time}.union(start for _, start, _ in self.spans)
+        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rdi(scenario.params, ns, ss),
+                          drdt=_drdt_values(scenario, ts, ss, ns, es), on_arc=arcs,
+                          events=tuple(self.events), validity_end=end_time,
+                          exited=exited, breaks=tuple(sorted(breaks)),
+                          spans=tuple(self.spans))
 
 
 def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
@@ -255,14 +273,15 @@ def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
     return ts[1:k + 1] if ts[k] >= t_stop else np.append(ts[1:k + 1], tb)
 
 
-def _free_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
-               h_nom: float, fault_s_drift: float):
-    """Uncut growth from (t, s, n) below the ceiling, in closed form.
+# The spans share one signature: the opening state (t, s, n) and control e,
+# the segment end tb, the nominal step and the run's options.  Each returns
+# its samples after t as (t, s, n, e) arrays, and its event or None.
 
-    Returns the samples after ``t`` as (t, s, n, e) arrays and the event
-    that ends the span early: ``("RdiHitOne", t, n)`` where the density
-    reaches 1 (:meth:`Scenario.ceiling_time`), or None at ``tb``.
-    """
+def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
+               h_nom: float, fault_s_drift: float, on_n_min: str):
+    """Uncut growth from (t, s, n) below the ceiling, in closed form, up to
+    ``("RdiHitOne", t, n)`` where the density reaches 1
+    (:meth:`Scenario.ceiling_time`)."""
     p = scenario.params
     if p.A * n * s ** (p.q / 2.0) >= 1.0 - 1e-12:
         return (np.empty(0),) * 4, ("RdiHitOne", t, n)
@@ -283,17 +302,14 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
     return samples, ("RdiHitOne", t_hit, n)
 
 
-def _arc_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
-              h_nom: float, fault_s_drift: float):
+def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
+              h_nom: float, fault_s_drift: float, on_n_min: str):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
-    rate, by :meth:`Scenario.arc_count_after` from the span start.
-
-    Returns the samples after ``t`` as (t, s, n, e) arrays and the time the
-    count reaches n_min (:meth:`Scenario.arc_exhaustion_time` from the last
-    sample), or None when the span reaches ``tb`` first.  Raises
+    rate, by :meth:`Scenario.arc_count_after` from the span start, up to
+    ``("ExitPoint", t, n_min)`` where the count runs out
+    (:meth:`Scenario.arc_exhaustion_time` from the last sample).  Raises
     :class:`InfeasibleBoundary` at the first step that would need a rate
-    above e_max.
-    """
+    above e_max."""
     p, v = scenario.params, scenario.env.v
     q2 = p.q / 2.0
     ts = _span_grid(t, tb, h_nom)
@@ -313,23 +329,20 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, tb: float,
     if below.any():
         n_from = ns[last - 1] if last else n
         t_exit = min(float(scenario.arc_exhaustion_time(step_t[-1], n_from)), float(ts[last]))
-        return (ts[:last], ss[:last], ns[:last], e_req[1:]), t_exit
+        return (ts[:last], ss[:last], ns[:last], e_req[1:]), ("ExitPoint", t_exit, p.n_min)
     return (ts, ss, ns, q2 * v(ts) / ss), None
 
 
-def _cut_span(scenario: Scenario, t: float, s: float, n: float, rate: float, tb: float,
+def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float, fault_s_drift: float, on_n_min: str):
-    """Thinning at ``rate`` > 0 from (t, s, n): fixed-step RK4.
-
-    Returns the samples after ``t`` as (t, s, n, e) arrays and the event
-    that ends the span early: ``("NMinHit", t, n_min)`` at the count floor
-    (its sample is the last, with e = 0), ``("RdiHitOne", t, n)`` where the
-    density crosses 1, with the time bisected on the step fraction, or None
-    at ``tb``.
-    """
+    """Thinning at the rate ``e`` > 0 from (t, s, n), one RK4 step to each
+    grid time.  A step that would take n below n_min is shortened to reach
+    it, and the span ends there with ``("NMinHit", t, n_min)`` and a last
+    sample at n_min with e = 0 (or raises :class:`NonViable` when
+    ``on_n_min`` is "error").  Where the density crosses 1 it ends with
+    ``("RdiHitOne", t, n)``, the time bisected on the step fraction."""
     p, env_v, g = scenario.params, scenario.env.v, scenario.growth.g
     A, q2, n_min = p.A, p.q / 2.0, p.n_min
-    e = rate
 
     def rk4(t: float, s: float, n: float, h: float) -> tuple[float, float]:
         h2 = 0.5 * h
@@ -342,55 +355,33 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, rate: float, tb:
         k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
         return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
 
-    ts: list[float] = []
-    ss: list[float] = []
-    ns: list[float] = []
-    es: list[float] = []
-
-    def add(*sample: float) -> None:
-        if ts and sample[0] - ts[-1] < 1e-13:
-            # A step of zero width (n_min reached on a node) replaces the state.
-            ss[-1], ns[-1], es[-1] = sample[1:]
-        else:
-            for col, value in zip((ts, ss, ns, es), sample):
-                col.append(value)
-
-    def samples():
-        return np.array(ts), np.array(ss), np.array(ns), np.array(es)
-
-    r = A * n * s ** q2
-    while t < tb - 1e-13 * max(1.0, tb):
+    ts = _span_grid(t, tb, h_nom)
+    ss, ns, es = np.empty(ts.size), np.empty(ts.size), np.full(ts.size, e)
+    for i, t_next in enumerate(ts.tolist()):
         h = min(h_nom, tb - t)
-        # The closing step of a span snaps to the boundary so breakpoint
-        # sample times are exact and the control backfill can match them.
-        t_after_full = tb if tb - t <= h * (1.0 + 1e-9) else t + h
-        hit_n_min = False
-        if n - e * h < n_min:
+        hit_n_min = n - e * h < n_min
+        if hit_n_min:
             if on_n_min == "error":
                 raise NonViable(f"policy would cut below n_min={n_min} near t={t:.6g}")
             h = (n - n_min) / e
-            t_after_full = t + h
-            hit_n_min = True
+            t_next = t + h
         s1, n1 = rk4(t, s, n, h)
         if A * n1 * s1 ** q2 > 1.0:
-            if r >= 1.0 - 1e-12:
-                h_cross = 0.0
-            else:
+            h_cross = 0.0
+            if A * n * s ** q2 < 1.0 - 1e-12:
                 def r_excess(hh: float) -> float:
                     s2, n2 = rk4(t, s, n, hh)
                     return A * n2 * s2 ** q2 - 1.0
                 h_cross = bisect(r_excess, 0.0, h)
-            return samples(), ("RdiHitOne", t + h_cross, n - h_cross * e)
-        t = t_after_full
-        s, n = s1, n1
+            return (ts[:i], ss[:i], ns[:i], es[:i]), ("RdiHitOne", t + h_cross, n - h_cross * e)
+        t, s, n = t_next, s1, n1
         if fault_s_drift:
             s *= 1.0 + fault_s_drift
+        ss[i], ns[i] = s, n
         if hit_n_min:
-            add(t, s, n_min, 0.0)
-            return samples(), ("NMinHit", t, n_min)
-        add(t, s, n, e)
-        r = A * n * s ** q2
-    return samples(), None
+            ts[i], ns[i], es[i] = t, n_min, 0.0
+            return (ts[:i + 1], ss[:i + 1], ns[:i + 1], es[:i + 1]), ("NMinHit", t, n_min)
+    return (ts, ss, ns, es), None
 
 
 def integrate(scenario: Scenario, policy: Policy, horizon: float,
@@ -428,104 +419,70 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     if not (math.isfinite(fault_s_drift) and fault_s_drift > -1.0):
         raise ValueError(f"fault_s_drift must be finite and above -1 (got {fault_s_drift})")
 
-    A, q2, n_min = p.A, p.q / 2.0, p.n_min
+    n_min = p.n_min
+    n_corner = n_min * (1.0 + EXIT_REL_TOL)     # counts at the exit corner
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
     exhausted = n <= n_min * (1.0 + 1e-12)
     on_arc = False
-    rec = _Recorder(t, s, n)   # e backfilled below once the first span is known
-
-    def finish(end_time: float, terminal_kind: str, exited: bool) -> Trajectory:
-        rec.events.append(TrajectoryEvent(end_time, terminal_kind, True))
-        rec.breaks.add(end_time)
-        ts, ss, ns, es, arcs = rec.columns()
-        brks = tuple(sorted(b for b in rec.breaks if b <= end_time + 1e-12))
-        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rdi(p, ns, ss),
-                          drdt=_drdt_values(scenario, ts, ss, ns, es), on_arc=arcs,
-                          events=tuple(rec.events), validity_end=end_time,
-                          exited=exited, breaks=brks, spans=tuple(rec.spans))
-
-    def near_corner(nv: float) -> bool:
-        return nv <= n_min * (1.0 + EXIT_REL_TOL)
+    rec = _Recorder(t, s, n)
 
     def exit_at(t_exit: float, arc: bool) -> Trajectory:
         """Stop at the (1, n_min) corner, under the ceiling-holding rate on an arc."""
         s_bar = p.s_bar
         rec.add(t_exit, s_bar, n_min,
                 boundary_control(p, scenario.env, s_bar, t_exit) if arc else 0.0, arc)
-        return finish(t_exit, "ExitPoint", True)
+        return rec.finish(scenario, t_exit, "ExitPoint", True)
 
-    r = A * n * s ** q2
     # Level i holds from bounds[i]: breakpoints are positive and increasing.
     bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
     for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
         hold = level == HOLD
-        rate = 0.0 if hold else level
-        rec.breaks.add(ta)
         if not hold:
             on_arc = False
-        elif r >= 1.0 - 1e-9:
+        elif p.A * n * s ** (p.q / 2.0) >= 1.0 - 1e-9:
             # Entering a hold span already at the ceiling.
-            if near_corner(n):
+            if n <= n_corner:
                 return exit_at(t, True)
             on_arc = True
             s = p.ceiling_s(n)
-        if abs(rec.last_t - ta) < 1e-13:
-            # Backfill the control column of the span-opening sample.
-            rec.set_last(boundary_control(p, scenario.env, s, t) if on_arc
-                         else (0.0 if exhausted else rate), on_arc)
-        n_steps = max(1, round((tb - ta) / step))
-        h_nom = (tb - ta) / n_steps
+        h_nom = (tb - ta) / max(1, round((tb - ta) / step))
         while t < tb - 1e-13 * max(1.0, tb):
-            t0 = t
             if on_arc:
-                (ts, ss, ns, es), t_exit = _arc_span(scenario, t, s, n, tb, h_nom,
-                                                     fault_s_drift)
-                rec.extend(ts, ss, ns, es, True)
-                if t_exit is not None:
-                    rec.spans.append(("arc", t0, t_exit))
-                    return exit_at(t_exit, True)
-                t, s, n = float(ts[-1]), float(ss[-1]), float(ns[-1])
-                rec.spans.append(("arc", t0, t))
-                r = A * n * s ** q2
-                continue
-            if exhausted or rate == 0.0:
-                kind, e = "free", 0.0
-                (ts, ss, ns, es), event = _free_span(scenario, t, s, n, tb, h_nom,
-                                                     fault_s_drift)
+                kind, span, e = "arc", _arc_span, boundary_control(p, scenario.env, s, t)
+            elif exhausted or hold or level == 0.0:
+                kind, span, e = "free", _free_span, 0.0
             else:
-                kind, e = "cut", rate
-                (ts, ss, ns, es), event = _cut_span(scenario, t, s, n, rate, tb, h_nom,
-                                                    fault_s_drift, on_n_min)
-            rec.extend(ts, ss, ns, es, False)
+                kind, span, e = "cut", _cut_span, level
+            (ts, ss, ns, es), event = span(scenario, t, s, n, e, tb, h_nom,
+                                           fault_s_drift, on_n_min)
+            rec.span(e, on_arc, ts, ss, ns, es)
+            t0 = t
             if ts.size:
                 t, s, n = float(ts[-1]), float(ss[-1]), float(ns[-1])
             if event is not None:
                 t, n = event[1], event[2]
             if t > t0:
                 rec.spans.append((kind, t0, t))
-            if event is None or event[0] == "NMinHit":
-                if event is not None:
-                    exhausted = True
-                    rec.events.append(TrajectoryEvent(t, "NMinHit", False))
-                    rec.breaks.add(t)
-                r = A * n * s ** q2
+            if event is None:
                 continue
-            if near_corner(n):
-                return exit_at(t, False)
-            # The state is placed exactly on the ceiling.
-            s = p.ceiling_s(n)
-            if not hold:
-                rec.add(t, s, n, e, False)
-                return finish(t, "RdiHitOne", False)
-            on_arc = True
-            rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
-            rec.breaks.add(t)
-            rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
-            r = 1.0
+            if event[0] == "NMinHit":
+                exhausted = True
+                rec.events.append(TrajectoryEvent(t, "NMinHit", False))
+            elif event[0] == "ExitPoint" or n <= n_corner:
+                return exit_at(t, on_arc)
+            else:
+                # The state is placed exactly on the ceiling.
+                s = p.ceiling_s(n)
+                if not hold:
+                    rec.add(t, s, n, e, False)
+                    return rec.finish(scenario, t, "RdiHitOne", False)
+                on_arc = True
+                rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
+                rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
 
-    return finish(horizon, "HorizonEnd", False)
+    return rec.finish(scenario, horizon, "HorizonEnd", False)
 
 
 def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,

@@ -36,7 +36,7 @@ from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import EXIT_REL_TOL, HOLD, Policy, integrate
 from .economics import EconomicModel, _revenue_rate, delta_h, objective, price
 from .model import Scenario
-from .trajectories import build_policy, t_cap0, time_to_count
+from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
 
 __all__ = [
     "Prop2Report",
@@ -85,7 +85,7 @@ def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
     t_upper = t_cap0(scenario)
-    if horizon > t_upper * (1.0 + 1e-9):
+    if horizon > t_upper * (1.0 + EXHAUSTION_REL_TOL):
         raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
 
 
@@ -281,7 +281,7 @@ class SearchResult:
     best_value: float
     canonical_values: dict
     condition_report: Prop2Report
-    gap: float                     # best value minus the best canonical value
+    gap: float                     # best minus best canonical value; 0 on a tie
     enumerated: int
     feasible: int
 
@@ -308,6 +308,11 @@ def _covers(traj, horizon: float) -> bool:
     return traj.exited or traj.validity_end >= horizon * (1.0 - 1e-12)
 
 
+def _tie_tol(a: float, b: float) -> float:
+    """Objective values within this of each other tie in the search."""
+    return 1e-12 * max(1.0, abs(a), abs(b))
+
+
 def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     """The five named policies entering every search, deduplicated by window."""
     p = scenario.params
@@ -315,7 +320,7 @@ def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     out = {name: build_policy(scenario, kind) for name, kind in names}
     t0n = time_to_count(p, scenario.initial.n, p.n_min)
     t_exhaust = t_cap0(scenario)
-    if t0n < horizon <= t_exhaust * (1.0 + 1e-9):
+    if t0n < horizon <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
         out["ET"] = build_policy(scenario, "et", T=horizon)
     return out
 
@@ -410,7 +415,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         val = objective(scenario, econ, traj)
         if name in canonical_values:
             canonical_values[name] = val
-        tie_tol = 1e-12 * max(1.0, abs(val), 0.0 if best is None else abs(best[0]))
+        tie_tol = _tie_tol(val, 0.0 if best is None else best[0])
         if best is None or val > best[0] + tie_tol:
             best = (val, _cumulative_cut_key(traj, horizon), idx, name, policy)
         elif val >= best[0] - tie_tol:
@@ -424,7 +429,11 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min,
                        xi_m=refs.xi_lower_bound())
     feasible_canon = [v for v in canonical_values.values() if v is not None]
-    gap = best[0] - max(feasible_canon) if feasible_canon else float("nan")
+    gap = float("nan")
+    if feasible_canon:
+        top = max(feasible_canon)
+        # A tie with a canonical policy is no gain: report 0, not rounding noise.
+        gap = 0.0 if abs(best[0] - top) <= _tie_tol(best[0], top) else best[0] - top
     return SearchResult(
         best_policy=best[4],
         best_value=float(best[0]),

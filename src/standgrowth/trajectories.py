@@ -61,8 +61,9 @@ __all__ = [
 UNREACHABLE = math.inf      # a characteristic time that does not exist within t_star
 # Steps over [0, t_star] of the cut-first run that measures the minimal exit time.
 EXTREMAL_STEPS = 8192
-# A target horizon this far (relative) past the ceiling-exhaustion time still
-# names esup; beyond it no et policy exists.
+# A horizon or target this far (relative) past the ceiling-exhaustion time
+# still counts as reaching it: et names esup there, and a search still admits
+# the horizon.  Beyond it no et policy and no admissible trajectory exists.
 EXHAUSTION_REL_TOL = 1e-9
 
 

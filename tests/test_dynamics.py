@@ -371,3 +371,53 @@ class TestInvariantsOnGeneratedScenarios:
             assert np.all(np.diff(traj.s) >= 0.0)
             assert sg.objective(scn, econ, traj) == pytest.approx(
                 sg.objective_ibp(scn, econ, traj), rel=1e-6)
+
+
+def assert_sample_spacing(scenario, traj):
+    """Samples stand at least 1e-13 apart, and each NMinHit sample is at n_min
+    with no cutting after it."""
+    assert np.all(np.diff(traj.t) >= 1e-13)
+    for ev in traj.events:
+        if ev.kind == "NMinHit":
+            i = int(np.argmin(np.abs(traj.t - ev.time)))
+            assert abs(traj.t[i] - ev.time) < 1e-13 * max(1.0, ev.time)
+            assert traj.n[i] == scenario.params.n_min
+            assert traj.e[i] == 0.0
+
+
+class TestSampleSpacing:
+    """A sample less than 1e-13 after the previous one merges into it, with
+    the later state, wherever it comes from."""
+
+    @pytest.mark.parametrize("step", [None, 30.0 / 512])
+    def test_n_min_reached_on_a_node(self, concave_price, step):
+        # Cutting at e_max reaches n_min at t = 3.75, which is node 512 of the
+        # default grid at H = 30 (and node 64 at H/512).  The step from that
+        # node has zero width and its NMinHit sample merges into the node.
+        scn = concave_price.scenario
+        traj = sg.integrate(scn, sg.build_policy(scn, "max"), 30.0, step=step)
+        assert [ev.time for ev in traj.events if ev.kind == "NMinHit"] == [3.75]
+        nodes = 513 if step is None else 65
+        assert np.count_nonzero(traj.t <= 3.75) == nodes
+        assert_sample_spacing(scn, traj)
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bundled_scenarios(self, name):
+        loaded = load(name)
+        scn, horizon = loaded.scenario, loaded.run.horizon
+        rng = np.random.default_rng(12)
+        policies = [sg.build_policy(scn, kind) for kind in ("zero", "max", "e0", "esup")]
+        policies += sg.sample_policies(scn, 4, rng, horizon) \
+            + sg.sample_policies(scn, 4, rng, horizon, terminal=True)
+        for policy in policies:
+            assert_sample_spacing(scn, sg.integrate(scn, policy, horizon))
+
+    @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_generated_scenarios(self, scn, horizon, seed):
+        rng = np.random.default_rng(seed)
+        policies = [sg.Policy.zero(), sg.Policy.max_rate(scn.params.e_max)]
+        policies += sg.sample_policies(scn, 2, rng, horizon) \
+            + sg.sample_policies(scn, 2, rng, horizon, terminal=True)
+        for policy in policies:
+            assert_sample_spacing(scn, sg.integrate(scn, policy, horizon))

@@ -103,6 +103,15 @@ class TestBruteForce:
         assert res.best_value == pytest.approx(zero_val, rel=1e-9)
         assert abs(res.gap) <= 1e-9 * abs(res.best_value)
 
+    def test_tie_with_a_canonical_policy_has_zero_gap(self, concave_price):
+        # The best schedule ties the best canonical value to rounding here; the
+        # raw difference is -2.3e-13, which would read as losing to it.
+        res = sg.brute_force(concave_price.scenario, concave_price.economics,
+                             concave_price.run.horizon, n_intervals=5)
+        top = max(v for v in res.canonical_values.values() if v is not None)
+        assert res.best_value == pytest.approx(top, rel=1e-12)
+        assert res.gap == 0.0
+
     def test_candidate_superset_never_worse(self, convex_price):
         scn, econ = convex_price.scenario, convex_price.economics
         few = sg.brute_force(scn, econ, 30.0, n_intervals=2, levels=("0", "max"))
