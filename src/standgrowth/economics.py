@@ -166,15 +166,27 @@ def objective(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> floa
     return float(total)
 
 
-def _revenue_rate(econ: EconomicModel, env: Environment, s, n, t, dsdt):
-    """By-parts integrand d/dt[P(s(t), t)] * n at a state moving at ds/dt = dsdt.
+def _revenue_time_factors(econ: EconomicModel, env: Environment, t) -> tuple:
+    """The factors of the by-parts integrand that depend on time alone:
+    k exp(-delta t), alpha h0(t), h0'(t) and delta h0(t)."""
+    h = env.h0(t)
+    return econ.k * np.exp(-econ.delta * t), econ.alpha * h, env.h0.derivative(t), econ.delta * h
+
+
+def _revenue_rate_from(econ: EconomicModel, factors: tuple, s, n, dsdt):
+    """By-parts integrand at a state moving at ds/dt = dsdt, given the time
+    factors of :func:`_revenue_time_factors` at its time.
 
     Uses h0' - delta h0 directly so the expression stays finite at t = 0
     where the effective discount itself is singular.
     """
-    h = env.h0(t)
-    return econ.k * np.exp(-econ.delta * t) * n * s ** econ.alpha * (
-        econ.alpha * h * dsdt / s + env.h0.derivative(t) - econ.delta * h)
+    disc, alpha_h, dh, delta_h0 = factors
+    return disc * n * s ** econ.alpha * (alpha_h * dsdt / s + dh - delta_h0)
+
+
+def _revenue_rate(econ: EconomicModel, env: Environment, s, n, t, dsdt):
+    """By-parts integrand d/dt[P(s(t), t)] * n at a state moving at ds/dt = dsdt."""
+    return _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
 
 
 def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):

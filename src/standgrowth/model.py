@@ -24,7 +24,8 @@ closed-form energy and its inverse) and ``h0``, and the pointwise operations
 (``rdi``, ``boundary_control``, ``energy``).  :class:`Scenario` holds the
 closed forms of the dynamics:
 
-* ``growth_rate``: the per-tree growth g(r)/n * V(t);
+* ``growth_rate``: the per-tree growth g(r)/n * V(t), and its state factor
+  ``growth_per_energy``;
 * ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
 * ``uncut_s_after``: the basal area along uncut growth below the ceiling;
 * ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
@@ -357,8 +358,13 @@ class Scenario:
 
     def growth_rate(self, t, s, n):
         """Basal-area growth per tree ds/dt = g(r)/n * V(t) at the state (t, s, n)."""
+        return self.growth_per_energy(s, n) * self.env.v(t)
+
+    def growth_per_energy(self, s, n):
+        """The state factor g(r)/n of :meth:`growth_rate`, so that a caller
+        stepping many states over one time grid takes V(t) once per time."""
         p = self.params
-        return self.growth.g(p.A * n * s ** (p.q / 2.0)) / n * self.env.v(t)
+        return self.growth.g(p.A * n * s ** (p.q / 2.0)) / n
 
     def ceiling_time(self, t, s, n):
         """Time t1 at which a stand growing uncut from (t, s, n), below the

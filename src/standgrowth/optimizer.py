@@ -13,12 +13,14 @@ Two independent routes to the same question:
 * :func:`brute_force` enumerates piecewise-constant policies over equal time
   intervals with the semantic level set {0, e_max, ride-the-ceiling}, which
   spans the bang-bang-plus-singular-arc structure of the candidate optima.
-  A vectorized coarse-step integrator screens the candidates as a prefix
-  tree, stepping each shared prefix of segments once, and ranks them
-  on the by-parts form of the objective, whose integrand depends on the
-  state alone and so is second order in the step; the best few are
-  re-integrated at a fine step together with the canonical policies, and the
-  exact objective decides.
+  A coarse pass on one fixed grid screens the candidates as a prefix tree,
+  advancing each shared prefix of segments once, and each prefix by the
+  span kind of its state: closed forms for uncut power growth and for
+  riding the ceiling, vectorized RK4 steps where trees are cut and for uncut
+  fagacees growth.  It ranks them on the by-parts form of the objective,
+  whose integrand depends on the state alone and so is second order in the
+  step; the best few are re-integrated at a fine step together with the
+  canonical policies, and the exact objective decides.
 
 Ties are broken toward earlier cutting (lexicographically larger cumulative
 harvest), then by enumeration order, so results are deterministic.
@@ -28,14 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import EXIT_REL_TOL, HOLD, Policy, integrate
-from .economics import EconomicModel, _revenue_rate, delta_h, objective, price
-from .model import Scenario
+from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
+from .economics import (EconomicModel, _revenue_rate, _revenue_rate_from,
+                        _revenue_time_factors, delta_h, objective, price, revenue_rate)
+from .model import Scenario, StandParams, boundary_control
 from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
 
 __all__ = [
@@ -142,9 +145,16 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
 
 
 # ---------------------------------------------------------------------------
-# Coarse vectorized screening integrator for the enumeration.
+# Screening of the enumeration: the prefix tree, one segment at a time.
 
 _HOLD_CODE = -1.0
+_GRID_CELLS = 1 << 15     # (rows x grid times) cells per block of a closed-form pass
+
+
+def _spent_count(p: StandParams) -> float:
+    """Counts at or below which no tree is left to cut: ``integrate``'s
+    test for a stand that starts exhausted."""
+    return p.n_min * (1.0 + 1e-12)
 
 
 def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
@@ -154,112 +164,286 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     The schedules form a prefix tree: two that agree on their first j
     segments share their state through segment j.  The pass starts from one
     row, and at each segment start it repeats every row once per level and
-    tiles the levels, so each shared prefix is stepped once and the leaves
+    tiles the levels, so each shared prefix is advanced once and the leaves
     come out in ``itertools.product(codes, repeat=k)`` order.
 
-    One fixed-step pass vectorized across rows, under the event rules
-    of ``integrate``: free growth takes RK4 steps; an uncut row reaches the
-    density ceiling at :meth:`Scenario.ceiling_time`; riders follow the arc
-    relation (:meth:`Scenario.arc_count_after`) from the step's start or
-    their crossing, up to the exact exhaustion time
-    (:meth:`Scenario.arc_exhaustion_time`); a crossing at n_min is the exit
-    corner.  A row crossing elsewhere under a positive rate dies; the
-    ceiling time at its starting count only decides its corner test.
-    Values are the by-parts objective, its integrand (shared with
-    ``objective_ibp``) summed by the per-step trapezoid; it depends on the
-    state alone and only kinks where the control jumps, so the ranking is
-    second order in the step.  A row reaching the exit corner adds its
-    trapezoid up to the exit time at the corner state, then freezes.  The
-    rate clamp at n_min perturbs only the state, at second order; winners
-    are re-integrated exactly.  Returns (values, feasible, n_end).
+    Every row is sampled on one fixed grid of about ``steps_total`` steps
+    and advanced, segment by segment, by the span kind of its state, under
+    the event rules of ``integrate`` (see :class:`_Segment`): ceiling riders
+    and rows growing uncut under power growth are closed forms on
+    (rows x grid times) blocks; rows cutting at a positive rate above n_min,
+    and uncut fagacees rows, take RK4 steps.  A row crossing the ceiling at
+    n_min exits at the corner; a ``hold`` row crossing elsewhere rides the
+    ceiling, unless holding it needs a rate above e_max; any other crossing
+    kills the row.  Values are the by-parts objective, its integrand (shared
+    with ``objective_ibp``) summed by the per-step trapezoid over the grid;
+    it depends on the state alone and only kinks where the control jumps, so
+    the ranking is second order in the step.  A row reaching the exit corner
+    adds its trapezoid up to the exit time at the corner state, then
+    freezes.  The rate clamp at n_min perturbs only the state, at second
+    order; winners are re-integrated exactly.  Returns (values, feasible,
+    n_end): -inf values for dead rows, and the count where each row stopped.
     """
-    p = scenario.params
-    env = scenario.env
-    growth_rate, env_v = scenario.growth_rate, env.v
-    A, q2, n_min, s_bar = p.A, p.q / 2.0, p.n_min, p.s_bar
-    m, c = 1, len(codes)                    # rows: the prefixes stepped so far
+    c = len(codes)
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
+    # Grid times accumulate h one step at a time, as ``t += h`` would.
+    grid = np.cumsum(np.concatenate(([0.0], np.full(k * steps_per, h))))
+    s0, n0 = scenario.initial.s, scenario.initial.n
+    rows = _Rows(s=np.full(1, s0), n=np.full(1, n0),
+                 rate=np.atleast_1d(revenue_rate(scenario, econ, s0, n0, 0.0)),
+                 value=np.full(1, price(econ, scenario.env, s0, 0.0) * n0),
+                 on_arc=np.zeros(1, dtype=bool), dead=np.zeros(1, dtype=bool),
+                 done=np.zeros(1, dtype=bool))
+    for seg in range(k):
+        rows.branch(c)
+        times = grid[seg * steps_per:(seg + 1) * steps_per + 1]
+        _Segment(scenario, econ, times, h, rows).advance(np.tile(codes, rows.s.size // c))
+    value = np.where(rows.dead, -np.inf, rows.value)
+    return value, ~rows.dead, rows.n
 
-    s = np.full(m, scenario.initial.s)
-    n = np.full(m, scenario.initial.n)
-    on_arc = np.zeros(m, dtype=bool)
-    dead = np.zeros(m, dtype=bool)
-    done = np.zeros(m, dtype=bool)          # dead or exited: value frozen
-    t_exit = np.empty(m)
-    t = 0.0
-    # The growth rate at each step end is the next step's first RK4 stage.
-    dsdt = growth_rate(t, s, n)
-    rate = _revenue_rate(econ, env, s, n, t, dsdt)
-    value = np.full(m, price(econ, env, scenario.initial.s, t) * scenario.initial.n)
 
-    for _seg in range(k):
-        s, n, on_arc, dead, done, t_exit, dsdt, rate, value = (
-            np.repeat(x, c) for x in (s, n, on_arc, dead, done, t_exit, dsdt, rate, value))
-        m = s.size
-        seg_levels = np.tile(codes, m // c)
-        hold_mask = seg_levels == _HOLD_CODE
-        on_arc &= hold_mask          # numeric segments leave the ceiling
-        # Hold rows grow freely; ceiling riders' results are replaced below.
-        e_level = np.where(hold_mask, 0.0, np.maximum(seg_levels, 0.0))
-        for _ in range(steps_per):
-            if done.all():
-                break
-            # Clamp the rate so the count cannot undershoot n_min in the step.
-            e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-            n_mid, n_new = n - h / 2 * e, n - h * e
-            k2 = growth_rate(t + h / 2, s + h / 2 * dsdt, n_mid)
-            k3 = growth_rate(t + h / 2, s + h / 2 * k2, n_mid)
-            k4 = growth_rate(t + h, s + h * k3, n_new)
-            s_new = s + h / 6 * (dsdt + 2 * k2 + 2 * k3 + k4)
+@dataclass
+class _Rows:
+    """State of every prefix: (s, n), by-parts integrand ``rate`` and
+    accumulated ``value``; ``done`` rows (dead or exited) are frozen."""
 
-            exiting = np.zeros(m, dtype=bool)
-            t_arc, n_arc = t, n              # where each rider's arc starts
-            crossing = ~done & ~on_arc & (A * n_new * s_new ** q2 > 1.0)
-            if crossing.any():
-                idx = np.flatnonzero(crossing)
-                t_c = np.clip(scenario.ceiling_time(t, s[idx], n[idx]), t, t + h)
-                n_c = n[idx] - (t_c - t) * e[idx]
-                at_corner = n_c <= n_min * (1.0 + EXIT_REL_TOL)
-                rides = ~at_corner & hold_mask[idx]
-                t_exit[idx[at_corner]] = t_c[at_corner]
-                exiting[idx[at_corner]] = True
-                dead[idx[~at_corner & ~rides]] = True
-                if rides.any():
-                    on_arc[idx[rides]] = True
-                    t_arc, n_arc = np.full(m, t), n.copy()
-                    t_arc[idx[rides]], n_arc[idx[rides]] = t_c[rides], n_c[rides]
+    s: np.ndarray
+    n: np.ndarray
+    rate: np.ndarray
+    value: np.ndarray
+    on_arc: np.ndarray
+    dead: np.ndarray
+    done: np.ndarray
 
-            riding = on_arc & ~done
-            if riding.any():
-                n_end = scenario.arc_count_after(n_arc, env_v.integral(t_arc, t + h))
-                ends = riding & (n_end < n_min)
-                if ends.any():
-                    t_from = t_arc[ends] if np.ndim(t_arc) else t_arc
-                    t_exit[ends] = np.minimum(
-                        scenario.arc_exhaustion_time(t_from, n_arc[ends]), t + h)
-                    exiting |= ends
-                n_new = np.where(riding, n_end, n_new)
-                s_new = np.where(riding, p.ceiling_s(n_new), s_new)
+    def branch(self, c: int) -> None:
+        """Repeat every row once per level of the next segment."""
+        for f in fields(self):
+            setattr(self, f.name, np.repeat(getattr(self, f.name), c))
 
-            if exiting.any():
-                te = t_exit[exiting]
-                corner = _revenue_rate(econ, env, s_bar, n_min, te,
-                                       growth_rate(te, s_bar, n_min))
-                value[exiting] += 0.5 * (te - t) * (rate[exiting] + corner)
-                s_new[exiting], n_new[exiting] = s_bar, n_min
-            done |= dead               # rows breaking the ceiling keep their last state
-            s = np.where(done, s, s_new)
-            n = np.where(done, n, n_new)
-            done |= exiting
-            t += h
-            dsdt = growth_rate(t, s, n)
-            rate_new = _revenue_rate(econ, env, s, n, t, dsdt)
-            value += np.where(done, 0.0, 0.5 * h * (rate + rate_new))
-            rate = rate_new
 
-    value[dead] = -np.inf
-    return value, ~dead, n
+class _Segment:
+    """One segment of the screen on its grid times T[0..S].
+
+    Each live row is advanced by the span kind of its state, as in
+    ``integrate``:
+
+    * **cut**: a positive rate with n above n_min.  RK4 steps with the rate
+      clamped so that n cannot undershoot n_min in a step; the density
+      crossing 1 is located at :meth:`Scenario.ceiling_time` from the step
+      start, where the row exits at the corner or dies.  Under power growth a
+      row reaching n_min leaves the loop as a free row;
+    * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
+      n_min.  Under power growth the samples are
+      :meth:`Scenario.uncut_s_after` from the row's start, up to its
+      :meth:`Scenario.ceiling_time`; under fagacees growth, whose inversion
+      takes Newton steps per sample, the row takes the cut rows' RK4 steps
+      at a zero rate;
+    * **arc**: a ``hold`` row on the ceiling.  The count is
+      :meth:`Scenario.arc_count_after` from the arc start, up to the first
+      sample below n_min, where the row exits at
+      :meth:`Scenario.arc_exhaustion_time`.  Along an arc (q/2) V/s only
+      falls, so a row whose arc starts above e_max dies there.
+
+    A row changes kind mid-segment by writing its state and ``value`` at
+    grid index ``j0`` (with its ``rate`` there) and the time ``t0`` its new
+    kind starts from; the RK4 loop runs first, then the free rows, then the
+    arcs.  The time factors (V and those of the by-parts integrand) are
+    taken once per grid time.
+    """
+
+    def __init__(self, scenario: Scenario, econ: EconomicModel, times: np.ndarray,
+                 h: float, rows: _Rows) -> None:
+        self.scenario, self.econ, self.T, self.h, self.rows = scenario, econ, times, h, rows
+        self.S = times.size - 1
+        self.V = scenario.env.v(times)
+        self.factors = _revenue_time_factors(econ, scenario.env, times)
+        self.j0 = np.zeros(rows.s.size, dtype=np.intp)
+        self.t0 = np.full(rows.s.size, times[0])
+
+    def advance(self, levels: np.ndarray) -> None:
+        """Advance every live row across the segment under its level code."""
+        rows, p = self.rows, self.scenario.params
+        hold = levels == _HOLD_CODE
+        rows.on_arc &= hold          # numeric segments leave the ceiling
+        live = ~rows.done
+        cut = live & ~rows.on_arc & (levels > 0.0) & (rows.n > _spent_count(p))
+        free = live & ~rows.on_arc & ~cut
+        riding = live & rows.on_arc
+        if self.scenario.growth.kind == "power":
+            self._step(np.flatnonzero(cut), levels, hold, free, riding)
+            for idx in self._blocks(free):
+                self._free(idx, hold, riding)
+        else:
+            self._step(np.flatnonzero(cut | free), levels, hold, None, riding)
+        for idx in self._blocks(riding):
+            self._arc(idx)
+
+    def _blocks(self, mask: np.ndarray):
+        """The rows of ``mask`` in blocks of about ``_GRID_CELLS`` grid cells."""
+        idx = np.flatnonzero(mask)
+        size = max(1, _GRID_CELLS // (self.S + 1))
+        return (idx[i:i + size] for i in range(0, idx.size, size))
+
+    def _energy_from(self, t0):
+        """Energy each row absorbs from its start ``t0`` to every grid time,
+        0 up to the start; taken once per distinct start, as most rows start
+        at T[0]."""
+        starts, row_start = np.unique(t0, return_inverse=True)
+        return self.scenario.env.v.integral(starts[:, None],
+                                            np.maximum(self.T, starts[:, None]))[row_start]
+
+    def _grid_rate(self, s, n):
+        """By-parts integrand on (rows x grid times) states."""
+        dsdt = self.scenario.growth_per_energy(s, n) * self.V
+        return _revenue_rate_from(self.econ, self.factors, s, n, dsdt)
+
+    def _hand_over(self, idx, j, s, n, rate, value) -> None:
+        """Write the rows' state, integrand and value at grid index ``j``."""
+        rows = self.rows
+        rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx] = s, n, rate, value
+        self.j0[idx] = j
+
+    def _exit(self, idx, te) -> None:
+        """Rows reaching the corner at ``te`` add their trapezoid from their
+        last grid time at the corner state, then freeze."""
+        sc, rows = self.scenario, self.rows
+        s_bar, n_min = sc.params.s_bar, sc.params.n_min
+        corner = _revenue_rate(self.econ, sc.env, s_bar, n_min, te,
+                               sc.growth_rate(te, s_bar, n_min))
+        rows.value[idx] += 0.5 * (te - self.T[self.j0[idx]]) * (rows.rate[idx] + corner)
+        rows.s[idx], rows.n[idx], rows.done[idx] = s_bar, n_min, True
+
+    def _die(self, idx) -> None:
+        """Rows breaking a constraint keep their last state."""
+        self.rows.dead[idx] = self.rows.done[idx] = True
+
+    def _ride(self, idx, t0, n0, riding) -> None:
+        """``hold`` rows crossing the ceiling at (t0, n0) ride it from there,
+        or die where holding it needs a rate above e_max."""
+        sc = self.scenario
+        p = sc.params
+        over = boundary_control(p, sc.env, p.ceiling_s(n0), t0) > p.e_max * (1.0 + 1e-9)
+        self._die(idx[over])
+        ok = ~over
+        self.t0[idx[ok]], self.rows.n[idx[ok]], riding[idx[ok]] = t0[ok], n0[ok], True
+
+    def _cross(self, idx, t_c, n_c, hold, riding) -> None:
+        """Rows crossing the ceiling at (t_c, n_c), their state handed over at
+        the step start: the corner exits, ``hold`` rides, the rest dies."""
+        at_corner = n_c <= self.scenario.params.n_min * (1.0 + EXIT_REL_TOL)
+        rides = ~at_corner & hold
+        self._exit(idx[at_corner], t_c[at_corner])
+        self._die(idx[~at_corner & ~rides])
+        self._ride(idx[rides], t_c[rides], n_c[rides], riding)
+
+    def _step(self, idx, levels, hold, free, riding) -> None:
+        """RK4 steps over the segment for the rows ``idx``, the rate of each
+        clamped at n_min, until they cross the ceiling.  With a ``free``
+        mask, rows reaching n_min leave there as free rows."""
+        if not idx.size:
+            return
+        sc, h, T, rows = self.scenario, self.h, self.T, self.rows
+        p = sc.params
+        n_min = p.n_min
+        h2, h6 = h / 2, h / 6
+        per_energy = sc.growth_per_energy
+        V = self.V.tolist()
+        V_mid = sc.env.v(T[:-1] + h2).tolist()
+        factors = list(zip(*(f.tolist() for f in self.factors)))
+        s, n, rate, value = rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx]
+        e_level, hold = np.maximum(levels[idx], 0.0), hold[idx]
+        e = e_level
+        dsdt = per_energy(s, n) * V[0]
+        for j in range(1, self.S + 1):
+            n_new = n - h * e
+            clamped = (n_new < n_min).any()
+            if clamped:
+                # Clamp the rate so the count cannot undershoot n_min in the step.
+                e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
+                n_new = n - h * e
+            n_mid = n - h2 * e
+            k2 = per_energy(s + h2 * dsdt, n_mid) * V_mid[j - 1]
+            k3 = per_energy(s + h2 * k2, n_mid) * V_mid[j - 1]
+            k4 = per_energy(s + h * k3, n_new) * V[j]
+            s_new = s + h6 * (dsdt + 2 * k2 + 2 * k3 + k4)
+            growth = per_energy(s_new, n_new)
+            # g increases through g(1) = 1, so g(r)/n * n > 1 is r > 1.
+            over = growth * n_new > 1.0
+            if over.any():
+                t = T[j - 1]
+                t_c = np.clip(sc.ceiling_time(t, s[over], n[over]), t, T[j])
+                self._hand_over(idx[over], j - 1, s[over], n[over], rate[over], value[over])
+                self._cross(idx[over], t_c, n[over] - (t_c - t) * e[over], hold[over], riding)
+                keep = ~over
+                idx, e_level, e, hold = idx[keep], e_level[keep], e[keep], hold[keep]
+                s_new, n_new, rate, value = s_new[keep], n_new[keep], rate[keep], value[keep]
+                growth = growth[keep]
+            dsdt = growth * V[j]
+            rate_new = _revenue_rate_from(self.econ, factors[j], s_new, n_new, dsdt)
+            value = value + h2 * (rate + rate_new)
+            s, n, rate = s_new, n_new, rate_new
+            if clamped and free is not None and j < self.S:
+                out = n <= _spent_count(p)
+                if out.any():
+                    self._hand_over(idx[out], j, s[out], n[out], rate[out], value[out])
+                    free[idx[out]] = True
+                    keep = ~out
+                    idx, e_level, e, hold = idx[keep], e_level[keep], e[keep], hold[keep]
+                    s, n, rate, value, dsdt = s[keep], n[keep], rate[keep], value[keep], dsdt[keep]
+            if not idx.size:
+                return
+        self._hand_over(idx, self.S, s, n, rate, value)
+
+    def _free(self, idx, hold, riding) -> None:
+        """Uncut power growth of the rows ``idx`` from their grid index j0, in
+        closed form, up to the step in which each reaches the ceiling."""
+        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
+        j0, s0, n0 = self.j0[idx], rows.s[idx], rows.n[idx]
+        t0 = T[j0]
+        ar = np.arange(idx.size)
+        t_hit = sc.ceiling_time(t0, s0, n0)
+        # The step reaching the ceiling; above S where none does.
+        j_hit = np.maximum(np.searchsorted(T, t_hit), j0 + 1)
+        s = sc.uncut_s_after(s0[:, None], n0[:, None], self._energy_from(t0))
+        s[ar, j0] = s0
+        R = self._grid_rate(s, n0[:, None])
+        R[ar, j0] = rows.rate[idx]
+        # The last grid time each row reaches: S, or the start of its crossing step.
+        jb = np.minimum(j_hit - 1, S)
+        value = self._trapezoid(rows.value[idx], R, j0, jb)
+        self._hand_over(idx, jb, s[ar, jb], n0, R[ar, jb], value)
+        hits = j_hit <= S
+        if hits.any():
+            self._cross(idx[hits], t_hit[hits], n0[hits], hold[idx[hits]], riding)
+
+    def _arc(self, idx) -> None:
+        """Rows ``idx`` riding the ceiling from (t0, n) in closed form, up to
+        the step in which the count falls below n_min."""
+        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
+        p = sc.params
+        j0, t0, n0 = self.j0[idx], self.t0[idx], rows.n[idx]
+        ar = np.arange(idx.size)
+        n = sc.arc_count_after(n0[:, None], self._energy_from(t0))
+        s = p.ceiling_s(n)
+        R = self._grid_rate(s, n)
+        R[ar, j0] = rows.rate[idx]
+        below = (n < p.n_min) & (np.arange(S + 1) > j0[:, None])
+        ends = below.any(axis=1)
+        jb = np.where(ends, np.argmax(below, axis=1) - 1, S)
+        value = self._trapezoid(rows.value[idx], R, j0, jb)
+        self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
+        rows.on_arc[idx[~ends]] = True
+        if ends.any():
+            je = jb[ends] + 1
+            self._exit(idx[ends], np.minimum(sc.arc_exhaustion_time(t0[ends], n0[ends]), T[je]))
+
+    def _trapezoid(self, value, R, j0, jb):
+        """``value`` plus the per-step trapezoids of the rows' integrand ``R``
+        over the grid steps from index j0 to jb."""
+        J = np.arange(1, self.S + 1)
+        full = (J > j0[:, None]) & (J <= jb[:, None])
+        return value + self.h / 2 * np.sum(np.where(full, R[:, :-1] + R[:, 1:], 0.0), axis=1)
 
 
 def _levels_to_policy(levels_row: np.ndarray, horizon: float, k: int) -> Policy:
@@ -462,7 +646,10 @@ def compare_canonicals(scenario: Scenario, econ: EconomicModel, horizon: float,
     """
     values: dict[str, float | None] = {name: None for name in CANONICAL_NAMES}
     for name, policy in canonical_policies(scenario, horizon).items():
-        traj = integrate(scenario, policy, horizon, step=step)
+        try:
+            traj = integrate(scenario, policy, horizon, step=step)
+        except InfeasibleBoundary:
+            continue
         if _covers(traj, horizon):
             values[name] = objective(scenario, econ, traj)
     feasible = {k: v for k, v in values.items() if v is not None}

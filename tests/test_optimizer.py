@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import standgrowth as sg
-from standgrowth.optimizer import _HOLD_CODE, _levels_to_policy, _screen_candidates
+from standgrowth.optimizer import _HOLD_CODE, _covers, _levels_to_policy, _screen_candidates
 
 from conftest import load
 
@@ -242,8 +242,34 @@ class TestScreen:
                for steps in (1024, 4096)}
         assert err[4096] <= err[1024] / 8.0
 
+    def test_ceiling_ride_above_e_max_is_dead(self, concave_price):
+        """Riding the ceiling from t_sup0 = 8.276 needs a rate of 10.71, so the
+        schedules that ride it are infeasible, as ``integrate`` finds."""
+        scn = _with_e_max(concave_price.scenario, 8.5)
+        codes = np.array((_HOLD_CODE, 0.0, 8.5))
+        values, feasible, _ = _screen_candidates(scn, concave_price.economics, 30.0, codes, 2)
+        for i, row in enumerate(itertools.product(codes, repeat=2)):
+            policy = _levels_to_policy(np.array(row), 30.0, 2)
+            try:
+                covers = _covers(sg.integrate(scn, policy, 30.0), 30.0)
+            except sg.InfeasibleBoundary:
+                covers = False
+            assert feasible[i] == covers == np.isfinite(values[i]), row
+        assert not feasible[0]                  # all-hold, which is Esup
+
+
+def _with_e_max(scenario, e_max: float):
+    return dataclasses.replace(scenario, params=dataclasses.replace(scenario.params,
+                                                                    e_max=e_max))
+
 
 class TestCompareCanonicals:
+    def test_infeasible_ride_reported_as_none(self, concave_price):
+        scn = _with_e_max(concave_price.scenario, 8.5)
+        cmp = sg.compare_canonicals(scn, concave_price.economics, 30.0)
+        assert cmp.values["Esup"] is None
+        assert cmp.values["E0"] is not None and cmp.dominant == "E0"
+
     def test_nan_horizon_rejected(self, convex_price):
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             sg.compare_canonicals(convex_price.scenario, convex_price.economics,
