@@ -20,7 +20,12 @@ Two independent routes to the same question:
   fagacees growth.  It ranks them on the by-parts form of the objective,
   whose integrand depends on the state alone and so is second order in the
   step; the best few are re-integrated at a fine step together with the
-  canonical policies, and the exact objective decides.
+  canonical policies, and the exact objective decides.  Its E0 and Esup
+  runs are the references of :func:`check_prop2`'s xi floor.
+
+:func:`compare_canonicals` scores the canonical policies through the same
+re-score, which integrates each distinct schedule once and gives no run to
+a schedule whose ceiling ride needs a rate above e_max.
 
 Ties are broken toward earlier cutting (lexicographically larger cumulative
 harvest), then by enumeration order, so results are deterministic.
@@ -82,6 +87,11 @@ class Prop2Report:
         }
 
 
+# The report without a ceiling-riding reference: no floor, so no claim.
+_NO_CLAIM = Prop2Report(branch=None, alpha_margin=None, discount_margin=None,
+                        alpha_star=None, concave_bound=None, xi_form=None)
+
+
 def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
     """Reject a horizon that is not finite and positive or exceeds the maximal
     exit time (beyond it no admissible trajectory exists)."""
@@ -101,13 +111,19 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
     admissible trajectory exists).  Returns the first satisfied branch:
     convex-price cut-first optimality (power growth only), then concave-price
     ceiling-riding optimality (``ETOptimal`` instead when ``terminal_n_min``).
+    Without ``xi_m`` the floor is read off the E0 and Esup references; where
+    riding the ceiling needs a rate above e_max there is no Esup reference,
+    and the report makes no claim (every field None).
     """
     p = scenario.params
     growth = scenario.growth
     _require_admissible_horizon(scenario, horizon)
 
     if xi_m is None:
-        xi_m = xi_lower_bound(scenario, horizon)
+        try:
+            xi_m = xi_lower_bound(scenario, horizon)
+        except InfeasibleBoundary:
+            return _NO_CLAIM
     ts = np.linspace(horizon / PROP2_GRID, horizon, PROP2_GRID)
     dh = delta_h(econ, scenario.env, ts)
     xv = xi_m(ts)
@@ -149,6 +165,11 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
 
 _HOLD_CODE = -1.0
 _GRID_CELLS = 1 << 15     # (rows x grid times) cells per block of a closed-form pass
+
+
+def _reaches_n_min(p: StandParams, n):
+    """Whether a final count ``n`` ends at n_min, for ``terminal_n_min``."""
+    return n <= p.n_min * (1.0 + 1e-6)
 
 
 def _spent_count(p: StandParams) -> float:
@@ -497,6 +518,37 @@ def _tie_tol(a: float, b: float) -> float:
     return 1e-12 * max(1.0, abs(a), abs(b))
 
 
+def _fine_runs(scenario: Scenario, econ: EconomicModel, horizon: float,
+               policies: dict[str, Policy], *, step: float | None = None,
+               terminal_n_min: bool = False) -> dict[str, tuple]:
+    """Fine run and objective of each named policy: name -> (trajectory or
+    None, value or None), in the order of ``policies``.
+
+    Each distinct schedule is integrated once.  A schedule whose ceiling ride
+    needs a rate above e_max has no run; a run has a value when it covers the
+    horizon and, with ``terminal_n_min``, ends at n_min.
+    """
+    by_schedule = {}
+    runs = {}
+    for name, policy in policies.items():
+        schedule = (policy.breakpoints, policy.levels)
+        if schedule not in by_schedule:
+            try:
+                traj = integrate(scenario, policy, horizon, step=step)
+            except InfeasibleBoundary:
+                traj = None
+            counts = traj is not None and _covers(traj, horizon) and (
+                not terminal_n_min or _reaches_n_min(scenario.params, traj.n[-1]))
+            by_schedule[schedule] = (traj, objective(scenario, econ, traj) if counts else None)
+        runs[name] = by_schedule[schedule]
+    return runs
+
+
+def _canonical_values(runs: dict[str, tuple]) -> dict[str, float | None]:
+    """The values of the canonical policies among ``runs``, None where absent."""
+    return {name: runs[name][1] if name in runs else None for name in CANONICAL_NAMES}
+
+
 def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     """The five named policies entering every search, deduplicated by window."""
     p = scenario.params
@@ -518,14 +570,17 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     ``levels`` entries are rates, ``"0"``/``"max"``/``"hold"``, or floats.
     Enumeration is capped at 10 intervals and at most 3^10 candidates
     (``MAX_CANDIDATES``), whatever the number of levels.  Candidates that
-    would break the density ceiling are discarded; candidates that exhaust
-    the stand early clear-cut at the exit corner.  With ``terminal_n_min``
-    only schedules ending at n(T) = n_min compete.  The screening pass runs
-    at roughly 1024 steps over the horizon; the best ``rescore_top``
-    candidates and all canonical policies are re-integrated at ``fine_step``
-    (default horizon/4096) before the final comparison.  A horizon that is
-    not finite and positive, or exceeds the maximal exit time, is rejected
-    before any candidate is screened.
+    would break the density ceiling, or whose ride along it needs a rate
+    above e_max, are discarded; candidates that exhaust the stand early
+    clear-cut at the exit corner.  With ``terminal_n_min`` only schedules
+    ending at n(T) = n_min compete.  The screening pass runs at roughly 1024
+    steps over the horizon; the best ``rescore_top`` candidates and all
+    canonical policies are re-integrated at ``fine_step`` (default
+    horizon/4096), each distinct schedule once, before the final comparison.
+    The fine E0 and Esup runs are the references of ``condition_report``;
+    where Esup has no run, the report makes no claim (every field None).  A
+    horizon that is not finite and positive, or exceeds the maximal exit
+    time, is rejected before any candidate is screened.
     """
     p = scenario.params
     _require_admissible_horizon(scenario, horizon)
@@ -558,7 +613,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     values, feasible, n_end = _screen_candidates(
         scenario, econ, horizon, codes, n_intervals)
     if terminal_n_min:
-        reaches = n_end <= p.n_min * (1.0 + 1e-6)
+        reaches = _reaches_n_min(p, n_end)
         values = np.where(reaches, values, -np.inf)
         feasible = feasible & reaches
 
@@ -573,32 +628,21 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     order = np.argsort(-values, kind="stable")
     top = [i for i in order[:max(rescore_top, 1)] if np.isfinite(values[i])]
 
-    fine_step = fine_step if fine_step is not None else horizon / 4096
-    refs = EnvelopeRefs.build(scenario, horizon, step=fine_step)
-    contenders: list[tuple[str, Policy]] = []
+    # A contender may repeat a canonical policy (all-hold is Esup); it is
+    # integrated once.
+    named = canonical_policies(scenario, horizon)
     for i in top:
         row = codes[list(np.unravel_index(i, (codes.size,) * n_intervals))]
-        contenders.append((f"cand{i}", _levels_to_policy(row, horizon, n_intervals)))
-    canon = canonical_policies(scenario, horizon)
-    # Each schedule is integrated once: a contender may repeat a canonical
-    # policy (all-hold is Esup), and the references are E0 and Esup.
-    fine_trajs = {(canon[name].breakpoints, canon[name].levels): traj
-                  for name, traj in (("E0", refs.fast), ("Esup", refs.slow))}
-    canonical_values: dict[str, float | None] = {name: None for name in CANONICAL_NAMES}
+        named[f"cand{i}"] = _levels_to_policy(row, horizon, n_intervals)
+    runs = _fine_runs(scenario, econ, horizon, named, step=fine_step,
+                      terminal_n_min=terminal_n_min)
+    canonical_values = _canonical_values(runs)
 
     best = None   # (value, cut_key, order_idx, name, policy)
-    for idx, (name, policy) in enumerate(itertools.chain(
-            canon.items(), contenders)):
-        schedule = (policy.breakpoints, policy.levels)
-        traj = fine_trajs.get(schedule)
-        if traj is None:
-            traj = fine_trajs[schedule] = integrate(scenario, policy, horizon, step=fine_step)
-        if not _covers(traj, horizon) or (
-                terminal_n_min and traj.n[-1] > p.n_min * (1.0 + 1e-6)):
+    for idx, (name, (traj, val)) in enumerate(runs.items()):
+        if val is None:
             continue
-        val = objective(scenario, econ, traj)
-        if name in canonical_values:
-            canonical_values[name] = val
+        policy = named[name]
         tie_tol = _tie_tol(val, 0.0 if best is None else best[0])
         if best is None or val > best[0] + tie_tol:
             best = (val, _cumulative_cut_key(traj, horizon), idx, name, policy)
@@ -610,8 +654,12 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
 
-    cond = check_prop2(scenario, econ, horizon, terminal_n_min=terminal_n_min,
-                       xi_m=refs.xi_lower_bound())
+    # The fine E0 and Esup runs are the references; without a ceiling ride
+    # there is no Esup run and no claim.
+    fast, slow = runs["E0"][0], runs["Esup"][0]
+    cond = _NO_CLAIM if slow is None else check_prop2(
+        scenario, econ, horizon, terminal_n_min=terminal_n_min,
+        xi_m=EnvelopeRefs(scenario, fast=fast, slow=slow).xi_lower_bound())
     feasible_canon = [v for v in canonical_values.values() if v is not None]
     gap = float("nan")
     if feasible_canon:
@@ -637,21 +685,16 @@ class CanonicalComparison:
     margins: dict
 
 
-def compare_canonicals(scenario: Scenario, econ: EconomicModel, horizon: float,
-                       step: float | None = None) -> CanonicalComparison:
-    """Objective of each canonical policy; flags whether cut-first wins.
+def compare_canonicals(scenario: Scenario, econ: EconomicModel,
+                       horizon: float) -> CanonicalComparison:
+    """Objective of each canonical policy, run at the search's default fine
+    step (horizon/4096); flags whether cut-first wins.
 
     Policies that cannot stay inside the constraints over the horizon are
     reported with value None.
     """
-    values: dict[str, float | None] = {name: None for name in CANONICAL_NAMES}
-    for name, policy in canonical_policies(scenario, horizon).items():
-        try:
-            traj = integrate(scenario, policy, horizon, step=step)
-        except InfeasibleBoundary:
-            continue
-        if _covers(traj, horizon):
-            values[name] = objective(scenario, econ, traj)
+    values = _canonical_values(_fine_runs(scenario, econ, horizon,
+                                          canonical_policies(scenario, horizon)))
     feasible = {k: v for k, v in values.items() if v is not None}
     dominant = None
     if feasible:

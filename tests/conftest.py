@@ -14,6 +14,16 @@ def load(name: str) -> sg.LoadedScenario:
     return sg.load_scenario(SCENARIO_DIR / name)
 
 
+def window_horizon(scn, u: float) -> float:
+    """The horizon a fraction ``u`` into the admissible window (t0_n, t_upper),
+    with t_upper capped at t_star."""
+    p = scn.params
+    t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
+    t_upper = sg.t_cap0(scn)
+    t_upper = p.t_star if sg.is_unreachable(t_upper) else min(t_upper, p.t_star)
+    return t0n + u * (t_upper - t0n)
+
+
 @pytest.fixture(scope="session")
 def convex_price():
     """Power theta=0.3, alpha=6: cut-first optimal regime."""

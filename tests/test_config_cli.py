@@ -260,6 +260,20 @@ class TestOptimizeCommand:
         assert code == 1
         assert "the cap is 59049" in capsys.readouterr().err
 
+    def test_search_answers_when_ceiling_ride_exceeds_e_max(self, tmp_path, capsys):
+        # Riding the ceiling needs a rate of 10.71 here, so Esup has no run,
+        # but the schedules that do not ride still compete.
+        base = (SCENARIO_DIR / "concave_price_power.ini").read_text()
+        path = tmp_path / "low_e_max.ini"
+        path.write_text(base.replace("e_max = 40\n", "e_max = 8.5\n"))
+        out = tmp_path / "result.json"
+        code = main(["optimize", str(path), "--intervals", "5", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["canonical_values"]["Esup"] is None
+        assert payload["condition_report"]["branch"] is None
+        assert payload["best_value"] >= payload["canonical_values"]["E0"]
+
     def test_missing_economics_exits_one(self, tmp_path, capsys):
         base = (SCENARIO_DIR / "convex_price_power.ini").read_text()
         cut = base.split("[economics]")[0]

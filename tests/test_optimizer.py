@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import standgrowth as sg
-from standgrowth.optimizer import _HOLD_CODE, _covers, _levels_to_policy, _screen_candidates
+from standgrowth.optimizer import (_HOLD_CODE, _covers, _levels_to_policy, _screen_candidates,
+                                   canonical_policies)
 
-from conftest import load
+from conftest import load, window_horizon
+
+SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
+             "linear_growth.ini", "low_energy.ini"]
 
 
 class TestProp2Conditions:
@@ -177,8 +181,9 @@ class TestBruteForce:
                            n_intervals=2, levels=levels)
 
     def test_each_schedule_integrated_once(self, concave_price, monkeypatch):
-        # The all-hold candidate is the Esup schedule, which the references
-        # already hold; no schedule is integrated twice.
+        # The all-hold candidate is the Esup schedule; the re-score runs it
+        # once, and its E0 and Esup runs are the references, so no schedule
+        # is integrated twice and the references are not rebuilt.
         seen = []
         integrate = sg.integrate
 
@@ -186,12 +191,56 @@ class TestBruteForce:
             seen.append((policy.breakpoints, policy.levels))
             return integrate(scenario, policy, *args, **kwargs)
 
+        def build(*args, **kwargs):
+            raise AssertionError("the search rebuilt the references")
+
         monkeypatch.setattr("standgrowth.optimizer.integrate", counting)
         monkeypatch.setattr("standgrowth.analysis.integrate", counting)
-        sg.brute_force(concave_price.scenario, concave_price.economics, 10.174,
-                       n_intervals=3)
+        monkeypatch.setattr(sg.EnvelopeRefs, "build", build)
+        scn, horizon = concave_price.scenario, 10.174
+        sg.brute_force(scn, concave_price.economics, horizon, n_intervals=3)
         assert ((), (sg.HOLD,)) in seen
         assert len(seen) == len(set(seen))
+        canon = canonical_policies(scn, horizon)
+        for name in ("E0", "Esup"):
+            assert seen.count((canon[name].breakpoints, canon[name].levels)) == 1, name
+
+    def test_search_answers_when_esup_cannot_ride(self, concave_price):
+        """Riding the ceiling from t_sup0 = 8.276 needs a rate of 10.71, above
+        e_max = 8.5: Esup, ET and every riding schedule have no run, and
+        Zero breaks the ceiling.  The other schedules still compete, and
+        without a ceiling-riding reference the condition report claims
+        nothing."""
+        scn, econ = _with_e_max(concave_price.scenario, 8.5), concave_price.economics
+        res = sg.brute_force(scn, econ, 30.0, n_intervals=5)
+        values = res.canonical_values
+        assert values["Esup"] is None and values["ET"] is None and values["Zero"] is None
+        assert values["E0"] == pytest.approx(977.4848060447, rel=1e-9)
+        assert res.condition_report.branch is None
+        assert res.condition_report.xi_form is None
+        assert res.best_value >= values["E0"]
+        assert 0 < res.feasible < res.enumerated
+        terminal = sg.brute_force(scn, econ, 30.0, n_intervals=5, terminal_n_min=True)
+        assert terminal.best_value >= terminal.canonical_values["E0"]
+        alone = sg.check_prop2(scn, econ, 30.0)
+        assert alone.branch is None
+        assert alone == res.condition_report
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_condition_report_matches_built_references(self, name, terminal):
+        """The report from the search's own E0 and Esup runs equals the one
+        from references built apart at the same step."""
+        loaded = load(name)
+        scn, econ = loaded.scenario, loaded.economics
+        for u in (0.1, 0.5, 0.9):
+            horizon = window_horizon(scn, u)
+            res = sg.brute_force(scn, econ, horizon, n_intervals=5,
+                                 terminal_n_min=terminal)
+            refs = sg.EnvelopeRefs.build(scn, horizon, step=horizon / 4096)
+            want = sg.check_prop2(scn, econ, horizon, terminal_n_min=terminal,
+                                  xi_m=refs.xi_lower_bound())
+            assert res.condition_report.to_json_dict() == want.to_json_dict(), (u, horizon)
 
 
 def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:

@@ -19,21 +19,13 @@ import standgrowth as sg
 from standgrowth import optimizer
 from standgrowth.optimizer import _HOLD_CODE, _screen_candidates
 
-from conftest import load, scenarios
+from conftest import load, scenarios, window_horizon
 from flat_screen import flat_screen
 
 SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
              "linear_growth.ini", "low_energy.ini"]
 RTOL = 1e-12
 TOP = 8                     # the contenders brute_force re-scores by default
-
-
-def _window_horizon(scn, u: float) -> float:
-    p = scn.params
-    t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
-    t_upper = sg.t_cap0(scn)
-    t_upper = p.t_star if sg.is_unreachable(t_upper) else min(t_upper, p.t_star)
-    return t0n + u * (t_upper - t0n)
 
 
 def _flat(scn, econ, horizon, codes, k, steps_total=1024):
@@ -75,13 +67,13 @@ def test_tree_matches_flat_screen(name, u, k):
     loaded = load(name)
     e_max = loaded.scenario.params.e_max
     _assert_matches_flat(loaded.scenario, loaded.economics,
-                         _window_horizon(loaded.scenario, u), (_HOLD_CODE, 0.0, e_max), k)
+                         window_horizon(loaded.scenario, u), (_HOLD_CODE, 0.0, e_max), k)
 
 
 def test_tree_matches_flat_screen_with_four_levels(concave_price):
     e_max = concave_price.scenario.params.e_max
     _assert_matches_flat(concave_price.scenario, concave_price.economics,
-                         _window_horizon(concave_price.scenario, 0.5),
+                         window_horizon(concave_price.scenario, 0.5),
                          (_HOLD_CODE, 0.0, e_max / 2, e_max), 4)
 
 
@@ -134,7 +126,7 @@ def test_search_result_unchanged_by_flat_screen(monkeypatch, name, k):
     loaded = load(name)
     scn, econ = loaded.scenario, loaded.economics
     for u in (0.1, 0.5, 0.9):
-        horizon = _window_horizon(scn, u)
+        horizon = window_horizon(scn, u)
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_screen_candidates", _flat)
             want = sg.brute_force(scn, econ, horizon, n_intervals=k).to_json_dict()
