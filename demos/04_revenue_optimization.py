@@ -23,17 +23,19 @@ for name in ("convex_price_power.ini", "concave_price_power.ini"):
     scenario, econ = loaded.scenario, loaded.economics
     print(f"\n=== {name} (alpha = {econ.alpha}) ===")
 
-    report = sg.check_prop2(scenario, econ, HORIZON)
+    # The search carries the fine canonical values and the condition report,
+    # so nothing is integrated twice.
+    result = sg.brute_force(scenario, econ, HORIZON, n_intervals=6)
+    report = result.condition_report
     print(f"sufficient-condition branch: {report.branch} "
           f"(alpha margin {report.alpha_margin:.3f})")
 
-    comparison = sg.compare_canonicals(scenario, econ, HORIZON)
+    comparison = sg.CanonicalComparison.from_values(result.canonical_values)
     for pol, val in comparison.values.items():
         shown = "infeasible over this horizon" if val is None else f"{val:12.4f}"
         print(f"  {pol:<5} {shown}")
     print(f"  dominant canonical policy: {comparison.dominant}")
 
-    result = sg.brute_force(scenario, econ, HORIZON, n_intervals=6)
     print(f"  brute force over {result.enumerated} schedules "
           f"({result.feasible} feasible): best {result.best_value:.4f} "
           f"with a {result.best_policy.kind!r} policy, "

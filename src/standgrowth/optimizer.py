@@ -13,19 +13,23 @@ Two independent routes to the same question:
 * :func:`brute_force` enumerates piecewise-constant policies over equal time
   intervals with the semantic level set {0, e_max, ride-the-ceiling}, which
   spans the bang-bang-plus-singular-arc structure of the candidate optima.
-  A coarse pass on one fixed grid screens the candidates as a prefix tree,
-  advancing each shared prefix of segments once, and each prefix by the
-  span kind of its state: closed forms for uncut power growth and for
-  riding the ceiling, vectorized RK4 steps where trees are cut and for uncut
-  fagacees growth.  It ranks them on the by-parts form of the objective,
-  whose integrand depends on the state alone and so is second order in the
-  step; the best few are re-integrated at a fine step together with the
-  canonical policies, and the exact objective decides.  Its E0 and Esup
-  runs are the references of :func:`check_prop2`'s xi floor.
+  A coarse pass on one fixed grid screens the candidates as a prefix tree
+  that keeps one row per distinct state: prefixes whose states are
+  bit-equal (rate 0 and ``hold`` below the ceiling, every level of a spent
+  stand) share a row, so each state is advanced once, by its span kind:
+  closed forms for uncut power growth and for riding the ceiling,
+  vectorized RK4 steps where trees are cut and for uncut fagacees growth.
+  It ranks them on the by-parts form of the objective, whose integrand
+  depends on the state alone and so is second order in the step; the best
+  few are re-integrated at a fine step together with the canonical
+  policies, and the exact objective decides.  Its E0 and Esup runs are the
+  references of :func:`check_prop2`'s xi floor.
 
 :func:`compare_canonicals` scores the canonical policies through the same
 re-score, which integrates each distinct schedule once and gives no run to
 a schedule whose ceiling ride needs a rate above e_max.
+:meth:`CanonicalComparison.from_values` makes the same comparison from the
+canonical values a search carries, without integrating again.
 
 Ties are broken toward earlier cutting (lexicographically larger cumulative
 harvest), then by enumeration order, so results are deterministic.
@@ -183,10 +187,15 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     """Approximate objectives of every k-interval schedule over ``codes``.
 
     The schedules form a prefix tree: two that agree on their first j
-    segments share their state through segment j.  The pass starts from one
-    row, and at each segment start it repeats every row once per level and
-    tiles the levels, so each shared prefix is advanced once and the leaves
-    come out in ``itertools.product(codes, repeat=k)`` order.
+    segments share their state through segment j.  The pass keeps one row
+    per distinct state and a map from each prefix, in
+    ``itertools.product(codes, repeat=j)`` order, to its row.  At each
+    segment start a row gets one child per level, or one child alone where
+    its level can no longer matter (a done row, or one spent off the
+    ceiling); after the segment, rows whose states are bit-equal merge, as
+    rate 0 and ``hold`` below the ceiling do, and every level of a spent
+    stand.  So each distinct state is advanced once, and the leaves are read
+    through the map.
 
     Every row is sampled on one fixed grid of about ``steps_total`` steps
     and advanced, segment by segment, by the span kind of its state, under
@@ -206,9 +215,33 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     n_end): -inf values for dead rows, and the count where each row stopped.
     """
     c = len(codes)
+    grid, steps_per, h, rows = _screen_start(scenario, econ, horizon, k, steps_total)
+    spent = _spent_count(scenario.params)
+    leaf = np.zeros(1, dtype=np.intp)        # prefix -> its row
+    for seg in range(k):
+        # A done row, or one spent off the ceiling, advances alike under
+        # every level: it gets one child, which every level's prefix maps to.
+        spread = ~(rows.done | (~rows.on_arc & (rows.n <= spent)))
+        width = np.where(spread, c, 1)
+        first = np.cumsum(width) - width
+        parent = np.repeat(np.arange(width.size), width)
+        rows = rows.take(parent)
+        leaf = (first[leaf, None] + spread[leaf, None] * np.arange(c)).ravel()
+        times = grid[seg * steps_per:(seg + 1) * steps_per + 1]
+        _Segment(scenario, econ, times, h, rows).advance(
+            codes[np.arange(parent.size) - first[parent]])
+        rows, merged = rows.unique()
+        leaf = merged[leaf]
+    value = np.where(rows.dead, -np.inf, rows.value)
+    return value[leaf], ~rows.dead[leaf], rows.n[leaf]
+
+
+def _screen_start(scenario: Scenario, econ: EconomicModel, horizon: float, k: int,
+                  steps_total: int):
+    """The screen's grid (times accumulated as ``t += h`` would), steps per
+    segment, step, and the one row of the initial state."""
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
-    # Grid times accumulate h one step at a time, as ``t += h`` would.
     grid = np.cumsum(np.concatenate(([0.0], np.full(k * steps_per, h))))
     s0, n0 = scenario.initial.s, scenario.initial.n
     rows = _Rows(s=np.full(1, s0), n=np.full(1, n0),
@@ -216,12 +249,7 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
                  value=np.full(1, price(econ, scenario.env, s0, 0.0) * n0),
                  on_arc=np.zeros(1, dtype=bool), dead=np.zeros(1, dtype=bool),
                  done=np.zeros(1, dtype=bool))
-    for seg in range(k):
-        rows.branch(c)
-        times = grid[seg * steps_per:(seg + 1) * steps_per + 1]
-        _Segment(scenario, econ, times, h, rows).advance(np.tile(codes, rows.s.size // c))
-    value = np.where(rows.dead, -np.inf, rows.value)
-    return value, ~rows.dead, rows.n
+    return grid, steps_per, h, rows
 
 
 @dataclass
@@ -237,10 +265,18 @@ class _Rows:
     dead: np.ndarray
     done: np.ndarray
 
-    def branch(self, c: int) -> None:
-        """Repeat every row once per level of the next segment."""
-        for f in fields(self):
-            setattr(self, f.name, np.repeat(getattr(self, f.name), c))
+    def take(self, idx: np.ndarray) -> _Rows:
+        """The rows ``idx``, in that order."""
+        return _Rows(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def unique(self) -> tuple[_Rows, np.ndarray]:
+        """One row per bit-equal state, and the index of each row's state
+        among them."""
+        key = np.stack([self.s.view(np.uint64), self.n.view(np.uint64),
+                        self.rate.view(np.uint64), self.value.view(np.uint64),
+                        self.on_arc, self.dead, self.done], axis=1, dtype=np.uint64)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        return self.take(first), inverse.reshape(-1)
 
 
 class _Segment:
@@ -291,12 +327,14 @@ class _Segment:
         cut = live & ~rows.on_arc & (levels > 0.0) & (rows.n > _spent_count(p))
         free = live & ~rows.on_arc & ~cut
         riding = live & rows.on_arc
+        # Only cut rows take their level: a spent row steps at rate 0.
+        rates = np.where(cut, levels, 0.0)
         if self.scenario.growth.kind == "power":
-            self._step(np.flatnonzero(cut), levels, hold, free, riding)
+            self._step(np.flatnonzero(cut), rates, hold, free, riding)
             for idx in self._blocks(free):
                 self._free(idx, hold, riding)
         else:
-            self._step(np.flatnonzero(cut | free), levels, hold, None, riding)
+            self._step(np.flatnonzero(cut | free), rates, hold, None, riding)
         for idx in self._blocks(riding):
             self._arc(idx)
 
@@ -358,10 +396,11 @@ class _Segment:
         self._die(idx[~at_corner & ~rides])
         self._ride(idx[rides], t_c[rides], n_c[rides], riding)
 
-    def _step(self, idx, levels, hold, free, riding) -> None:
-        """RK4 steps over the segment for the rows ``idx``, the rate of each
-        clamped at n_min, until they cross the ceiling.  With a ``free``
-        mask, rows reaching n_min leave there as free rows."""
+    def _step(self, idx, rates, hold, free, riding) -> None:
+        """RK4 steps over the segment for the rows ``idx`` at their
+        ``rates``, each clamped at n_min row by row, until they cross the
+        ceiling.  With a ``free`` mask, rows reaching n_min leave there as
+        free rows."""
         if not idx.size:
             return
         sc, h, T, rows = self.scenario, self.h, self.T, self.rows
@@ -373,16 +412,12 @@ class _Segment:
         V_mid = sc.env.v(T[:-1] + h2).tolist()
         factors = list(zip(*(f.tolist() for f in self.factors)))
         s, n, rate, value = rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx]
-        e_level, hold = np.maximum(levels[idx], 0.0), hold[idx]
-        e = e_level
+        e_level, hold = rates[idx], hold[idx]
         dsdt = per_energy(s, n) * V[0]
         for j in range(1, self.S + 1):
+            # Clamp the rate so the count cannot undershoot n_min in the step.
+            e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
             n_new = n - h * e
-            clamped = (n_new < n_min).any()
-            if clamped:
-                # Clamp the rate so the count cannot undershoot n_min in the step.
-                e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-                n_new = n - h * e
             n_mid = n - h2 * e
             k2 = per_energy(s + h2 * dsdt, n_mid) * V_mid[j - 1]
             k3 = per_energy(s + h2 * k2, n_mid) * V_mid[j - 1]
@@ -397,20 +432,20 @@ class _Segment:
                 self._hand_over(idx[over], j - 1, s[over], n[over], rate[over], value[over])
                 self._cross(idx[over], t_c, n[over] - (t_c - t) * e[over], hold[over], riding)
                 keep = ~over
-                idx, e_level, e, hold = idx[keep], e_level[keep], e[keep], hold[keep]
+                idx, e_level, hold = idx[keep], e_level[keep], hold[keep]
                 s_new, n_new, rate, value = s_new[keep], n_new[keep], rate[keep], value[keep]
                 growth = growth[keep]
             dsdt = growth * V[j]
             rate_new = _revenue_rate_from(self.econ, factors[j], s_new, n_new, dsdt)
             value = value + h2 * (rate + rate_new)
             s, n, rate = s_new, n_new, rate_new
-            if clamped and free is not None and j < self.S:
+            if free is not None and j < self.S:
                 out = n <= _spent_count(p)
                 if out.any():
                     self._hand_over(idx[out], j, s[out], n[out], rate[out], value[out])
                     free[idx[out]] = True
                     keep = ~out
-                    idx, e_level, e, hold = idx[keep], e_level[keep], e[keep], hold[keep]
+                    idx, e_level, hold = idx[keep], e_level[keep], hold[keep]
                     s, n, rate, value, dsdt = s[keep], n[keep], rate[keep], value[keep], dsdt[keep]
             if not idx.size:
                 return
@@ -684,6 +719,30 @@ class CanonicalComparison:
     cut_first_dominates: bool
     margins: dict
 
+    @classmethod
+    def from_values(cls, values: dict) -> CanonicalComparison:
+        """Compare canonical values (name -> value, None where infeasible),
+        such as :func:`compare_canonicals` computes or a search's
+        ``canonical_values`` carries."""
+        feasible = {k: v for k, v in values.items() if v is not None}
+        dominant = None
+        if feasible:
+            # Ties within 1e-9 relative resolve in the listed canonical order
+            # (Max with the n_min clamp reproduces E0 exactly, for example).
+            top = max(feasible.values())
+            dominant = next(k for k, v in feasible.items()
+                            if v >= top - 1e-9 * max(1.0, abs(top)))
+        e0_val = values.get("E0")
+        margins = {}
+        if e0_val is not None:
+            margins = {k: e0_val - v for k, v in feasible.items() if k != "E0"}
+        return cls(
+            values=values,
+            dominant=dominant,
+            cut_first_dominates=dominant == "E0",
+            margins=margins,
+        )
+
 
 def compare_canonicals(scenario: Scenario, econ: EconomicModel,
                        horizon: float) -> CanonicalComparison:
@@ -693,24 +752,5 @@ def compare_canonicals(scenario: Scenario, econ: EconomicModel,
     Policies that cannot stay inside the constraints over the horizon are
     reported with value None.
     """
-    values = _canonical_values(_fine_runs(scenario, econ, horizon,
-                                          canonical_policies(scenario, horizon)))
-    feasible = {k: v for k, v in values.items() if v is not None}
-    dominant = None
-    if feasible:
-        # Ties within 1e-9 relative resolve in the listed canonical order
-        # (Max with the n_min clamp reproduces E0 exactly, for example).
-        top = max(feasible.values())
-        dominant = next(k for k, v in feasible.items()
-                        if v >= top - 1e-9 * max(1.0, abs(top)))
-    e0_val = values.get("E0")
-    margins = {}
-    if e0_val is not None:
-        margins = {k: e0_val - v for k, v in feasible.items() if k != "E0"}
-    return CanonicalComparison(
-        values=values,
-        dominant=dominant,
-        cut_first_dominates=dominant == "E0",
-        margins=margins,
-    )
-
+    return CanonicalComparison.from_values(_canonical_values(
+        _fine_runs(scenario, econ, horizon, canonical_policies(scenario, horizon))))

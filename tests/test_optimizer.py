@@ -344,3 +344,13 @@ class TestCompareCanonicals:
         # its margin may differ from zero only at round-off level.
         assert all(m >= -1e-12 * abs(e0) for m in cmp.margins.values())
         assert cmp.margins["Esup"] > 0.0
+
+    @pytest.mark.parametrize("name", ["convex_price_power.ini", "concave_price_power.ini"])
+    def test_search_values_give_the_same_comparison(self, name):
+        """A search's canonical values, run at the same fine step, compare
+        as ``compare_canonicals`` does."""
+        loaded = load(name)
+        scn, econ = loaded.scenario, loaded.economics
+        result = sg.brute_force(scn, econ, 30.0, n_intervals=2)
+        assert (sg.CanonicalComparison.from_values(result.canonical_values)
+                == sg.compare_canonicals(scn, econ, 30.0))

@@ -1,4 +1,4 @@
-"""The screen against the flat screen it replaced.
+"""The screen against the screens it replaced.
 
 ``flat_screen`` steps every schedule with vectorized RK4 through every
 segment; ``_screen_candidates`` shares prefixes and solves uncut and
@@ -7,6 +7,10 @@ screen's RK4 error and rounding, so on the bundled scenarios they agree to
 1e-12 relative, with the same feasibility, the same ties and the same
 ranking; where a generated scenario leaves a larger gap, it must shrink at
 a finer step as that RK4 error does.
+
+``unmerged_screen`` is the prefix tree with one row per prefix.  The screen
+merges rows whose states are bit-equal and advances the same per-row
+arithmetic, so the two agree bit for bit.
 """
 
 import itertools
@@ -21,6 +25,7 @@ from standgrowth.optimizer import _HOLD_CODE, _screen_candidates
 
 from conftest import load, scenarios, window_horizon
 from flat_screen import flat_screen
+from unmerged_screen import unmerged_screen
 
 SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
              "linear_growth.ini", "low_energy.ini"]
@@ -132,3 +137,105 @@ def test_search_result_unchanged_by_flat_screen(monkeypatch, name, k):
             want = sg.brute_force(scn, econ, horizon, n_intervals=k).to_json_dict()
         got = sg.brute_force(scn, econ, horizon, n_intervals=k).to_json_dict()
         assert got == want, (u, horizon)
+
+
+def _assert_matches_unmerged(scn, econ, horizon: float, codes: tuple, k: int) -> None:
+    codes = np.array(codes)
+    got = _screen_candidates(scn, econ, horizon, codes, k)
+    want = unmerged_screen(scn, econ, horizon, codes, k)
+    for name, a, b in zip(("values", "feasible", "n_end"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_merged_rows_match_unmerged_tree(name, k):
+    loaded = load(name)
+    e_max = loaded.scenario.params.e_max
+    for u in (0.1, 0.5, 0.9):
+        _assert_matches_unmerged(loaded.scenario, loaded.economics,
+                                 window_horizon(loaded.scenario, u), (_HOLD_CODE, 0.0, e_max), k)
+
+
+def test_merged_rows_match_unmerged_tree_with_four_levels_and_arc_exits(concave_price):
+    scn, econ = concave_price.scenario, concave_price.economics
+    e_max = scn.params.e_max
+    _assert_matches_unmerged(scn, econ, window_horizon(scn, 0.5),
+                             (_HOLD_CODE, 0.0, e_max / 2, e_max), 4)
+    _assert_matches_unmerged(scn, econ, 29.0, (_HOLD_CODE, e_max), 8)
+
+
+@given(scn=scenarios(), horizon=st.floats(5.0, 60.0), k=st.sampled_from([2, 5]))
+@settings(max_examples=30, deadline=None)
+def test_generated_scenarios_match_unmerged_tree(scn, horizon, k):
+    econ = sg.EconomicModel(k=1.0, alpha=2.0, delta=0.01)
+    _assert_matches_unmerged(scn, econ, horizon, (_HOLD_CODE, 0.0, scn.params.e_max), k)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_each_state_and_level_advanced_once(monkeypatch, name):
+    """No two rows entering a segment share a bit-equal state and a level,
+    and far fewer rows than prefixes are advanced."""
+    loaded = load(name)
+    scn = loaded.scenario
+    codes = np.array((_HOLD_CODE, 0.0, scn.params.e_max))
+    k = 8
+    advance = optimizer._Segment.advance
+    entering = []
+
+    def spy(segment, levels):
+        rows = segment.rows
+        entering.append(np.stack([rows.s.view(np.uint64), rows.n.view(np.uint64),
+                                  rows.rate.view(np.uint64), rows.value.view(np.uint64),
+                                  rows.on_arc, rows.dead, rows.done, levels.view(np.uint64)],
+                                 axis=1, dtype=np.uint64))
+        advance(segment, levels)
+
+    monkeypatch.setattr(optimizer._Segment, "advance", spy)
+    _screen_candidates(scn, loaded.economics, window_horizon(scn, 0.5), codes, k)
+    assert len(entering) == k
+    for key in entering:
+        assert np.unique(key, axis=0).shape[0] == key.shape[0]
+    assert sum(key.shape[0] for key in entering) < codes.size ** k / 10
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_constant_schedule_independent_of_its_batch(name):
+    """Each row's rate is clamped at n_min on its own, so a constant schedule
+    gets the same value and final count screened alone as among every
+    schedule over (hold, 0, e_max)."""
+    loaded = load(name)
+    scn, econ = loaded.scenario, loaded.economics
+    codes = np.array((_HOLD_CODE, 0.0, scn.params.e_max))
+    k = 5
+    for u in (0.1, 0.9):
+        horizon = window_horizon(scn, u)
+        values, _, n_end = _screen_candidates(scn, econ, horizon, codes, k)
+        for i, code in enumerate(codes):
+            leaf = np.ravel_multi_index((i,) * k, (codes.size,) * k)
+            alone_values, _, alone_n_end = _screen_candidates(scn, econ, horizon,
+                                                              codes[i:i + 1], k)
+            assert alone_values[0] == values[leaf], (u, code)
+            assert alone_n_end[0] == n_end[leaf], (u, code)
+
+
+def test_row_independent_of_its_batch(concave_price):
+    """A row whose count lands within ``_spent_count`` of n_min in a step,
+    without its clamp acting, leaves the RK4 loop there whether or not
+    another row of its batch is clamped in that step."""
+    scn, econ = concave_price.scenario, concave_price.economics
+    p = scn.params
+    grid, _, h, root = optimizer._screen_start(scn, econ, 10.0, 1, 64)
+    near = p.n_min + h * p.e_max * (1.0 + 1e-13)
+    assert p.n_min <= near - h * p.e_max <= optimizer._spent_count(p)
+
+    def advance(counts):
+        rows = root.take(np.zeros(len(counts), dtype=np.intp))
+        rows.n = np.array(counts)
+        optimizer._Segment(scn, econ, grid, h, rows).advance(np.full(len(counts), p.e_max))
+        return rows.take(np.zeros(1, dtype=np.intp))
+
+    alone = advance([near])
+    among = advance([near, p.n_min + 0.5 * h * p.e_max])
+    for name in ("s", "n", "rate", "value"):
+        assert getattr(alone, name).view(np.uint64) == getattr(among, name).view(np.uint64), name
