@@ -2,9 +2,12 @@
 
 * The arc-leaving time of the exact-target policy ``et`` solves a monotone
   equation with a known bracket.
-* A ceiling crossing under a positive thinning rate, inside one integrator
-  step: the count then falls while the basal area grows, and the density
-  equation no longer separates.  Such a crossing ends the run.
+* A ceiling crossing under a positive thinning rate under fagacees growth,
+  inside one integrator step: the count then falls while the basal area
+  grows, and the density equation does not separate.  Such a crossing ends
+  the run; the integrator bisects it to the rounding of its time.  Under
+  power growth the equation separates at any count, and the crossing is the
+  root of a smooth function (``dynamics._cut_crossing``).
 
 Bisection gives a guaranteed absolute tolerance on either root.  Every other
 characteristic and event time is a closed form.

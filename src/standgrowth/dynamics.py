@@ -23,11 +23,16 @@ n_min)``.  Each kind of span is solved by its own method:
   relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
   with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
   (:meth:`Scenario.arc_exhaustion_time`);
-* **cut** (a positive rate): classic fixed-step fourth-order Runge-Kutta.
-  When n crosses n_min inside a step, the rate is constant, so the crossing
-  time (n - n_min)/e is exact; when r crosses 1, the crossing ends the run
-  and its time is bisected on the step fraction (time tolerance 1e-9), with
-  the count at the crossing n - e * h_cross;
+* **cut** (a positive rate): the count falls linearly, by e h per step.
+  Under power growth the density equation still separates, so the samples
+  are a closed form (:meth:`Scenario.cut_s_after`), and a crossing of r = 1
+  is the root of a smooth function inside its step, found by Newton's
+  method to rounding.  Under fagacees growth the span takes classic
+  fixed-step fourth-order Runge-Kutta steps, and the crossing is bisected
+  on the step fraction to the rounding of its time.  When n crosses n_min
+  inside a step, the rate is constant, so the crossing time (n - n_min)/e
+  is exact; a crossing of r = 1 ends the run, with the count there
+  n - e * h_cross;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
@@ -55,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rootfind import bisect
-from .model import Environment, Scenario, boundary_control, rdi
+from .model import _NEWTON_MAX_ITER, Environment, Scenario, boundary_control, rdi
 
 __all__ = [
     "HOLD",
@@ -335,12 +340,16 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
 
 def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float, fault_s_drift: float, on_n_min: str):
-    """Thinning at the rate ``e`` > 0 from (t, s, n), one RK4 step to each
-    grid time.  A step that would take n below n_min is shortened to reach
-    it, and the span ends there with ``("NMinHit", t, n_min)`` and a last
-    sample at n_min with e = 0 (or raises :class:`NonViable` when
-    ``on_n_min`` is "error").  Where the density crosses 1 it ends with
-    ``("RdiHitOne", t, n)``, the time bisected on the step fraction."""
+    """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time.  A
+    step that would take n below n_min is shortened to reach it, and the
+    span ends there with ``("NMinHit", t, n_min)`` and a last sample at
+    n_min with e = 0 (or raises :class:`NonViable` when ``on_n_min`` is
+    "error").  Where the density crosses 1 it ends with ``("RdiHitOne", t,
+    n)``.  Power growth is solved in closed form (:func:`_power_cut_span`),
+    fagacees growth by one RK4 step to each grid time, with the crossing
+    bisected on the step fraction to rounding."""
+    if scenario.growth.kind == "power":
+        return _power_cut_span(scenario, t, s, n, e, tb, h_nom, fault_s_drift, on_n_min)
     p, env_v, g = scenario.params, scenario.env.v, scenario.growth.g
     A, q2, n_min = p.A, p.q / 2.0, p.n_min
 
@@ -372,7 +381,7 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
                 def r_excess(hh: float) -> float:
                     s2, n2 = rk4(t, s, n, hh)
                     return A * n2 * s2 ** q2 - 1.0
-                h_cross = bisect(r_excess, 0.0, h)
+                h_cross = bisect(r_excess, 0.0, h, xtol=math.ulp(t + h))
             return (ts[:i], ss[:i], ns[:i], es[:i]), ("RdiHitOne", t + h_cross, n - h_cross * e)
         t, s, n = t_next, s1, n1
         if fault_s_drift:
@@ -382,6 +391,85 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
             ts[i], ns[i], es[i] = t, n_min, 0.0
             return (ts[:i + 1], ss[:i + 1], ns[:i + 1], es[:i + 1]), ("NMinHit", t, n_min)
     return (ts, ss, ns, es), None
+
+
+def _power_cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
+                    h_nom: float, fault_s_drift: float, on_n_min: str):
+    """:func:`_cut_span` under power growth: the samples are
+    :meth:`Scenario.cut_s_after` from the span start.  The counts fall by
+    h e per step, accumulated as a stepping integrator accumulates them, so
+    where the count reaches n_min at the end of a span to within rounding,
+    the same rounding decides whether the span records NMinHit.  The
+    ceiling crossing is the root of the density along the relation inside
+    its step (:func:`_cut_crossing`)."""
+    p = scenario.params
+    A, q2, n_min = p.A, p.q / 2.0, p.n_min
+    ts = _span_grid(t, tb, h_nom)
+    starts = np.append(t, ts[:-1])
+    ns = np.cumsum(np.append(n, -np.minimum(h_nom, tb - starts) * e))[1:]
+    es = np.full(ts.size, e)
+    event = None
+    below = ns < n_min
+    hit = int(np.argmax(below)) if below.any() else ts.size
+    if hit < ts.size:
+        # The step is shortened to end at n_min.
+        ts, ns, es = ts[:hit + 1], ns[:hit + 1], es[:hit + 1]
+        ts[hit] = starts[hit] + ((ns[hit - 1] if hit else n) - n_min) / e
+        ns[hit], es[hit] = n_min, 0.0
+        event = ("NMinHit", float(ts[hit]), n_min)
+    ss = scenario.cut_s_after(s, np.append(t, ts), np.append(n, ns))
+    over = A * ns * ss ** q2 > 1.0
+    # A crossing in an earlier step ends the span before n_min is reached.
+    if on_n_min == "error" and event is not None and not over[:hit].any():
+        raise NonViable(f"policy would cut below n_min={n_min} near t={starts[hit]:.6g}")
+    if over.any():
+        i = int(np.argmax(over))
+        t0, s0, n0 = (float(ts[i - 1]), float(ss[i - 1]), float(ns[i - 1])) if i else (t, s, n)
+        h_cross = 0.0
+        if A * n0 * s0 ** q2 < 1.0 - 1e-12:
+            h_cross = _cut_crossing(scenario, t0, s0, n0, e, float(ts[i]) - t0)
+        ts, ss, ns, es = ts[:i], ss[:i], ns[:i], es[:i]
+        event = ("RdiHitOne", t0 + h_cross, n0 - h_cross * e)
+    if fault_s_drift:
+        ss = ss * (1.0 + fault_s_drift) ** np.arange(1, ss.size + 1)    # once per step
+    return (ts, ss, ns, es), event
+
+
+def _cut_crossing(scenario: Scenario, t: float, s: float, n: float, e: float,
+                  h: float) -> float:
+    """The fraction hh of a power-growth cut step from (t, s, n), of length
+    ``h``, at which the density reaches 1: the root of log r along
+    :meth:`Scenario.cut_s_after`, a smooth function, by Newton's method
+    kept inside the bracket [0, h] (where it leaves it, by bisection).  The
+    density starts below 1 and ends above it."""
+    p = scenario.params
+
+    def log_r(hh: float) -> tuple[float, float]:
+        """log r at t + hh and its derivative (q/2) (ds/dt)/s - e/n."""
+        n1 = n - hh * e
+        s1 = float(scenario.cut_s_after(s, np.array([t, t + hh]), np.array([n, n1]))[0])
+        return (math.log(p.A * n1 * s1 ** (p.q / 2.0)),
+                p.q / 2.0 * scenario.growth_rate(t + hh, s1, n1) / s1 - e / n1)
+
+    lo, hi = 0.0, h
+    f_lo = math.log(p.A * n * s ** (p.q / 2.0))
+    f_hi = log_r(h)[0]
+    hh = h * f_lo / (f_lo - f_hi)          # log r is nearly linear over a step
+    for _ in range(_NEWTON_MAX_ITER):
+        f, slope = log_r(hh)
+        if f == 0.0:
+            return hh
+        if f < 0.0:
+            lo = hh
+        else:
+            hi = hh
+        new = hh - f / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - hh) <= math.ulp(t + hh) or hi - lo <= math.ulp(t + hh):
+            return new
+        hh = new
+    return hh
 
 
 def integrate(scenario: Scenario, policy: Policy, horizon: float,
@@ -394,10 +482,11 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     ``on_n_min`` selects what happens when thinning would push n below n_min:
     ``"clamp"`` freezes the rate at zero (recording an NMinHit event) and
     ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
-    ``1 + fault_s_drift`` once per step (compounded along a free span, once
-    per sample on the ceiling, where s follows the count); it exists solely
-    so verification harnesses can prove they detect a corrupted integrator,
-    and must be finite and above -1 so that s stays positive.
+    ``1 + fault_s_drift`` once per step (compounded along a free span and
+    along a power-growth cut span, once per sample on the ceiling, where s
+    follows the count); it exists solely so verification harnesses can
+    prove they detect a corrupted integrator, and must be finite and above
+    -1 so that s stays positive.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.

@@ -28,6 +28,8 @@ closed forms of the dynamics:
   ``growth_per_energy``;
 * ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
 * ``uncut_s_after``: the basal area along uncut growth below the ceiling;
+* ``cut_s_after``: the basal area of a power-growth stand while it is
+  thinned;
 * ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
   ceiling, and when it reaches n_min.
 
@@ -61,8 +63,16 @@ _GAMMA_MARGIN = 1e-9
 # Elasticity of the Fagacees family tends to 1 as r -> 0; its reported upper
 # bound is taken at this offset from 0.
 _GAMMA_EDGE = 1e-6
-# Iteration cap of the Newton inversion in Scenario.uncut_s_after.
+# Iteration cap of the Newton iterations: the inversion in
+# Scenario.uncut_s_after, and the power-growth cut crossing in dynamics.
 _NEWTON_MAX_ITER = 50
+# The four-node Gauss-Legendre rule on [-1, 1] of Scenario.cut_s_after: nodes
+# -x, +x for each x below, with weight w.  Written out (they are those of
+# numpy.polynomial.legendre.leggauss(4)) so that the model does not import
+# numpy.polynomial.
+_GAUSS_X = (0.33998104358485626, 0.8611363115940526)
+_GAUSS_W = (0.6521451548625461, 0.34785484513745385)
+_CUT_NODES = 2 * len(_GAUSS_X)      # nodes per step, for sizing blocks
 
 
 def _require(cond: bool, message: str) -> None:
@@ -400,9 +410,8 @@ class Scenario:
         p, growth = self.params, self.growth
         q2 = p.q / 2.0
         if growth.kind == "power":
-            k = 1.0 - q2 * (1.0 - growth.theta)
-            return (s ** k + k * p.A ** (1.0 - growth.theta) * n ** (-growth.theta)
-                    * amount) ** (1.0 / k)
+            k, coef = self._power_terms()
+            return (s ** k + coef * n ** (-growth.theta) * amount) ** (1.0 / k)
         b = 2.0 / p.q - 1.0
         x_a = math.log(p.A * n * s ** q2)
         target = (growth.density_integral(math.exp(x_a), b)
@@ -423,6 +432,44 @@ class Scenario:
             raise RuntimeError(f"uncut growth inversion did not converge from s={s}, n={n}")
         s1 = s * np.exp((x - x_a) / q2)
         return s1 if np.ndim(s1) else float(s1)
+
+    def _power_terms(self) -> tuple[float, float]:
+        """The exponent k = 1 - (q/2)(1-theta) of the power-growth relations
+        and their coefficient k A**(1-theta)."""
+        p, theta = self.params, self.growth.theta
+        k = 1.0 - p.q / 2.0 * (1.0 - theta)
+        return k, k * p.A ** (1.0 - theta)
+
+    def cut_s_after(self, s, times, counts):
+        """Basal area of a power-growth stand thinned from (times[0], s,
+        counts[0]), at each later time of ``times``, its count linear
+        between the ``counts`` of successive times.
+
+        Under power growth the basal-area equation separates at any count:
+
+            s1**k = s**k + k A**(1-theta) Int n(tau)**(-theta) V(tau) dtau,
+
+        the relation of :meth:`uncut_s_after` with the count inside the
+        integral.  The integral is summed over the steps between successive
+        times, by a four-node Gauss-Legendre rule on each; with n linear the
+        integrand is smooth, and at the integrator's steps the rule is exact
+        to rounding.  ``times`` and ``counts`` run along their last axis and
+        broadcast against each other (one time grid for many stands), with
+        ``s`` one value per stand.  Returns s at ``times[..., 1:]``.
+        """
+        theta = self.growth.theta
+        v = self.env.v
+        t0, n0 = times[..., :-1], counts[..., :-1]
+        half_t, half_n = 0.5 * np.diff(times), 0.5 * np.diff(counts)
+        mid_t, mid_n = t0 + half_t, n0 + half_n
+        step = 0.0
+        for x, w in zip(_GAUSS_X, _GAUSS_W):
+            dt, dn = x * half_t, x * half_n
+            step = step + w * (v(mid_t - dt) * (mid_n - dn) ** -theta
+                               + v(mid_t + dt) * (mid_n + dn) ** -theta)
+        k, coef = self._power_terms()
+        weighted = np.cumsum(half_t * step, axis=-1)
+        return (np.asarray(s)[..., None] ** k + coef * weighted) ** (1.0 / k)
 
     # Along the density ceiling r = 1 the control is (q/2) V/s and s =
     # (A n)**(-2/q), so the count obeys dn/dt = -(q/2) A**(2/q) n**(2/q) V(t),

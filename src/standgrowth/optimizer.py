@@ -17,8 +17,8 @@ Two independent routes to the same question:
   that keeps one row per distinct state: prefixes whose states are
   bit-equal (rate 0 and ``hold`` below the ceiling, every level of a spent
   stand) share a row, so each state is advanced once, by its span kind:
-  closed forms for uncut power growth and for riding the ceiling,
-  vectorized RK4 steps where trees are cut and for uncut fagacees growth.
+  closed forms for power growth, cut or uncut, and for riding the ceiling;
+  vectorized RK4 steps for fagacees growth, cut or uncut.
   It ranks them on the by-parts form of the objective, whose integrand
   depends on the state alone and so is second order in the step; the best
   few are re-integrated at a fine step together with the canonical
@@ -47,7 +47,7 @@ from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
 from .economics import (EconomicModel, _revenue_rate, _revenue_rate_from,
                         _revenue_time_factors, delta_h, objective, price, revenue_rate)
-from .model import Scenario, StandParams, boundary_control
+from .model import _CUT_NODES, Scenario, StandParams, boundary_control
 from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
 
 __all__ = [
@@ -200,19 +200,19 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     Every row is sampled on one fixed grid of about ``steps_total`` steps
     and advanced, segment by segment, by the span kind of its state, under
     the event rules of ``integrate`` (see :class:`_Segment`): ceiling riders
-    and rows growing uncut under power growth are closed forms on
-    (rows x grid times) blocks; rows cutting at a positive rate above n_min,
-    and uncut fagacees rows, take RK4 steps.  A row crossing the ceiling at
-    n_min exits at the corner; a ``hold`` row crossing elsewhere rides the
-    ceiling, unless holding it needs a rate above e_max; any other crossing
-    kills the row.  Values are the by-parts objective, its integrand (shared
-    with ``objective_ibp``) summed by the per-step trapezoid over the grid;
-    it depends on the state alone and only kinks where the control jumps, so
-    the ranking is second order in the step.  A row reaching the exit corner
-    adds its trapezoid up to the exit time at the corner state, then
-    freezes.  The rate clamp at n_min perturbs only the state, at second
-    order; winners are re-integrated exactly.  Returns (values, feasible,
-    n_end): -inf values for dead rows, and the count where each row stopped.
+    and power-growth rows, cut or uncut, are closed forms on (rows x grid
+    times) blocks; fagacees rows, cut or uncut, take RK4 steps.  A row
+    crossing the ceiling at n_min exits at the corner; a ``hold`` row
+    crossing elsewhere rides the ceiling, unless holding it needs a rate
+    above e_max; any other crossing kills the row.  Values are the by-parts
+    objective, its integrand (shared with ``objective_ibp``) summed by the
+    per-step trapezoid over the grid; it depends on the state alone and only
+    kinks where the control jumps, so the ranking is second order in the
+    step.  A row reaching the exit corner adds its trapezoid up to the exit
+    time at the corner state, then freezes.  The rate clamp at n_min
+    perturbs only the state, at second order; winners are re-integrated
+    exactly.  Returns (values, feasible, n_end): -inf values for dead rows,
+    and the count where each row stopped.
     """
     c = len(codes)
     grid, steps_per, h, rows = _screen_start(scenario, econ, horizon, k, steps_total)
@@ -285,11 +285,14 @@ class _Segment:
     Each live row is advanced by the span kind of its state, as in
     ``integrate``:
 
-    * **cut**: a positive rate with n above n_min.  RK4 steps with the rate
-      clamped so that n cannot undershoot n_min in a step; the density
-      crossing 1 is located at :meth:`Scenario.ceiling_time` from the step
-      start, where the row exits at the corner or dies.  Under power growth a
-      row reaching n_min leaves the loop as a free row;
+    * **cut**: a positive rate with n above n_min.  The count falls
+      linearly, clamped at n_min, so the step that reaches n_min runs
+      linearly to it.  Under power growth the samples are
+      :meth:`Scenario.cut_s_after` from the segment start, and a row leaves
+      as a free row at the grid time at which it is spent; under fagacees
+      growth the rows take RK4 steps with the rate clamped the same way.
+      The density crossing 1 is located at :meth:`Scenario.ceiling_time`
+      from the step start, where the row exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
       n_min.  Under power growth the samples are
       :meth:`Scenario.uncut_s_after` from the row's start, up to its
@@ -304,9 +307,9 @@ class _Segment:
 
     A row changes kind mid-segment by writing its state and ``value`` at
     grid index ``j0`` (with its ``rate`` there) and the time ``t0`` its new
-    kind starts from; the RK4 loop runs first, then the free rows, then the
-    arcs.  The time factors (V and those of the by-parts integrand) are
-    taken once per grid time.
+    kind starts from; the cut rows (or the fagacees RK4 loop) run first,
+    then the free rows, then the arcs.  The time factors (V and those of the
+    by-parts integrand) are taken once per grid time.
     """
 
     def __init__(self, scenario: Scenario, econ: EconomicModel, times: np.ndarray,
@@ -330,18 +333,20 @@ class _Segment:
         # Only cut rows take their level: a spent row steps at rate 0.
         rates = np.where(cut, levels, 0.0)
         if self.scenario.growth.kind == "power":
-            self._step(np.flatnonzero(cut), rates, hold, free, riding)
+            for idx in self._blocks(cut, _CUT_NODES):
+                self._cut(idx, rates, hold, free, riding)
             for idx in self._blocks(free):
                 self._free(idx, hold, riding)
         else:
-            self._step(np.flatnonzero(cut | free), rates, hold, None, riding)
+            self._step(np.flatnonzero(cut | free), rates, hold, riding)
         for idx in self._blocks(riding):
             self._arc(idx)
 
-    def _blocks(self, mask: np.ndarray):
-        """The rows of ``mask`` in blocks of about ``_GRID_CELLS`` grid cells."""
+    def _blocks(self, mask: np.ndarray, per_time: int = 1):
+        """The rows of ``mask`` in blocks of about ``_GRID_CELLS`` cells, with
+        ``per_time`` cells per row and grid time."""
         idx = np.flatnonzero(mask)
-        size = max(1, _GRID_CELLS // (self.S + 1))
+        size = max(1, _GRID_CELLS // ((self.S + 1) * per_time))
         return (idx[i:i + size] for i in range(0, idx.size, size))
 
     def _energy_from(self, t0):
@@ -396,11 +401,10 @@ class _Segment:
         self._die(idx[~at_corner & ~rides])
         self._ride(idx[rides], t_c[rides], n_c[rides], riding)
 
-    def _step(self, idx, rates, hold, free, riding) -> None:
-        """RK4 steps over the segment for the rows ``idx`` at their
-        ``rates``, each clamped at n_min row by row, until they cross the
-        ceiling.  With a ``free`` mask, rows reaching n_min leave there as
-        free rows."""
+    def _step(self, idx, rates, hold, riding) -> None:
+        """RK4 steps of fagacees growth over the segment for the rows ``idx``
+        at their ``rates``, each clamped at n_min row by row, until they
+        cross the ceiling."""
         if not idx.size:
             return
         sc, h, T, rows = self.scenario, self.h, self.T, self.rows
@@ -439,17 +443,46 @@ class _Segment:
             rate_new = _revenue_rate_from(self.econ, factors[j], s_new, n_new, dsdt)
             value = value + h2 * (rate + rate_new)
             s, n, rate = s_new, n_new, rate_new
-            if free is not None and j < self.S:
-                out = n <= _spent_count(p)
-                if out.any():
-                    self._hand_over(idx[out], j, s[out], n[out], rate[out], value[out])
-                    free[idx[out]] = True
-                    keep = ~out
-                    idx, e_level, hold = idx[keep], e_level[keep], hold[keep]
-                    s, n, rate, value, dsdt = s[keep], n[keep], rate[keep], value[keep], dsdt[keep]
             if not idx.size:
                 return
         self._hand_over(idx, self.S, s, n, rate, value)
+
+    def _cut(self, idx, rates, hold, free, riding) -> None:
+        """Power-growth thinning of the rows ``idx`` from T[0] at their
+        ``rates``, in closed form (:meth:`Scenario.cut_s_after`), up to the
+        step in which each crosses the ceiling or the grid time at which it
+        is spent, where it leaves as a ``free`` row.  Each count falls
+        linearly and is clamped at n_min, so the step that reaches n_min
+        runs linearly to it, as a step with the rate clamped does."""
+        sc, rows, T, S, h = self.scenario, self.rows, self.T, self.S, self.h
+        p = sc.params
+        e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
+        ar = np.arange(idx.size)
+        n = np.maximum(n0[:, None] - e[:, None] * (T - T[0]), p.n_min)
+        s = np.empty_like(n)
+        s[:, 0], s[:, 1:] = s0, sc.cut_s_after(s0, T, n)
+        growth = sc.growth_per_energy(s, n)
+        R = _revenue_rate_from(self.econ, self.factors, s, n, growth * self.V)
+        R[:, 0] = rows.rate[idx]
+        # The first step ending above the ceiling (g increases through
+        # g(1) = 1, so g(r)/n * n > 1 is r > 1) and the first grid time
+        # before S at which the row is spent; S + 1 where there is none.
+        over = growth[:, 1:] * n[:, 1:] > 1.0
+        spent = n[:, 1:S] <= _spent_count(p)
+        j_over = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
+        j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1) + 1, S + 1)
+        crosses = j_over <= np.minimum(j_spent, S)
+        jb = np.where(crosses, j_over - 1, np.minimum(j_spent, S))
+        value = self._trapezoid(rows.value[idx], R, self.j0[idx], jb)
+        self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
+        free[idx[~crosses & (j_spent < S)]] = True
+        if crosses.any():
+            c, j = ar[crosses], jb[crosses]
+            t, s_c, n_c = T[j], s[c, j], n[c, j]
+            # Located from the step start, at the step's clamped rate.
+            t_c = np.clip(sc.ceiling_time(t, s_c, n_c), t, T[j + 1])
+            e_c = np.minimum(e[c], (n_c - p.n_min) / h)
+            self._cross(idx[c], t_c, n_c - (t_c - t) * e_c, hold[idx[c]], riding)
 
     def _free(self, idx, hold, riding) -> None:
         """Uncut power growth of the rows ``idx`` from their grid index j0, in

@@ -3,7 +3,16 @@
 Kept as the reference for the differential test (``test_integrator_reference.py``):
 one scalar loop steps every span with RK4 or with the ceiling-arc relation,
 free growth and ceiling riding included.  Its body is ``integrate`` as it
-stood before the spans were split by kind; only its name differs.
+stood before the spans were split by kind, with three changes that make it
+a sharper reference:
+
+* it bisects a ceiling crossing under a positive rate to the rounding of
+  its time, as ``integrate`` locates it;
+* a segment's opening sample takes the segment's control whenever the
+  previous segment stopped within its stopping tolerance of the breakpoint
+  (1e-13 relative past t = 1), as in ``integrate``'s recorder;
+* it can take the steps where the stand changes fast in finer RK4
+  substeps (off by default).
 """
 
 import math
@@ -43,7 +52,8 @@ class _Recorder:
 
 def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                         step: float | None = None, *, on_n_min: str = "clamp",
-                        fault_s_drift: float = 0.0) -> Trajectory:
+                        fault_s_drift: float = 0.0, free_resolution: float | None = None,
+                        cut_resolution: float | None = None) -> Trajectory:
     """Integrate the stand dynamics under ``policy`` up to ``horizon``.
 
     ``step`` is the nominal step size (default ``horizon / 4096``); steps are
@@ -53,7 +63,12 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
     ``1 + fault_s_drift`` after every step; it exists solely so verification
     harnesses can prove they detect a corrupted integrator, and must be
-    finite and above -1 so that s stays positive.
+    finite and above -1 so that s stays positive.  With ``free_resolution``
+    (at rate 0) or ``cut_resolution`` (at a positive rate), a step advances
+    s by as many RK4 substeps as keep the relative growth of s in each, plus
+    the share of the count it removes, at most that fraction, while the
+    count still falls by h e per step: a finer reference where the stand
+    changes fast, on the same grid, with the same counts.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.
@@ -91,6 +106,19 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
         n2 = n - h * e
         k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
         return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
+
+    def rk4_step(t: float, s: float, n: float, h: float, e: float) -> tuple[float, float]:
+        resolution = cut_resolution if e > 0.0 else free_resolution
+        m = 1
+        if resolution is not None:
+            share = h * (g(A * n * s ** q2) / n * env_v(t) / s + e / (n - h * e))
+            m = math.ceil(share / resolution)
+        if m <= 1:
+            return rk4_free(t, s, n, h, e)
+        hs = h / m
+        for i in range(m):
+            s, _ = rk4_free(t + i * hs, s, n - i * hs * e, hs, e)
+        return s, n - h * e
 
     t = 0.0
     s = scenario.initial.s
@@ -143,7 +171,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                 return exit_at(t, True)
             on_arc = True
             s = p.ceiling_s(n)
-        if rec.t and abs(rec.t[-1] - ta) < 1e-13:
+        if rec.t and abs(rec.t[-1] - ta) < 1e-13 * max(1.0, ta):
             # Backfill the control column of the span-opening sample.
             rec.e[-1] = (boundary_control(p, scenario.env, s, t) if on_arc
                          else (0.0 if exhausted else rate))
@@ -179,7 +207,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                     h = (n - n_min) / e
                     t_after_full = t + h
                     hit_n_min = True
-                s1, n1 = rk4_free(t, s, n, h, e)
+                s1, n1 = rk4_step(t, s, n, h, e)
                 r1 = A * n1 * s1 ** q2
                 if r1 > 1.0:
                     if r >= 1.0 - 1e-12:
@@ -188,9 +216,9 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                         h_cross = min(max(scenario.ceiling_time(t, s, n) - t, 0.0), h)
                     else:
                         def r_excess(hh: float) -> float:
-                            s2, n2 = rk4_free(t, s, n, hh, e)
+                            s2, n2 = rk4_step(t, s, n, hh, e)
                             return A * n2 * s2 ** q2 - 1.0
-                        h_cross = bisect(r_excess, 0.0, h)
+                        h_cross = bisect(r_excess, 0.0, h, xtol=math.ulp(t + h))
                     t = t + h_cross
                     n = n - h_cross * e
                     if near_corner(n):

@@ -119,17 +119,33 @@ class TestIntegrate:
             assert traj.n[-1] == pytest.approx(ref.n[-1], rel=1e-12, abs=0.0)
             assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
 
-    def test_fourth_order_convergence_on_cut_span(self, convex_price):
-        # Cutting at e_max, stopped short of n_min: the one span kind still
-        # stepped by RK4.
+    def test_cut_span_is_exact_at_any_step(self, convex_price):
+        # Under power growth a cut span is a closed form as well: cutting at
+        # e_max, stopped short of n_min, lands on the fine run's values.
         scn = convex_price.scenario
         p = scn.params
         horizon = 0.9 * sg.time_to_count(p, scn.initial.n, p.n_min)
         pol = sg.Policy.max_rate(p.e_max)
         ref = sg.integrate(scn, pol, horizon, step=horizon / 2048)
         assert [kind for kind, _, _ in ref.spans] == ["cut"]
-        errs = []
         for steps in (32, 64):
+            traj = sg.integrate(scn, pol, horizon, step=horizon / steps)
+            assert traj.n[-1] == pytest.approx(ref.n[-1], rel=1e-12, abs=0.0)
+            assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
+
+    def test_fourth_order_convergence_on_cut_span(self, fagacees):
+        # Fagacees cut spans are the one span kind still stepped by RK4.  At
+        # e_max / 8 over 27 years, stopped short of n_min, the error at 8 and
+        # 16 steps (about 4e-7 and 2e-8) lies far above rounding.
+        scn = fagacees.scenario
+        p = scn.params
+        rate = p.e_max / 8.0
+        horizon = 0.9 * (scn.initial.n - p.n_min) / rate
+        pol = sg.Policy.max_rate(rate)
+        ref = sg.integrate(scn, pol, horizon, step=horizon / 2048)
+        assert [kind for kind, _, _ in ref.spans] == ["cut"]
+        errs = []
+        for steps in (8, 16):
             traj = sg.integrate(scn, pol, horizon, step=horizon / steps)
             errs.append(abs(traj.s[-1] - ref.s[-1]))
         ratio = errs[0] / errs[1]

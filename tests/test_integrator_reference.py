@@ -1,12 +1,13 @@
 """The closed-form spans of ``integrate`` against the stepping integrator
 they replaced (``reference_integrator.py``).
 
-Both share the sample grid, the event rules and the RK4 steps of cut spans;
-the free and ceiling spans differ only by the reference's RK4 error and
-rounding.  Times before the first event are the same floats.  An event time
-comes from the state (a ceiling hit, an exhaustion, n_min after an arc), so
-from there on the regridded times carry that event's difference, which
-is held to the same relative tolerance as s and n.
+Both share the sample grid, the event rules and the RK4 steps of fagacees
+cut spans; the free and ceiling spans, and power-growth cut spans, differ
+only by the reference's RK4 error and rounding.  Times before the first
+event are the same floats.  An event time comes from the state (a ceiling
+hit, an exhaustion, n_min after an arc), so from there on the regridded
+times carry that event's difference, which is held to the same relative
+tolerance as s and n.
 """
 
 import numpy as np
@@ -37,9 +38,11 @@ def policies(scenario, horizon, seed):
             + sg.sample_policies(scenario, 4, rng, horizon, terminal=True))
 
 
-def run_both(scenario, policy, horizon, step, reference_scenario=None):
-    """Both integrators at ``step``, checked for the same grid and events."""
-    ref = reference_integrate(reference_scenario or scenario, policy, horizon, step)
+def run_both(scenario, policy, horizon, step, reference_scenario=None, **resolution):
+    """Both integrators at ``step``, checked for the same grid and events;
+    ``resolution`` is passed to the reference."""
+    ref = reference_integrate(reference_scenario or scenario, policy, horizon, step,
+                              **resolution)
     new = sg.integrate(scenario, policy, horizon, step)
     assert [ev.kind for ev in new.events] == [ev.kind for ev in ref.events]
     assert new.exited == ref.exited
@@ -90,11 +93,21 @@ def assert_matches_reference(scenario, policy, horizon):
         assert_values_agree(new, ref)
     except AssertionError:
         # The reference itself can be off by more than RTOL.  Its RK4 error
-        # adds up under fast early growth; at a 4x finer step it falls
-        # 256-fold.  The rounding of its step-by-step ceiling relation adds
-        # up over thousands of arc steps; ArcsFromStart removes it.
-        # CHANGES.md checks such draws against the exact solution.
-        new, ref = run_both(scenario, policy, horizon, step / 4, ArcsFromStart(scenario))
+        # adds up where the stand changes fast: under fast early growth,
+        # and under power growth over fast cuts, which integrate solves in
+        # closed form (a cut at e_max can take a sparse stand to n_min in a
+        # handful of steps).  At a 4x finer step it falls 256-fold, and
+        # where the stand changes by more than 0.1 % in a step the
+        # reference takes substeps.  A finer grid alone would not do: over
+        # tens of thousands of steps the reference's rounding adds up to
+        # 1e-12.  Fagacees cut spans are RK4 steps in both integrators, so
+        # the reference takes them as integrate does.  The rounding of its
+        # step-by-step ceiling relation adds up over thousands of arc
+        # steps; ArcsFromStart removes it.  CHANGES.md checks such draws
+        # against the exact solution.
+        cut_resolution = 1e-3 if scenario.growth.kind == "power" else None
+        new, ref = run_both(scenario, policy, horizon, step / 4, ArcsFromStart(scenario),
+                            free_resolution=1e-3, cut_resolution=cut_resolution)
         assert_values_agree(new, ref)
 
 
@@ -105,6 +118,22 @@ def test_bundled_scenarios(name):
     for horizon in (loaded.run.horizon, scenario.params.t_star):
         for policy in policies(scenario, horizon, seed=17):
             assert_matches_reference(scenario, policy, horizon)
+
+
+@pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                  "linear_growth.ini"])
+def test_n_min_reached_at_a_breakpoint(name):
+    """e0 cuts until t0_n, its breakpoint, where the count reaches n_min to
+    within rounding.  The span accumulates its count step by step, as the
+    reference does, and records NMinHit at the breakpoint before the stand
+    exits, as the reference does (``run_both`` compares the event kinds;
+    ``test_bundled_scenarios`` runs this policy too, and compares values)."""
+    scenario = load(name).scenario
+    horizon = scenario.params.t_star
+    policy = sg.build_policy(scenario, "e0")
+    new, ref = run_both(scenario, policy, horizon, horizon / sg.dynamics.DEFAULT_STEPS)
+    assert [ev.kind for ev in new.events] == ["NMinHit", "ExitPoint"]
+    assert new.events[0].time == pytest.approx(policy.breakpoints[0], rel=1e-12, abs=0.0)
 
 
 @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))

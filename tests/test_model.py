@@ -316,3 +316,56 @@ class TestEnergyInverse:
         assert v.time_at(10.0, left * (1.0 + 1e-9)) == math.inf
         np.testing.assert_array_equal(v.time_at(10.0, np.array([0.0, 2.0 * left])),
                                       [10.0, math.inf])
+
+
+class TestCutRelation:
+    """``cut_s_after``: the separated basal-area relation of a power-growth
+    stand whose count falls linearly."""
+
+    @staticmethod
+    def scenario(theta=0.4, lam=0.03):
+        params = make_params(A=0.02, n_min=150.0, e_max=60.0)
+        env = sg.Environment(v=sg.GrowthEnergy("exponential", 1.5, lam),
+                             h0=sg.DominantHeight(30.0, 20.0))
+        return sg.Scenario(params=params, growth=sg.GrowthFunction.power(theta), env=env,
+                           initial=sg.StandState(t=0.0, s=0.01, n=400.0))
+
+    def test_gauss_nodes_are_legendre(self):
+        # Written out in the model so that it does not import numpy.polynomial.
+        from standgrowth.model import _GAUSS_W, _GAUSS_X
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        np.testing.assert_allclose(nodes, [-_GAUSS_X[1], -_GAUSS_X[0], _GAUSS_X[0], _GAUSS_X[1]],
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(weights, [_GAUSS_W[1], _GAUSS_W[0], _GAUSS_W[0], _GAUSS_W[1]],
+                                   rtol=2e-15, atol=0.0)
+
+    def test_constant_count_is_uncut_growth(self):
+        scn = self.scenario()
+        times = np.linspace(2.0, 6.0, 9)
+        got = scn.cut_s_after(0.01, times, np.full(times.size, 300.0))
+        want = scn.uncut_s_after(0.01, 300.0, scn.env.v.integral(2.0, times[1:]))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 0.8])
+    def test_matches_quadrature_of_the_relation(self, theta):
+        # Oracle: the count-weighted energy by adaptive quadrature, here over
+        # a cut from 400 to 160 trees at 60 trees per year.
+        scn = self.scenario(theta)
+        p, rate = scn.params, 60.0
+        k = 1.0 - p.q / 2.0 * (1.0 - theta)
+        times = np.linspace(1.0, 5.0, 33)
+        got = scn.cut_s_after(0.01, times, 400.0 - rate * (times - 1.0))
+        amounts = [quad(lambda u: (400.0 - rate * (u - 1.0)) ** -theta * scn.env.v(u), 1.0, t1,
+                        epsabs=0.0, epsrel=1e-13)[0] for t1 in times[1:]]
+        want = (0.01 ** k + k * p.A ** (1.0 - theta) * np.array(amounts)) ** (1.0 / k)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_broadcasts_one_grid_over_many_stands(self):
+        scn = self.scenario()
+        times = np.linspace(0.0, 3.0, 7)
+        counts = np.array([400.0, 300.0])[:, None] - np.array([60.0, 20.0])[:, None] * times
+        s = np.array([0.01, 0.02])
+        both = scn.cut_s_after(s, times, counts)
+        for i in range(2):
+            np.testing.assert_array_equal(both[i], scn.cut_s_after(s[i], times, counts[i]))
+
