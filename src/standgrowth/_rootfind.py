@@ -1,16 +1,11 @@
-"""Bracketed bisection for the two times the model has no closed form for.
+"""Bracketed bisection for the one time the model has no closed form for.
 
-* The arc-leaving time of the exact-target policy ``et`` solves a monotone
-  equation with a known bracket.
-* A ceiling crossing under a positive thinning rate under fagacees growth,
-  inside one integrator step: the count then falls while the basal area
-  grows, and the density equation does not separate.  Such a crossing ends
-  the run; the integrator bisects it to the rounding of its time.  Under
-  power growth the equation separates at any count, and the crossing is the
-  root of a smooth function (``dynamics._cut_crossing``).
-
-Bisection gives a guaranteed absolute tolerance on either root.  Every other
-characteristic and event time is a closed form.
+The arc-leaving time of the exact-target policy ``et`` solves a monotone
+equation with a known bracket; bisection gives a guaranteed absolute
+tolerance on its root.  Every other characteristic and event time is a
+closed form, or the Newton root of a smooth function inside one
+integrator step (a ceiling crossing under a positive thinning rate,
+``dynamics._cut_crossing``).
 """
 
 from __future__ import annotations

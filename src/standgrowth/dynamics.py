@@ -23,13 +23,13 @@ n_min)``.  Each kind of span is solved by its own method:
   relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
   with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
   (:meth:`Scenario.arc_exhaustion_time`);
-* **cut** (a positive rate): the count falls linearly, by e h per step.
-  Under power growth the density equation still separates, so the samples
-  are a closed form (:meth:`Scenario.cut_s_after`), and a crossing of r = 1
-  is the root of a smooth function inside its step, found by Newton's
-  method to rounding.  Under fagacees growth the span takes classic
-  fixed-step fourth-order Runge-Kutta steps, and the crossing is bisected
-  on the step fraction to the rounding of its time.  When n crosses n_min
+* **cut** (a positive rate): the count falls linearly, by e h per step,
+  and the samples are :meth:`Scenario.cut_s_after` from the span start:
+  under power growth the density equation still separates into a closed
+  form, and under fagacees growth each step is solved by four-node
+  Gauss-Legendre collocation, exact to rounding at the integrator's
+  steps.  A crossing of r = 1 is the root of a smooth function inside its
+  step, found by Newton's method to rounding.  When n crosses n_min
   inside a step, the rate is constant, so the crossing time (n - n_min)/e
   is exact; a crossing of r = 1 ends the run, with the count there
   n - e * h_cross;
@@ -59,7 +59,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rootfind import bisect
 from .model import _NEWTON_MAX_ITER, Environment, Scenario, boundary_control, rdi
 
 __all__ = [
@@ -340,68 +339,17 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
 
 def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float, fault_s_drift: float, on_n_min: str):
-    """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time.  A
-    step that would take n below n_min is shortened to reach it, and the
-    span ends there with ``("NMinHit", t, n_min)`` and a last sample at
-    n_min with e = 0 (or raises :class:`NonViable` when ``on_n_min`` is
-    "error").  Where the density crosses 1 it ends with ``("RdiHitOne", t,
-    n)``.  Power growth is solved in closed form (:func:`_power_cut_span`),
-    fagacees growth by one RK4 step to each grid time, with the crossing
-    bisected on the step fraction to rounding."""
-    if scenario.growth.kind == "power":
-        return _power_cut_span(scenario, t, s, n, e, tb, h_nom, fault_s_drift, on_n_min)
-    p, env_v, g = scenario.params, scenario.env.v, scenario.growth.g
-    A, q2, n_min = p.A, p.q / 2.0, p.n_min
-
-    def rk4(t: float, s: float, n: float, h: float) -> tuple[float, float]:
-        h2 = 0.5 * h
-        k1 = g(A * n * s ** q2) / n * env_v(t)
-        n1 = n - h2 * e
-        vmid = env_v(t + h2)
-        k2 = g(A * n1 * (s + h2 * k1) ** q2) / n1 * vmid
-        k3 = g(A * n1 * (s + h2 * k2) ** q2) / n1 * vmid
-        n2 = n - h * e
-        k4 = g(A * n2 * (s + h * k3) ** q2) / n2 * env_v(t + h)
-        return s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n2
-
-    ts = _span_grid(t, tb, h_nom)
-    ss, ns, es = np.empty(ts.size), np.empty(ts.size), np.full(ts.size, e)
-    for i, t_next in enumerate(ts.tolist()):
-        h = min(h_nom, tb - t)
-        hit_n_min = n - e * h < n_min
-        if hit_n_min:
-            if on_n_min == "error":
-                raise NonViable(f"policy would cut below n_min={n_min} near t={t:.6g}")
-            h = (n - n_min) / e
-            t_next = t + h
-        s1, n1 = rk4(t, s, n, h)
-        if A * n1 * s1 ** q2 > 1.0:
-            h_cross = 0.0
-            if A * n * s ** q2 < 1.0 - 1e-12:
-                def r_excess(hh: float) -> float:
-                    s2, n2 = rk4(t, s, n, hh)
-                    return A * n2 * s2 ** q2 - 1.0
-                h_cross = bisect(r_excess, 0.0, h, xtol=math.ulp(t + h))
-            return (ts[:i], ss[:i], ns[:i], es[:i]), ("RdiHitOne", t + h_cross, n - h_cross * e)
-        t, s, n = t_next, s1, n1
-        if fault_s_drift:
-            s *= 1.0 + fault_s_drift
-        ss[i], ns[i] = s, n
-        if hit_n_min:
-            ts[i], ns[i], es[i] = t, n_min, 0.0
-            return (ts[:i + 1], ss[:i + 1], ns[:i + 1], es[:i + 1]), ("NMinHit", t, n_min)
-    return (ts, ss, ns, es), None
-
-
-def _power_cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-                    h_nom: float, fault_s_drift: float, on_n_min: str):
-    """:func:`_cut_span` under power growth: the samples are
+    """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
     :meth:`Scenario.cut_s_after` from the span start.  The counts fall by
     h e per step, accumulated as a stepping integrator accumulates them, so
     where the count reaches n_min at the end of a span to within rounding,
-    the same rounding decides whether the span records NMinHit.  The
-    ceiling crossing is the root of the density along the relation inside
-    its step (:func:`_cut_crossing`)."""
+    the same rounding decides whether the span records NMinHit.  A step
+    that would take n below n_min is shortened to reach it, and the span
+    ends there with ``("NMinHit", t, n_min)`` and a last sample at n_min
+    with e = 0 (or raises :class:`NonViable` when ``on_n_min`` is "error").
+    Where the density crosses 1 it ends with ``("RdiHitOne", t, n)``, the
+    crossing being the root of the density along the relation inside its
+    step (:func:`_cut_crossing`)."""
     p = scenario.params
     A, q2, n_min = p.A, p.q / 2.0, p.n_min
     ts = _span_grid(t, tb, h_nom)
@@ -437,11 +385,11 @@ def _power_cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, 
 
 def _cut_crossing(scenario: Scenario, t: float, s: float, n: float, e: float,
                   h: float) -> float:
-    """The fraction hh of a power-growth cut step from (t, s, n), of length
-    ``h``, at which the density reaches 1: the root of log r along
-    :meth:`Scenario.cut_s_after`, a smooth function, by Newton's method
-    kept inside the bracket [0, h] (where it leaves it, by bisection).  The
-    density starts below 1 and ends above it."""
+    """The fraction hh of a cut step from (t, s, n), of length ``h``, at
+    which the density reaches 1: the root of log r along
+    :meth:`Scenario.cut_s_after` over [t, t + hh], a smooth function, by
+    Newton's method kept inside the bracket [0, h] (where it leaves it, by
+    bisection).  The density starts below 1 and ends above it."""
     p = scenario.params
 
     def log_r(hh: float) -> tuple[float, float]:
@@ -482,11 +430,11 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     ``on_n_min`` selects what happens when thinning would push n below n_min:
     ``"clamp"`` freezes the rate at zero (recording an NMinHit event) and
     ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
-    ``1 + fault_s_drift`` once per step (compounded along a free span and
-    along a power-growth cut span, once per sample on the ceiling, where s
-    follows the count); it exists solely so verification harnesses can
-    prove they detect a corrupted integrator, and must be finite and above
-    -1 so that s stays positive.
+    ``1 + fault_s_drift`` once per step (compounded along free and cut
+    spans, once per sample on the ceiling, where s follows the count); it
+    exists solely so verification harnesses can prove they detect a
+    corrupted integrator, and must be finite and above -1 so that s stays
+    positive.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.

@@ -28,8 +28,9 @@ closed forms of the dynamics:
   ``growth_per_energy``;
 * ``ceiling_time``: when uncut growth reaches the ceiling r = 1;
 * ``uncut_s_after``: the basal area along uncut growth below the ceiling;
-* ``cut_s_after``: the basal area of a power-growth stand while it is
-  thinned;
+* ``cut_s_after``: the basal area of a stand while it is thinned, in
+  closed form under power growth and by four-node Gauss-Legendre
+  collocation under fagacees growth;
 * ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
   ceiling, and when it reaches n_min.
 
@@ -64,7 +65,7 @@ _GAMMA_MARGIN = 1e-9
 # bound is taken at this offset from 0.
 _GAMMA_EDGE = 1e-6
 # Iteration cap of the Newton iterations: the inversion in
-# Scenario.uncut_s_after, and the power-growth cut crossing in dynamics.
+# Scenario.uncut_s_after, and the cut crossing in dynamics.
 _NEWTON_MAX_ITER = 50
 # The four-node Gauss-Legendre rule on [-1, 1] of Scenario.cut_s_after: nodes
 # -x, +x for each x below, with weight w.  Written out (they are those of
@@ -72,7 +73,27 @@ _NEWTON_MAX_ITER = 50
 # numpy.polynomial.
 _GAUSS_X = (0.33998104358485626, 0.8611363115940526)
 _GAUSS_W = (0.6521451548625461, 0.34785484513745385)
-_CUT_NODES = 2 * len(_GAUSS_X)      # nodes per step, for sizing blocks
+# The nodes in ascending order, and the rule's collocation matrix on them:
+# entry [j][k] is the integral from -1 to node j of the Lagrange polynomial
+# of node k, so that row j sums to 1 + node j (evaluated in 60-digit
+# arithmetic and rounded).
+_GAUSS_NODES = (-_GAUSS_X[1], -_GAUSS_X[0], _GAUSS_X[0], _GAUSS_X[1])
+_GAUSS_A = (
+    (0.17392742256872692, -0.05320836016999759, 0.02525492537880945, -0.007110299371591367),
+    (0.37623623499973613, 0.32607257743127305, -0.05576085720494179, 0.013471001189076312),
+    (0.33438384394837756, 0.7079060120674879, 0.32607257743127305, -0.028381389862282287),
+    (0.3549651445090452, 0.6268902294837367, 0.7053535150325437, 0.17392742256872692),
+)
+# Picard sweeps of a fagacees cut span: a stand is solved once a sweep moves
+# none of its step-end values by more than _PICARD_TOL times its last one
+# (four units in the last place), and a stand still moving after
+# _PICARD_MAX_SWEEPS fails.
+_PICARD_TOL = 2.0 ** -50
+_PICARD_MAX_SWEEPS = 64
+# Cells per stand and step that Scenario.cut_s_after keeps, for sizing
+# blocks: the node arrays of a fagacees sweep (counts, energy, basal area
+# and growth), four cells each.
+_CUT_CELLS = 4 * len(_GAUSS_NODES)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -404,8 +425,11 @@ class Scenario:
         fagacees by Newton's method in log r from the starting density.  D is
         decreasing and concave in log r, so the first step lands at or above
         the root (clipped to r = 1) and the later ones descend to it
-        monotonically.  ``amount`` (float or ndarray) must not carry the
-        stand past the ceiling.
+        monotonically.  Each element stops on its own: one step after its
+        step falls below 1e-9, as convergence is quadratic, so an element's
+        result does not depend on the array it comes in.  ``s``, ``n`` and
+        ``amount`` (floats or ndarrays) broadcast against each other, and
+        ``amount`` must not carry a stand past the ceiling.
         """
         p, growth = self.params, self.growth
         q2 = p.q / 2.0
@@ -413,22 +437,26 @@ class Scenario:
             k, coef = self._power_terms()
             return (s ** k + coef * n ** (-growth.theta) * amount) ** (1.0 / k)
         b = 2.0 / p.q - 1.0
-        x_a = math.log(p.A * n * s ** q2)
-        target = (growth.density_integral(math.exp(x_a), b)
+        # Powers by np.power on arrays, so that those of scalars round as
+        # those of arrays do.
+        s, n = np.asarray(s, dtype=float), np.asarray(n, dtype=float)
+        x_a = np.log(p.A * n * s ** q2)
+        target = (growth.density_integral(np.exp(x_a), b)
                   - q2 * n ** b * p.A ** (2.0 / p.q) * np.asarray(amount, dtype=float))
         x = np.full(np.shape(target), x_a)
-        polish = False
+        polish = np.zeros(x.shape, dtype=bool)    # within 1e-9: one step left
+        done = np.zeros(x.shape, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER):
             r = np.exp(x)
-            slope = -r ** (b + 1.0) / growth.g(r)          # dD/d(log r)
+            slope = -np.power(r, b + 1.0) / growth.g(r)     # dD/d(log r)
             x_new = np.minimum(x - (growth.density_integral(r, b) - target) / slope, 0.0)
-            dx = float(np.max(np.abs(x_new - x), initial=0.0))
-            x = x_new
-            if polish or not np.isfinite(dx):
+            dx = np.abs(x_new - x)
+            x = np.where(done, x, x_new)
+            done |= polish
+            if done.all() or not np.isfinite(dx).all():
                 break
-            # Convergence is quadratic: one step after 1e-9 reaches rounding.
             polish = dx < 1e-9
-        if not (polish and np.all(np.isfinite(x))):
+        if not (done.all() and np.isfinite(x).all()):
             raise RuntimeError(f"uncut growth inversion did not converge from s={s}, n={n}")
         s1 = s * np.exp((x - x_a) / q2)
         return s1 if np.ndim(s1) else float(s1)
@@ -441,9 +469,9 @@ class Scenario:
         return k, k * p.A ** (1.0 - theta)
 
     def cut_s_after(self, s, times, counts):
-        """Basal area of a power-growth stand thinned from (times[0], s,
-        counts[0]), at each later time of ``times``, its count linear
-        between the ``counts`` of successive times.
+        """Basal area of a stand thinned from (times[0], s, counts[0]), at
+        each later time of ``times``, its count linear between the
+        ``counts`` of successive times.
 
         Under power growth the basal-area equation separates at any count:
 
@@ -453,23 +481,76 @@ class Scenario:
         integral.  The integral is summed over the steps between successive
         times, by a four-node Gauss-Legendre rule on each; with n linear the
         integrand is smooth, and at the integrator's steps the rule is exact
-        to rounding.  ``times`` and ``counts`` run along their last axis and
-        broadcast against each other (one time grid for many stands), with
-        ``s`` one value per stand.  Returns s at ``times[..., 1:]``.
+        to rounding.  Fagacees growth does not separate while the count
+        falls, and each step is solved by collocation at the same four
+        nodes (:meth:`_collocate`), the eighth-order implicit Runge-Kutta
+        method, as exact to rounding at those steps.  ``times`` and
+        ``counts`` run along their last axis and broadcast against each
+        other (one time grid for many stands), with ``s`` one value per
+        stand.  Returns s at ``times[..., 1:]``.
         """
-        theta = self.growth.theta
-        v = self.env.v
-        t0, n0 = times[..., :-1], counts[..., :-1]
         half_t, half_n = 0.5 * np.diff(times), 0.5 * np.diff(counts)
-        mid_t, mid_n = t0 + half_t, n0 + half_n
-        step = 0.0
-        for x, w in zip(_GAUSS_X, _GAUSS_W):
-            dt, dn = x * half_t, x * half_n
-            step = step + w * (v(mid_t - dt) * (mid_n - dn) ** -theta
-                               + v(mid_t + dt) * (mid_n + dn) ** -theta)
+        # The energy and the count at the nodes of every step, node first.
+        x = np.reshape(_GAUSS_NODES, (-1,) + (1,) * max(half_t.ndim, half_n.ndim))
+        v_nodes = self.env.v(times[..., :-1] + half_t + x * half_t)
+        n_nodes = counts[..., :-1] + half_n + x * half_n
+        if self.growth.kind == "fagacees":
+            return self._collocate(s, half_t, v_nodes, n_nodes)
+        f = v_nodes * n_nodes ** -self.growth.theta
+        step = _GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3])
         k, coef = self._power_terms()
         weighted = np.cumsum(half_t * step, axis=-1)
         return (np.asarray(s)[..., None] ** k + coef * weighted) ** (1.0 / k)
+
+    def _collocate(self, s, half_t, v_nodes, n_nodes):
+        """:meth:`cut_s_after` for fagacees growth, from the half steps and
+        the energy and counts at the nodes of every step (node first).
+
+        The collocation conditions of every step of a span are solved at
+        once by Picard sweeps.  Each sweep evaluates ds/dt at the nodes,
+        sums each step's increment by the Gauss weights and accumulates
+        the increments along time, then sets the node values from the step
+        starts by the collocation matrix.  g <= 1 + p bounds ds/dt and s
+        only grows, so the sweeps converge everywhere, the error of sweep m
+        shrinking by about (q/2) ln(s_end/s_start) / m.  Each stand stops on
+        its own (``_PICARD_TOL``), so its result does not depend on the
+        stands it is solved with.
+        """
+        m = half_t.shape[-1]
+        lead = np.broadcast_shapes(np.shape(s), half_t.shape[:-1], n_nodes.shape[1:-1])
+        # (node, stand, step), the stands flattened.
+        full, shape = (len(_GAUSS_NODES),) + lead + (m,), (len(_GAUSS_NODES), math.prod(lead), m)
+        n_nodes = np.broadcast_to(n_nodes, full).reshape(shape)
+        # The half step goes into the energy, so that a node's growth over
+        # the step is growth_per_energy times it.
+        vh = np.broadcast_to(v_nodes * half_t, full).reshape(shape)
+        s0 = np.broadcast_to(np.asarray(s, dtype=float), lead).reshape(-1, 1)
+        out = np.empty(shape[1:])
+        if not m:
+            return out.reshape(lead + (m,))
+        nodes = np.broadcast_to(s0, shape).copy()
+        stands = np.arange(shape[1])        # the stands still sweeping
+        ends = None
+        for _ in range(_PICARD_MAX_SWEEPS):
+            f = self.growth_per_energy(nodes, n_nodes) * vh
+            last = ends
+            ends = s0 + np.cumsum(_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3]),
+                                  axis=-1)
+            starts = np.concatenate((s0, ends[:, :-1]), axis=1)
+            for node, a in zip(nodes, _GAUSS_A):
+                node[...] = starts + (a[0] * f[0] + a[1] * f[1] + a[2] * f[2] + a[3] * f[3])
+            if last is None:
+                continue
+            solved = np.max(np.abs(ends - last), axis=1) <= _PICARD_TOL * ends[:, -1]
+            if solved.any():
+                out[stands[solved]] = ends[solved]
+                left = ~solved
+                if not left.any():
+                    return out.reshape(lead + (m,))
+                stands, s0, ends = stands[left], s0[left], ends[left]
+                nodes, n_nodes, vh = nodes[:, left], n_nodes[:, left], vh[:, left]
+        raise RuntimeError(f"fagacees cut span did not converge in {_PICARD_MAX_SWEEPS} "
+                           f"sweeps from s={s0[:, 0]}")
 
     # Along the density ceiling r = 1 the control is (q/2) V/s and s =
     # (A n)**(-2/q), so the count obeys dn/dt = -(q/2) A**(2/q) n**(2/q) V(t),

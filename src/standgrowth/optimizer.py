@@ -16,9 +16,10 @@ Two independent routes to the same question:
   A coarse pass on one fixed grid screens the candidates as a prefix tree
   that keeps one row per distinct state: prefixes whose states are
   bit-equal (rate 0 and ``hold`` below the ceiling, every level of a spent
-  stand) share a row, so each state is advanced once, by its span kind:
-  closed forms for power growth, cut or uncut, and for riding the ceiling;
-  vectorized RK4 steps for fagacees growth, cut or uncut.
+  stand) share a row, so each state is advanced once, by its span kind,
+  on blocks of rows: the closed forms of uncut growth and of riding the
+  ceiling, and the cut relation, closed-form under power growth and
+  solved by collocation under fagacees growth.
   It ranks them on the by-parts form of the objective, whose integrand
   depends on the state alone and so is second order in the step; the best
   few are re-integrated at a fine step together with the canonical
@@ -47,7 +48,7 @@ from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
 from .economics import (EconomicModel, _revenue_rate, _revenue_rate_from,
                         _revenue_time_factors, delta_h, objective, price, revenue_rate)
-from .model import _CUT_NODES, Scenario, StandParams, boundary_control
+from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
 from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
 
 __all__ = [
@@ -199,9 +200,9 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     Every row is sampled on one fixed grid of about ``steps_total`` steps
     and advanced, segment by segment, by the span kind of its state, under
-    the event rules of ``integrate`` (see :class:`_Segment`): ceiling riders
-    and power-growth rows, cut or uncut, are closed forms on (rows x grid
-    times) blocks; fagacees rows, cut or uncut, take RK4 steps.  A row
+    the event rules of ``integrate`` (see :class:`_Segment`), on (rows x
+    grid times) blocks: ceiling riders and uncut rows by closed forms, cut
+    rows by :meth:`Scenario.cut_s_after`.  A row
     crossing the ceiling at n_min exits at the corner; a ``hold`` row
     crossing elsewhere rides the ceiling, unless holding it needs a rate
     above e_max; any other crossing kills the row.  Values are the by-parts
@@ -287,18 +288,15 @@ class _Segment:
 
     * **cut**: a positive rate with n above n_min.  The count falls
       linearly, clamped at n_min, so the step that reaches n_min runs
-      linearly to it.  Under power growth the samples are
-      :meth:`Scenario.cut_s_after` from the segment start, and a row leaves
-      as a free row at the grid time at which it is spent; under fagacees
-      growth the rows take RK4 steps with the rate clamped the same way.
-      The density crossing 1 is located at :meth:`Scenario.ceiling_time`
-      from the step start, where the row exits at the corner or dies;
+      linearly to it.  The samples are :meth:`Scenario.cut_s_after` from
+      the segment start (a closed form under power growth, collocation
+      under fagacees growth), and a row leaves as a free row at the grid
+      time at which it is spent.  The density crossing 1 is located at
+      :meth:`Scenario.ceiling_time` from the step start, where the row
+      exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
-      n_min.  Under power growth the samples are
-      :meth:`Scenario.uncut_s_after` from the row's start, up to its
-      :meth:`Scenario.ceiling_time`; under fagacees growth, whose inversion
-      takes Newton steps per sample, the row takes the cut rows' RK4 steps
-      at a zero rate;
+      n_min.  The samples are :meth:`Scenario.uncut_s_after` from the row's
+      start, up to its :meth:`Scenario.ceiling_time`;
     * **arc**: a ``hold`` row on the ceiling.  The count is
       :meth:`Scenario.arc_count_after` from the arc start, up to the first
       sample below n_min, where the row exits at
@@ -307,8 +305,8 @@ class _Segment:
 
     A row changes kind mid-segment by writing its state and ``value`` at
     grid index ``j0`` (with its ``rate`` there) and the time ``t0`` its new
-    kind starts from; the cut rows (or the fagacees RK4 loop) run first,
-    then the free rows, then the arcs.  The time factors (V and those of the
+    kind starts from; the cut rows run first, then the free rows, then the
+    arcs.  The time factors (V and those of the
     by-parts integrand) are taken once per grid time.
     """
 
@@ -332,13 +330,10 @@ class _Segment:
         riding = live & rows.on_arc
         # Only cut rows take their level: a spent row steps at rate 0.
         rates = np.where(cut, levels, 0.0)
-        if self.scenario.growth.kind == "power":
-            for idx in self._blocks(cut, _CUT_NODES):
-                self._cut(idx, rates, hold, free, riding)
-            for idx in self._blocks(free):
-                self._free(idx, hold, riding)
-        else:
-            self._step(np.flatnonzero(cut | free), rates, hold, riding)
+        for idx in self._blocks(cut, _CUT_CELLS):
+            self._cut(idx, rates, hold, free, riding)
+        for idx in self._blocks(free):
+            self._free(idx, hold, riding)
         for idx in self._blocks(riding):
             self._arc(idx)
 
@@ -401,59 +396,13 @@ class _Segment:
         self._die(idx[~at_corner & ~rides])
         self._ride(idx[rides], t_c[rides], n_c[rides], riding)
 
-    def _step(self, idx, rates, hold, riding) -> None:
-        """RK4 steps of fagacees growth over the segment for the rows ``idx``
-        at their ``rates``, each clamped at n_min row by row, until they
-        cross the ceiling."""
-        if not idx.size:
-            return
-        sc, h, T, rows = self.scenario, self.h, self.T, self.rows
-        p = sc.params
-        n_min = p.n_min
-        h2, h6 = h / 2, h / 6
-        per_energy = sc.growth_per_energy
-        V = self.V.tolist()
-        V_mid = sc.env.v(T[:-1] + h2).tolist()
-        factors = list(zip(*(f.tolist() for f in self.factors)))
-        s, n, rate, value = rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx]
-        e_level, hold = rates[idx], hold[idx]
-        dsdt = per_energy(s, n) * V[0]
-        for j in range(1, self.S + 1):
-            # Clamp the rate so the count cannot undershoot n_min in the step.
-            e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-            n_new = n - h * e
-            n_mid = n - h2 * e
-            k2 = per_energy(s + h2 * dsdt, n_mid) * V_mid[j - 1]
-            k3 = per_energy(s + h2 * k2, n_mid) * V_mid[j - 1]
-            k4 = per_energy(s + h * k3, n_new) * V[j]
-            s_new = s + h6 * (dsdt + 2 * k2 + 2 * k3 + k4)
-            growth = per_energy(s_new, n_new)
-            # g increases through g(1) = 1, so g(r)/n * n > 1 is r > 1.
-            over = growth * n_new > 1.0
-            if over.any():
-                t = T[j - 1]
-                t_c = np.clip(sc.ceiling_time(t, s[over], n[over]), t, T[j])
-                self._hand_over(idx[over], j - 1, s[over], n[over], rate[over], value[over])
-                self._cross(idx[over], t_c, n[over] - (t_c - t) * e[over], hold[over], riding)
-                keep = ~over
-                idx, e_level, hold = idx[keep], e_level[keep], hold[keep]
-                s_new, n_new, rate, value = s_new[keep], n_new[keep], rate[keep], value[keep]
-                growth = growth[keep]
-            dsdt = growth * V[j]
-            rate_new = _revenue_rate_from(self.econ, factors[j], s_new, n_new, dsdt)
-            value = value + h2 * (rate + rate_new)
-            s, n, rate = s_new, n_new, rate_new
-            if not idx.size:
-                return
-        self._hand_over(idx, self.S, s, n, rate, value)
-
     def _cut(self, idx, rates, hold, free, riding) -> None:
-        """Power-growth thinning of the rows ``idx`` from T[0] at their
-        ``rates``, in closed form (:meth:`Scenario.cut_s_after`), up to the
-        step in which each crosses the ceiling or the grid time at which it
-        is spent, where it leaves as a ``free`` row.  Each count falls
-        linearly and is clamped at n_min, so the step that reaches n_min
-        runs linearly to it, as a step with the rate clamped does."""
+        """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
+        :meth:`Scenario.cut_s_after`, up to the step in which each crosses
+        the ceiling or the grid time at which it is spent, where it leaves
+        as a ``free`` row.  Each count falls linearly and is clamped at
+        n_min, so the step that reaches n_min runs linearly to it, as a step
+        with the rate clamped does."""
         sc, rows, T, S, h = self.scenario, self.rows, self.T, self.S, self.h
         p = sc.params
         e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
@@ -485,7 +434,7 @@ class _Segment:
             self._cross(idx[c], t_c, n_c - (t_c - t) * e_c, hold[idx[c]], riding)
 
     def _free(self, idx, hold, riding) -> None:
-        """Uncut power growth of the rows ``idx`` from their grid index j0, in
+        """Uncut growth of the rows ``idx`` from their grid index j0, in
         closed form, up to the step in which each reaches the ceiling."""
         sc, rows, T, S = self.scenario, self.rows, self.T, self.S
         j0, s0, n0 = self.j0[idx], rows.s[idx], rows.n[idx]

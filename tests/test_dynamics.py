@@ -133,10 +133,10 @@ class TestIntegrate:
             assert traj.n[-1] == pytest.approx(ref.n[-1], rel=1e-12, abs=0.0)
             assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
 
-    def test_fourth_order_convergence_on_cut_span(self, fagacees):
-        # Fagacees cut spans are the one span kind still stepped by RK4.  At
-        # e_max / 8 over 27 years, stopped short of n_min, the error at 8 and
-        # 16 steps (about 4e-7 and 2e-8) lies far above rounding.
+    def test_fagacees_cut_span_is_exact_at_any_step(self, fagacees):
+        # Fagacees cut spans are solved by Gauss-Legendre collocation, exact
+        # to rounding at these steps: at e_max / 8 over 27 years, stopped
+        # short of n_min, 32 and 64 steps land on the fine run's values.
         scn = fagacees.scenario
         p = scn.params
         rate = p.e_max / 8.0
@@ -144,12 +144,11 @@ class TestIntegrate:
         pol = sg.Policy.max_rate(rate)
         ref = sg.integrate(scn, pol, horizon, step=horizon / 2048)
         assert [kind for kind, _, _ in ref.spans] == ["cut"]
-        errs = []
-        for steps in (8, 16):
+        for steps in (32, 64):
             traj = sg.integrate(scn, pol, horizon, step=horizon / steps)
-            errs.append(abs(traj.s[-1] - ref.s[-1]))
-        ratio = errs[0] / errs[1]
-        assert 10.0 < ratio < 24.0
+            assert traj.n[-1] == pytest.approx(ref.n[-1], rel=1e-12, abs=0.0)
+            assert traj.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(traj.s, ref.interp_s(traj.t), rtol=1e-12, atol=0.0)
 
     def test_constraints_respected_along_random_policies(self, convex_price, rng):
         scn = convex_price.scenario

@@ -1,9 +1,8 @@
 """The closed-form spans of ``integrate`` against the stepping integrator
 they replaced (``reference_integrator.py``).
 
-Both share the sample grid, the event rules and the RK4 steps of fagacees
-cut spans; the free and ceiling spans, and power-growth cut spans, differ
-only by the reference's RK4 error and rounding.  Times before the first
+Both share the sample grid and the event rules; every span differs only
+by the reference's RK4 error and rounding.  Times before the first
 event are the same floats.  An event time comes from the state (a ceiling
 hit, an exhaustion, n_min after an arc), so from there on the regridded
 times carry that event's difference, which is held to the same relative
@@ -94,20 +93,17 @@ def assert_matches_reference(scenario, policy, horizon):
     except AssertionError:
         # The reference itself can be off by more than RTOL.  Its RK4 error
         # adds up where the stand changes fast: under fast early growth,
-        # and under power growth over fast cuts, which integrate solves in
-        # closed form (a cut at e_max can take a sparse stand to n_min in a
-        # handful of steps).  At a 4x finer step it falls 256-fold, and
-        # where the stand changes by more than 0.1 % in a step the
-        # reference takes substeps.  A finer grid alone would not do: over
-        # tens of thousands of steps the reference's rounding adds up to
-        # 1e-12.  Fagacees cut spans are RK4 steps in both integrators, so
-        # the reference takes them as integrate does.  The rounding of its
+        # and over fast cuts, which integrate solves exactly (a cut at
+        # e_max can take a sparse stand to n_min in a handful of steps).
+        # At a 4x finer step it falls 256-fold, and where the stand changes
+        # by more than 0.1 % in a step the reference takes substeps.  A
+        # finer grid alone would not do: over tens of thousands of steps
+        # the reference's rounding adds up to 1e-12.  The rounding of its
         # step-by-step ceiling relation adds up over thousands of arc
         # steps; ArcsFromStart removes it.  CHANGES.md checks such draws
         # against the exact solution.
-        cut_resolution = 1e-3 if scenario.growth.kind == "power" else None
         new, ref = run_both(scenario, policy, horizon, step / 4, ArcsFromStart(scenario),
-                            free_resolution=1e-3, cut_resolution=cut_resolution)
+                            free_resolution=1e-3, cut_resolution=1e-3)
         assert_values_agree(new, ref)
 
 

@@ -369,3 +369,118 @@ class TestCutRelation:
         for i in range(2):
             np.testing.assert_array_equal(both[i], scn.cut_s_after(s[i], times, counts[i]))
 
+
+def fagacees_scenario(p_shape=3.0, lam=0.02, q=1.6, A=0.01741, s0=0.08, n0=300.0,
+                      family="exponential", v0=2.0, n_min=150.0, e_max=40.0):
+    params = make_params(q=q, A=A, n_min=n_min, e_max=e_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # lambda = 0 warns by design
+        v = sg.GrowthEnergy(family, v0, lam)
+    return sg.Scenario(params=params, growth=sg.GrowthFunction.fagacees(p_shape),
+                       env=sg.Environment(v=v, h0=sg.DominantHeight(30.0, 20.0)),
+                       initial=sg.StandState(t=0.0, s=s0, n=n0))
+
+
+class TestCutCollocation:
+    """``cut_s_after`` under fagacees growth: four-node Gauss-Legendre
+    collocation, solved by Picard sweeps."""
+
+    def test_collocation_matrix_is_legendre(self):
+        # Written out in the model so that it does not import numpy.polynomial.
+        from standgrowth.model import _GAUSS_A, _GAUSS_NODES
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        np.testing.assert_allclose(_GAUSS_NODES, nodes, rtol=1e-15, atol=0.0)
+        for k in range(4):
+            others = np.delete(nodes, k)
+            lagrange = np.polynomial.Polynomial.fromroots(others) / np.prod(nodes[k] - others)
+            antiderivative = lagrange.integ(lbnd=-1.0)
+            np.testing.assert_allclose([row[k] for row in _GAUSS_A], antiderivative(nodes),
+                                       rtol=1e-13, atol=1e-15)
+            assert antiderivative(1.0) == pytest.approx(weights[k], rel=1e-14)
+
+    @pytest.mark.parametrize("lam, family", [(0.02, "exponential"), (0.05, "hyperbolic"),
+                                             (0.0, "exponential")])
+    @pytest.mark.parametrize("steps", [16, 256])
+    def test_matches_an_ode_solver(self, lam, family, steps):
+        # Oracle: DOP853 at rtol 1e-13, one solve per checked time so that
+        # no value is interpolated.  The cut runs from 300 to 160 trees.
+        from scipy.integrate import solve_ivp
+        scn = fagacees_scenario(lam=lam, family=family)
+        rate = 5.0
+        times = np.linspace(1.0, 29.0, steps + 1)
+        got = scn.cut_s_after(0.08, times, 300.0 - rate * (times - 1.0))
+
+        def dsdt(t, s):
+            return scn.growth_rate(t, s, 300.0 - rate * (t - 1.0))
+
+        for i in (steps // 4, steps // 2, steps):
+            sol = solve_ivp(dsdt, (1.0, times[i]), [0.08], method="DOP853",
+                            rtol=1e-13, atol=0.0)
+            assert got[i - 1] == pytest.approx(sol.y[0, -1], rel=1e-12, abs=0.0)
+
+    def test_stand_independent_of_its_batch(self):
+        # Stands that need different numbers of sweeps give, bit for bit,
+        # what each gives alone.
+        scn = fagacees_scenario()
+        times = np.linspace(0.0, 6.0, 97)
+        rates = np.array([[0.0], [5.0], [40.0], [20.0]])
+        counts = np.maximum(np.array([[300.0], [280.0], [300.0], [200.0]]) - rates * times, 150.0)
+        s = np.array([0.08, 0.02, 0.1, 0.05])
+        both = scn.cut_s_after(s, times, counts)
+        for i in range(s.size):
+            np.testing.assert_array_equal(both[i], scn.cut_s_after(s[i], times, counts[i]))
+
+    def test_constant_count_is_uncut_growth(self):
+        scn = fagacees_scenario()
+        times = np.linspace(2.0, 6.0, 9)
+        got = scn.cut_s_after(0.05, times, np.full(times.size, 300.0))
+        want = scn.uncut_s_after(0.05, 300.0, scn.env.v.integral(2.0, times[1:]))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_sweep_cap_fails_loudly(self, monkeypatch):
+        from standgrowth import model
+        monkeypatch.setattr(model, "_PICARD_MAX_SWEEPS", 3)
+        scn = fagacees_scenario()
+        times = np.linspace(0.0, 20.0, 65)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            scn.cut_s_after(0.08, times, 300.0 - 5.0 * times)
+
+    @given(q=st.floats(1.2, 1.9), A=st.floats(0.01, 0.03), n_min=st.floats(100.0, 200.0),
+           n_ratio=st.floats(1.05, 3.0), r0=st.floats(0.02, 0.9), v0=st.floats(0.5, 4.0),
+           p_shape=st.floats(0.2, 10.0), family=st.sampled_from(["exponential", "hyperbolic"]),
+           lam=st.one_of(st.just(0.0), st.floats(0.005, 0.08)),
+           e_ratio=st.floats(1.5, 4.0), slow=st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_cap_never_reached(self, q, A, n_min, n_ratio, r0, v0, p_shape, family,
+                                     lam, e_ratio, slow):
+        # The scale of the generated scenarios of conftest, at densities from
+        # 0.02 and rates from e_max down to e_max / 100: cut over up to 150
+        # years in 4096 steps, a stand grows up to several hundredfold.
+        n0 = n_min * n_ratio
+        s0 = (r0 / (A * n0)) ** (2.0 / q)
+        e_max = e_ratio * q / 2.0 * v0 / s0
+        scn = fagacees_scenario(p_shape=p_shape, lam=lam, q=q, A=A, s0=s0, n0=n0,
+                                family=family, v0=v0, n_min=n_min, e_max=e_max)
+        rate = e_max * 10.0 ** -slow
+        times = np.linspace(0.0, min(150.0, (n0 - n_min) / rate), 4097)
+        s = scn.cut_s_after(s0, times, np.maximum(n0 - rate * times, n_min))
+        assert np.all(np.isfinite(s))
+        assert np.all(np.diff(s) > 0.0) and s[0] > s0
+
+
+class TestUncutArrays:
+    @pytest.mark.parametrize("p_shape", [3.0, 0.3])
+    def test_array_results_equal_scalar_calls(self, p_shape):
+        # Each element stops its Newton iterates on its own, so an array call
+        # gives, bit for bit, what the scalar calls give.
+        scn = fagacees_scenario(p_shape=p_shape)
+        s = np.array([0.08, 0.02, 0.1, 0.05])[:, None]
+        n = np.array([300.0, 280.0, 160.0, 200.0])[:, None]
+        amount = scn.env.v.integral(0.0, np.linspace(0.0, 4.0, 9))
+        amount = np.minimum(amount, 0.999 * scn.env.v.integral(
+            0.0, scn.ceiling_time(0.0, s, n)))
+        got = scn.uncut_s_after(s, n, amount)
+        assert got.shape == (4, 9)
+        for i, j in np.ndindex(got.shape):
+            want = scn.uncut_s_after(float(s[i, 0]), float(n[i, 0]), float(amount[i, j]))
+            assert got[i, j].view(np.uint64) == np.float64(want).view(np.uint64), (i, j)
