@@ -221,12 +221,11 @@ class EnvelopeRefs:
             raise ValueError("terminal reference was not built")
         return self.terminal.interp_s(times), self.terminal.interp_n(times)
 
-    def xi_lower_bound(self, form: str | None = None) -> XiLowerBound:
+    def xi_lower_bound(self) -> XiLowerBound:
         """xi_m on the slow reference's samples, capped by the fast reference's
-        s (form "power", the default for power growth) or by s_bar."""
+        s under power growth (form "power") or by s_bar (form "general")."""
         p = self.scenario.params
-        if form is None:
-            form = "power" if self.scenario.growth.kind == "power" else "general"
+        form = "power" if self.scenario.growth.kind == "power" else "general"
         if form == "power":
             s_cap = self.fast_sn(self.slow.t)[0]
         else:
@@ -238,13 +237,13 @@ class EnvelopeRefs:
 
 
 def xi_lower_bound(scenario: Scenario, horizon: float,
-                   step: float | None = None, *, form: str | None = None) -> XiLowerBound:
+                   step: float | None = None) -> XiLowerBound:
     """Standalone xi_m: integrates both references, then reads the bound off them.
 
     Callers that already hold :class:`EnvelopeRefs` use
     :meth:`EnvelopeRefs.xi_lower_bound` instead.
     """
-    return EnvelopeRefs.build(scenario, horizon, step=step).xi_lower_bound(form)
+    return EnvelopeRefs.build(scenario, horizon, step=step).xi_lower_bound()
 
 
 @dataclass(frozen=True)

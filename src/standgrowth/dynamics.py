@@ -37,8 +37,7 @@ n_min)``.  Each kind of span is solved by its own method:
   through which a stand can leave its validity domain.
 
 :func:`integrate` has one span call and one switch over the events.  A
-recorder merges samples less than 1e-13 apart and takes the break times
-from the span starts.
+recorder merges samples less than 1e-13 apart and lists the spans.
 
 Policies are piecewise: each segment holds either a constant thinning rate or
 ``HOLD``, meaning "grow freely until the density ceiling, then ride it".
@@ -173,10 +172,10 @@ class Trajectory:
     (True where the state rides the density ceiling).  ``validity_end`` is
     the last time the solution is defined; ``exited`` marks departure through
     the (1, n_min) corner.  ``spans`` lists the pieces the integrator
-    solved, as ``(kind, start, end)`` with kind ``"free"`` (uncut, below the
-    ceiling), ``"arc"`` (on the ceiling) or ``"cut"`` (thinning at a positive
-    rate).  ``breaks`` lists 0, the span starts and the end time, which
-    quadratures use as panel boundaries.
+    solved, in order from 0, each starting where the one before ended, as
+    ``(kind, start, end)`` with kind ``"free"`` (uncut, below the ceiling),
+    ``"arc"`` (on the ceiling) or ``"cut"`` (thinning at a positive rate);
+    the objective sums over them.
     """
 
     t: np.ndarray
@@ -189,8 +188,7 @@ class Trajectory:
     events: tuple[TrajectoryEvent, ...]
     validity_end: float
     exited: bool
-    breaks: tuple[float, ...]
-    spans: tuple[tuple[str, float, float], ...] = ()
+    spans: tuple[tuple[str, float, float], ...]
 
     def __post_init__(self) -> None:
         for arr in (self.t, self.s, self.n, self.e, self.r, self.drdt, self.on_arc):
@@ -213,7 +211,7 @@ class _Recorder:
     """Accumulates the sample columns span by span, and the events and spans.
 
     All samples pass through :meth:`add`, which applies the one collapse
-    rule; :meth:`finish` takes the break times from the span starts.
+    rule.
     """
 
     def __init__(self, t: float, s: float, n: float) -> None:
@@ -249,16 +247,13 @@ class _Recorder:
 
     def finish(self, scenario: Scenario, end_time: float, terminal_kind: str,
                exited: bool) -> Trajectory:
-        """The trajectory, ending with a terminal event at ``end_time``; its
-        break times are 0, the span starts and ``end_time``."""
+        """The trajectory, ending with a terminal event at ``end_time``."""
         self.events.append(TrajectoryEvent(end_time, terminal_kind, True))
         ts, ss, ns, es, arcs = (np.concatenate(col) for col in self.cols)
-        breaks = {0.0, end_time}.union(start for _, start, _ in self.spans)
         return Trajectory(t=ts, s=ss, n=ns, e=es, r=rdi(scenario.params, ns, ss),
                           drdt=_drdt_values(scenario, ts, ss, ns, es), on_arc=arcs,
                           events=tuple(self.events), validity_end=end_time,
-                          exited=exited, breaks=tuple(sorted(breaks)),
-                          spans=tuple(self.spans))
+                          exited=exited, spans=tuple(self.spans))
 
 
 def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:

@@ -23,12 +23,16 @@ Integrating by parts (dn/dt = -e) gives the equivalent form
 
 whose integrand k e^{-delta t} n s**alpha [alpha h0 (ds/dt)/s + h0' - delta h0]
 depends on the state alone, with the clear-cut inside the integral.
-``objective`` and ``objective_ibp`` compute the two forms independently
-(composite Simpson on the trajectory grid, split at control-regime changes);
-agreeing values are a strong end-to-end check of the integration.  The
-search's screen sums the same integrand (``_revenue_rate``) by the per-step
-trapezoid: where the control jumps the integrand only kinks, so that ranking
-is second order in the step.
+``objective`` and ``objective_ibp`` compute the two forms independently, as
+sums over the spans that the integrator recorded (``Trajectory.spans``),
+inside each of which the control is smooth: composite Simpson on the
+span's samples.  The direct form skips free spans, where e = 0, and takes a
+cut span's constant rate and the ceiling-holding rate (q/2) V(t)/s at each
+arc sample, so no rate is read across a jump.  Agreeing values are a strong
+end-to-end check of the integration.  The search's screen sums the same
+integrand (``revenue_rate``) by the per-step trapezoid: where the control
+jumps the integrand only kinks, so that ranking is second order in the
+step.
 """
 
 from __future__ import annotations
@@ -116,52 +120,39 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(total)
 
 
-def _panel_indices(t: np.ndarray, breaks) -> list[int]:
-    """Sample indices nearest to the panel boundary times."""
-    idx = {0, len(t) - 1}
-    for b in breaks:
-        idx.add(int(np.argmin(np.abs(t - b))))
-    return sorted(idx)
-
-
-def _piecewise_simpson(t: np.ndarray, y: np.ndarray, breaks) -> float:
-    """Composite Simpson split at the given panel boundaries."""
-    total = 0.0
-    idx = _panel_indices(t, breaks)
-    for a, b in zip(idx, idx[1:]):
-        total += _simpson(y[a:b + 1], t[a:b + 1])
-    return float(total)
-
-
-def _left_rates(scenario: Scenario, traj: Trajectory, a: int, b: int) -> np.ndarray:
-    """Control values on panel [t_a, t_b] with the panel's own left-limit at t_b.
-
-    Sampled rates are right-continuous, so the closing node of a panel carries
-    the next regime's rate; inside one panel the control is either constant
-    (use the opening value) or the ceiling-holding rate (recompute from s, t).
-    """
-    e = traj.e[a:b + 1].copy()
-    if traj.on_arc[a]:
-        e[-1] = boundary_control(scenario.params, scenario.env, traj.s[b], traj.t[b])
-    else:
-        e[-1] = e[0]
-    return e
+def _span_samples(traj: Trajectory) -> list[tuple[str, int, int]]:
+    """The spans of ``traj`` as ``(kind, a, b)``, with ``a`` and ``b`` the
+    samples nearest to the span's start and end (the earlier one on a tie):
+    a sample that an event merged into lies up to 1e-13 before the event.
+    Spans whose ends fall on one sample are left out."""
+    t = traj.t
+    if t.size < 2:
+        return []
+    ends = np.array([(start, end) for _, start, end in traj.spans]).reshape(-1, 2)
+    i = np.searchsorted(t, ends).clip(1, t.size - 1)
+    idx = np.where(ends - t[i - 1] <= t[i] - ends, i - 1, i).tolist()
+    return [(kind, a, b) for (kind, _, _), (a, b) in zip(traj.spans, idx) if b > a]
 
 
 def objective(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> float:
     """Discounted revenue: thinning integral plus final clear-cut value.
 
-    The final term values the remaining trees at the last valid time of the
-    trajectory (the horizon, or the exit corner when the stand leaves its
-    validity domain earlier).
+    The thinning integral is a composite Simpson sum over each span that
+    cuts: at the span's constant rate on a cut span, at the ceiling-holding
+    rate of each sample on an arc.  Free spans cut nothing.  The final term
+    values the remaining trees at the last valid time of the trajectory
+    (the horizon, or the exit corner when the stand leaves its validity
+    domain earlier).
     """
     t, s = traj.t, traj.s
     pr = price(econ, scenario.env, s, t)
     total = 0.0
-    idx = _panel_indices(t, traj.breaks)
-    for a, b in zip(idx, idx[1:]):
-        e_panel = _left_rates(scenario, traj, a, b)
-        total += _simpson(pr[a:b + 1] * e_panel, t[a:b + 1])
+    for kind, a, b in _span_samples(traj):
+        if kind == "free":
+            continue
+        e = traj.e[a] if kind == "cut" else \
+            boundary_control(scenario.params, scenario.env, s[a:b + 1], t[a:b + 1])
+        total += _simpson(pr[a:b + 1] * e, t[a:b + 1])
     total += float(pr[-1] * traj.n[-1])
     return float(total)
 
@@ -184,20 +175,19 @@ def _revenue_rate_from(econ: EconomicModel, factors: tuple, s, n, dsdt):
     return disc * n * s ** econ.alpha * (alpha_h * dsdt / s + dh - delta_h0)
 
 
-def _revenue_rate(econ: EconomicModel, env: Environment, s, n, t, dsdt):
-    """By-parts integrand d/dt[P(s(t), t)] * n at a state moving at ds/dt = dsdt."""
-    return _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
-
-
 def revenue_rate(scenario: Scenario, econ: EconomicModel, s, n, t):
     """Integrand of the by-parts objective: d/dt[P(s(t), t)] * n at a state."""
-    return _revenue_rate(econ, scenario.env, s, n, t, scenario.growth_rate(t, s, n))
+    return _revenue_rate_from(econ, _revenue_time_factors(econ, scenario.env, t), s, n,
+                              scenario.growth_rate(t, s, n))
 
 
 def objective_ibp(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> float:
-    """Objective via the integration-by-parts form (independent route)."""
+    """Objective via the integration-by-parts form (independent route): a
+    composite Simpson sum of :func:`revenue_rate` over each span."""
     t = traj.t
     y = revenue_rate(scenario, econ, traj.s, traj.n, t)
-    total = _piecewise_simpson(t, y, traj.breaks)
+    total = 0.0
+    for _, a, b in _span_samples(traj):
+        total += _simpson(y[a:b + 1], t[a:b + 1])
     total += float(price(econ, scenario.env, traj.s[0], t[0]) * traj.n[0])
     return float(total)

@@ -46,8 +46,8 @@ import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
 from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
-from .economics import (EconomicModel, _revenue_rate, _revenue_rate_from,
-                        _revenue_time_factors, delta_h, objective, price, revenue_rate)
+from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
+                        delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
 from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
 
@@ -368,8 +368,7 @@ class _Segment:
         last grid time at the corner state, then freeze."""
         sc, rows = self.scenario, self.rows
         s_bar, n_min = sc.params.s_bar, sc.params.n_min
-        corner = _revenue_rate(self.econ, sc.env, s_bar, n_min, te,
-                               sc.growth_rate(te, s_bar, n_min))
+        corner = revenue_rate(sc, self.econ, s_bar, n_min, te)
         rows.value[idx] += 0.5 * (te - self.T[self.j0[idx]]) * (rows.rate[idx] + corner)
         rows.s[idx], rows.n[idx], rows.done[idx] = s_bar, n_min, True
 

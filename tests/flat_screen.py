@@ -9,7 +9,8 @@ before prefix sharing.
 import numpy as np
 
 from standgrowth.dynamics import EXIT_REL_TOL
-from standgrowth.economics import EconomicModel, _revenue_rate, price
+from standgrowth.economics import (EconomicModel, _revenue_rate_from,
+                                   _revenue_time_factors, price)
 from standgrowth.model import Scenario
 from standgrowth.optimizer import _HOLD_CODE
 
@@ -51,7 +52,7 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
     t = 0.0
     # The growth rate at each step end is the next step's first RK4 stage.
     dsdt = growth_rate(t, s, n)
-    rate = _revenue_rate(econ, env, s, n, t, dsdt)
+    rate = _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
     value = np.full(m, price(econ, env, scenario.initial.s, t) * scenario.initial.n)
 
     for seg in range(k):
@@ -102,8 +103,8 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
 
             if exiting.any():
                 te = t_exit[exiting]
-                corner = _revenue_rate(econ, env, s_bar, n_min, te,
-                                       growth_rate(te, s_bar, n_min))
+                corner = _revenue_rate_from(econ, _revenue_time_factors(econ, env, te),
+                                            s_bar, n_min, growth_rate(te, s_bar, n_min))
                 value[exiting] += 0.5 * (te - t) * (rate[exiting] + corner)
                 s_new[exiting], n_new[exiting] = s_bar, n_min
             done |= dead               # rows breaking the ceiling keep their last state
@@ -112,7 +113,7 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
             done |= exiting
             t += h
             dsdt = growth_rate(t, s, n)
-            rate_new = _revenue_rate(econ, env, s, n, t, dsdt)
+            rate_new = _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
             value += np.where(done, 0.0, 0.5 * h * (rate + rate_new))
             rate = rate_new
 

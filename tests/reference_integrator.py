@@ -13,6 +13,9 @@ a sharper reference:
   (1e-13 relative past t = 1), as in ``integrate``'s recorder;
 * it can take the steps where the stand changes fast in finer RK4
   substeps (off by default).
+
+It lists its spans by the kind ``integrate`` would solve each with, so the
+test compares the two runs' span kinds too.
 """
 
 import math
@@ -36,7 +39,19 @@ class _Recorder:
         self.e: list[float] = []
         self.arc: list[bool] = []
         self.events: list[TrajectoryEvent] = []
-        self.breaks: set[float] = set()
+        self.spans: list[tuple[str, float, float]] = []
+        self.open: tuple[str, float] | None = None     # kind and start of the open span
+
+    def span_to(self, t: float) -> None:
+        """Close the open span at ``t``; it is listed when it has length."""
+        if self.open is not None and t > self.open[1]:
+            self.spans.append((*self.open, t))
+        self.open = None
+
+    def start_span(self, kind: str, t: float) -> None:
+        """Close the open span at ``t`` and open one of ``kind`` there."""
+        self.span_to(t)
+        self.open = (kind, t)
 
     def add(self, t: float, s: float, n: float, e: float, arc: bool) -> None:
         if self.t and t - self.t[-1] < 1e-13:
@@ -127,11 +142,15 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     on_arc = False
 
     rec = _Recorder()
-    rec.breaks.add(0.0)
+
+    def start_span() -> None:
+        """Open a span at t, of the kind that ``integrate`` would step."""
+        rec.start_span("arc" if on_arc else "free" if exhausted or hold or rate == 0.0
+                       else "cut", t)
 
     def finish(end_time: float, terminal_kind: str, exited: bool) -> Trajectory:
         rec.events.append(TrajectoryEvent(end_time, terminal_kind, True))
-        rec.breaks.add(end_time)
+        rec.span_to(end_time)
         ts = np.asarray(rec.t)
         ss = np.asarray(rec.s)
         ns = np.asarray(rec.n)
@@ -139,10 +158,9 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
         arcs = np.asarray(rec.arc, dtype=bool)
         rs = rdi(p, ns, ss)
         dr = _drdt_values(scenario, ts, ss, ns, es)
-        brks = tuple(sorted(b for b in rec.breaks if b <= end_time + 1e-12))
         return Trajectory(t=ts, s=ss, n=ns, e=es, r=rs, drdt=dr, on_arc=arcs,
                           events=tuple(rec.events), validity_end=end_time,
-                          exited=exited, breaks=brks)
+                          exited=exited, spans=tuple(rec.spans))
 
     def near_corner(nv: float) -> bool:
         return nv <= n_min * (1.0 + EXIT_REL_TOL)
@@ -162,7 +180,6 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
         hold = level == HOLD
         rate = 0.0 if hold else float(level)
-        rec.breaks.add(ta)
         if not hold:
             on_arc = False
         elif r >= 1.0 - 1e-9:
@@ -176,6 +193,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
             rec.e[-1] = (boundary_control(p, scenario.env, s, t) if on_arc
                          else (0.0 if exhausted else rate))
             rec.arc[-1] = on_arc
+        start_span()
         n_steps = max(1, round((tb - ta) / step))
         h_nom = (tb - ta) / n_steps
         while t < tb - 1e-13 * max(1.0, tb):
@@ -230,7 +248,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                         return finish(t, "RdiHitOne", False)
                     on_arc = True
                     rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
-                    rec.breaks.add(t)
+                    start_span()
                     rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
                     r = 1.0
                     continue
@@ -243,7 +261,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                     exhausted = True
                     e = 0.0
                     rec.events.append(TrajectoryEvent(t, "NMinHit", False))
-                    rec.breaks.add(t)
+                    start_span()
                 rec.add(t, s, n, e, False)
             r = A * n * s ** q2
 

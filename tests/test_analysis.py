@@ -74,24 +74,17 @@ class TestThresholds:
 
 
 class TestXiLowerBound:
-    def test_power_form_dominates_general_form(self, convex_price):
-        scn = convex_price.scenario
-        power_form = sg.xi_lower_bound(scn, 30.0)
-        general_form = sg.xi_lower_bound(scn, 30.0, form="general")
-        ts = np.linspace(0.5, 30.0, 200)
-        assert power_form.form == "power" and general_form.form == "general"
-        assert np.all(power_form(ts) >= general_form(ts) - 1e-15)
-
-    def test_exponent_collapse_at_ceiling_cap(self, convex_price):
-        # Where the slow reference sits at the maximal basal area, the bound
-        # reduces to s' / s_cap regardless of the exponent split.
-        scn = convex_price.scenario
+    def test_exponent_collapse_at_ceiling_cap(self, fagacees):
+        # At t_cap0 the slow reference reaches the maximal basal area s_bar,
+        # which caps the general form, so the bound reduces to s'/s_bar
+        # whatever the exponent split.
+        scn = fagacees.scenario
         p = scn.params
-        bound = sg.xi_lower_bound(scn, 36.4, form="general")
-        i = -1
-        s_hi = p.s_bar
-        sdot = bound.values[i] * (s_hi ** (p.q / 2.0) * s_hi ** (1.0 - p.q / 2.0))
-        assert bound.values[i] == pytest.approx(sdot / s_hi, rel=1e-9)
+        t_cap = sg.t_cap0(scn)
+        bound = sg.xi_lower_bound(scn, t_cap)
+        assert bound.form == "general" and bound.t[-1] == t_cap
+        sdot = scn.growth_rate(t_cap, p.s_bar, p.n_min)
+        assert bound.values[-1] == pytest.approx(sdot / p.s_bar, rel=1e-9)
 
     def test_floor_holds_for_random_policies(self, convex_price, rng):
         scn = convex_price.scenario

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import standgrowth as sg
+from conftest import load, scenarios, window_horizon
+from panel_objective import panel_objective, panel_objective_ibp
 from standgrowth.economics import _simpson
+
+SCENARIO_FILES = ("concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
+                  "linear_growth.ini", "low_energy.ini")
 
 
 class TestPrice:
@@ -145,6 +150,59 @@ class TestObjective:
         direct = sg.objective(scn, econ, traj)
         by_parts = sg.objective_ibp(scn, econ, traj)
         assert by_parts == pytest.approx(direct, rel=1e-5)
+
+
+def assert_same_as_panels(scn, econ, policies, horizon):
+    """Both objectives of each policy's run equal the panel pair's bit for
+    bit, at the default step and at a coarse one."""
+    for policy in policies:
+        for step in (None, horizon / 512):
+            try:
+                traj = sg.integrate(scn, policy, horizon, step)
+            except sg.InfeasibleBoundary:
+                continue
+            assert sg.objective(scn, econ, traj) == panel_objective(scn, econ, traj)
+            assert sg.objective_ibp(scn, econ, traj) == panel_objective_ibp(scn, econ, traj)
+
+
+class TestSpanSums:
+    """The span sums against the sample-panel pair they replaced
+    (``panel_objective.py``)."""
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bundled_scenarios(self, name):
+        loaded = load(name)
+        scn = loaded.scenario
+        rng = np.random.default_rng(19)
+        for horizon in (loaded.run.horizon, window_horizon(scn, 0.1), window_horizon(scn, 0.9)):
+            policies = [sg.build_policy(scn, kind) for kind in ("zero", "max", "e0", "esup")]
+            policies.append(sg.build_policy(scn, "et", T=horizon))
+            policies += (sg.sample_policies(scn, 8, rng, horizon)
+                         + sg.sample_policies(scn, 4, rng, horizon, terminal=True))
+            assert_same_as_panels(scn, loaded.economics, policies, horizon)
+
+    @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(0.5, 4.0), delta=st.floats(0.0, 0.08))
+    @settings(max_examples=15, deadline=None)
+    def test_generated_scenarios(self, scn, horizon, seed, alpha, delta):
+        rng = np.random.default_rng(seed)
+        policies = [sg.build_policy(scn, kind) for kind in ("zero", "max", "e0", "esup")]
+        policies += (sg.sample_policies(scn, 6, rng, horizon)
+                     + sg.sample_policies(scn, 3, rng, horizon, terminal=True))
+        assert_same_as_panels(scn, sg.EconomicModel(k=1.0, alpha=alpha, delta=delta),
+                              policies, horizon)
+
+    def test_run_without_spans(self, concave_price):
+        """A stand that starts at the exit corner under ``HOLD`` leaves at
+        once, with no span: both routes give the clear-cut value alone."""
+        scn, econ = concave_price.scenario, concave_price.economics
+        p = scn.params
+        s0 = ((1.0 - 1e-10) / (p.A * p.n_min)) ** (2.0 / p.q)
+        scn = dataclasses.replace(scn, initial=sg.StandState(t=0.0, s=s0, n=p.n_min))
+        traj = sg.integrate(scn, sg.Policy((), (sg.HOLD,)), 20.0)
+        assert traj.spans == () and traj.exited
+        clear_cut = float(sg.price(econ, scn.env, traj.s[0], 0.0) * p.n_min)
+        assert sg.objective(scn, econ, traj) == clear_cut == sg.objective_ibp(scn, econ, traj)
 
 
 class TestRevenueRate:

@@ -402,7 +402,7 @@ class TestPowerClosedForm:
                 if t_probe > traj.validity_end:
                     continue
                 val, _ = quad(integrand, 0.0, t_probe, limit=300,
-                              points=[b for b in traj.breaks if b < t_probe])
+                              points=[start for _, start, _ in traj.spans if start < t_probe])
                 expected = (scn.initial.s ** m
                             + p.A ** (1.0 - theta) * m * val) ** (1.0 / m)
                 assert traj.interp_s(t_probe) == pytest.approx(expected, rel=1e-5)
