@@ -1,11 +1,11 @@
-"""Bracketed bisection for the one time the model has no closed form for.
+"""Bracketed bisection for the two times the model has no closed form for.
 
 The arc-leaving time of the exact-target policy ``et`` solves a monotone
-equation with a known bracket; bisection gives a guaranteed absolute
-tolerance on its root.  Every other characteristic and event time is a
-closed form, or the Newton root of a smooth function inside one
-integrator step (a ceiling crossing under a positive thinning rate,
-``dynamics._cut_crossing``).
+equation with a known bracket, and a ceiling crossing under a positive
+thinning rate is the root of the density inside one integrator step
+(``dynamics._cut_crossing``).  Bisection locates both, with a guaranteed
+absolute tolerance on the root.  Every other characteristic and event time
+is a closed form.
 """
 
 from __future__ import annotations

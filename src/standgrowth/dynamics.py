@@ -28,16 +28,18 @@ n_min)``.  Each kind of span is solved by its own method:
   under power growth the density equation still separates into a closed
   form, and under fagacees growth each step is solved by four-node
   Gauss-Legendre collocation, exact to rounding at the integrator's
-  steps.  A crossing of r = 1 is the root of a smooth function inside its
-  step, found by Newton's method to rounding.  When n crosses n_min
-  inside a step, the rate is constant, so the crossing time (n - n_min)/e
-  is exact; a crossing of r = 1 ends the run, with the count there
-  n - e * h_cross;
+  steps.  A crossing of r = 1 is the root of the density along that
+  relation inside its step, bisected to rounding (:func:`_rootfind.bisect`).
+  When n crosses n_min inside a step, the rate is constant, so the
+  crossing time (n - n_min)/e is exact; a crossing of r = 1 ends the run,
+  with the count there n - e * h_cross;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
-:func:`integrate` has one span call and one switch over the events.  A
-recorder merges samples less than 1e-13 apart and lists the spans.
+The spans only solve the dynamics.  :func:`integrate` has one span call, one
+place where the run's options apply (the fault drift of s, and ``on_n_min``)
+and one switch over the events.  A recorder merges samples less than 1e-13
+apart and lists the spans.
 
 Policies are piecewise: each segment holds either a constant thinning rate or
 ``HOLD``, meaning "grow freely until the density ceiling, then ride it".
@@ -58,7 +60,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _NEWTON_MAX_ITER, Environment, Scenario, boundary_control, rdi
+from ._rootfind import BracketError, bisect
+from .model import Environment, Scenario, boundary_control, rdi
 
 __all__ = [
     "HOLD",
@@ -201,10 +204,10 @@ class Trajectory:
         return np.interp(times, self.t, self.n)
 
 
-def _drdt_values(scenario: Scenario, t, s, n, e) -> np.ndarray:
-    """dr/dt = r [(q/2) (ds/dt)/s - e/n], from r = A n s**(q/2)."""
-    r = rdi(scenario.params, n, s)
-    return r * (scenario.params.q / 2.0 * scenario.growth_rate(t, s, n) / s - e / n)
+def _drdt_values(scenario: Scenario, t, s, n, e, r) -> np.ndarray:
+    """dr/dt = r [(q/2) (ds/dt)/s - e/n] at the density r = A n s**(q/2)."""
+    dsdt = scenario.growth.g(r) / n * scenario.env.v(t)
+    return r * (scenario.params.q / 2.0 * dsdt / s - e / n)
 
 
 class _Recorder:
@@ -250,8 +253,9 @@ class _Recorder:
         """The trajectory, ending with a terminal event at ``end_time``."""
         self.events.append(TrajectoryEvent(end_time, terminal_kind, True))
         ts, ss, ns, es, arcs = (np.concatenate(col) for col in self.cols)
-        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rdi(scenario.params, ns, ss),
-                          drdt=_drdt_values(scenario, ts, ss, ns, es), on_arc=arcs,
+        rs = rdi(scenario.params, ns, ss)
+        return Trajectory(t=ts, s=ss, n=ns, e=es, r=rs,
+                          drdt=_drdt_values(scenario, ts, ss, ns, es, rs), on_arc=arcs,
                           events=tuple(self.events), validity_end=end_time,
                           exited=exited, spans=tuple(self.spans))
 
@@ -273,11 +277,12 @@ def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
 
 
 # The spans share one signature: the opening state (t, s, n) and control e,
-# the segment end tb, the nominal step and the run's options.  Each returns
-# its samples after t as (t, s, n, e) arrays, and its event or None.
+# the segment end tb and the nominal step.  Each solves the dynamics alone
+# and returns its samples after t as (t, s, n, e) arrays, and its event or
+# None; the run's options are applied by integrate.
 
 def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-               h_nom: float, fault_s_drift: float, on_n_min: str):
+               h_nom: float):
     """Uncut growth from (t, s, n) below the ceiling, in closed form, up to
     ``("RdiHitOne", t, n)`` where the density reaches 1
     (:meth:`Scenario.ceiling_time`)."""
@@ -288,8 +293,6 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: f
     t_hit = float(scenario.ceiling_time(t, s, n))
     k = int(np.searchsorted(ts, t_hit))            # the step that reaches the ceiling
     ss = scenario.uncut_s_after(s, n, scenario.env.v.integral(t, ts[:k]))
-    if fault_s_drift:
-        ss = ss * (1.0 + fault_s_drift) ** np.arange(1, k + 1)    # once per step
     samples = ts[:k], ss, np.full(k, n), np.zeros(k)
     if k == ts.size:
         return samples, None
@@ -302,38 +305,33 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: f
 
 
 def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-              h_nom: float, fault_s_drift: float, on_n_min: str):
+              h_nom: float):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
-    rate, by :meth:`Scenario.arc_count_after` from the span start, up to
-    ``("ExitPoint", t, n_min)`` where the count runs out
-    (:meth:`Scenario.arc_exhaustion_time` from the last sample).  Raises
-    :class:`InfeasibleBoundary` at the first step that would need a rate
-    above e_max."""
+    rate ``e``, by :meth:`Scenario.arc_count_after` from the span start, up
+    to ``("ExitPoint", t, n_min)`` where the count runs out
+    (:meth:`Scenario.arc_exhaustion_time` from the last sample).  Along an
+    arc (q/2) V/s only falls, so the span raises
+    :class:`InfeasibleBoundary` at its start when ``e`` is above e_max."""
     p, v = scenario.params, scenario.env.v
-    q2 = p.q / 2.0
+    if e > p.e_max * (1.0 + 1e-9):
+        raise InfeasibleBoundary(f"ceiling-holding rate {e:.6g} exceeds "
+                                 f"e_max={p.e_max} at t={t:.6g}")
     ts = _span_grid(t, tb, h_nom)
     ns = scenario.arc_count_after(n, v.integral(t, ts))
-    ss = p.ceiling_s(ns)
-    if fault_s_drift:
-        ss *= 1.0 + fault_s_drift
+    event = None
     below = ns < p.n_min
-    last = int(np.argmax(below)) if below.any() else ts.size - 1   # index of the final step
-    step_t = np.append(t, ts[:last])
-    e_req = q2 * v(step_t) / np.append(s, ss[:last])
-    over = e_req > p.e_max * (1.0 + 1e-9)
-    if over.any():
-        i = int(np.argmax(over))
-        raise InfeasibleBoundary(f"ceiling-holding rate {e_req[i]:.6g} exceeds "
-                                 f"e_max={p.e_max} at t={step_t[i]:.6g}")
     if below.any():
-        n_from = ns[last - 1] if last else n
-        t_exit = min(float(scenario.arc_exhaustion_time(step_t[-1], n_from)), float(ts[last]))
-        return (ts[:last], ss[:last], ns[:last], e_req[1:]), ("ExitPoint", t_exit, p.n_min)
-    return (ts, ss, ns, q2 * v(ts) / ss), None
+        last = int(np.argmax(below))                # the step that runs out
+        t_from, n_from = (float(ts[last - 1]), float(ns[last - 1])) if last else (t, n)
+        t_exit = min(float(scenario.arc_exhaustion_time(t_from, n_from)), float(ts[last]))
+        ts, ns = ts[:last], ns[:last]
+        event = ("ExitPoint", t_exit, p.n_min)
+    ss = p.ceiling_s(ns)
+    return (ts, ss, ns, p.q / 2.0 * v(ts) / ss), event
 
 
 def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-              h_nom: float, fault_s_drift: float, on_n_min: str):
+              h_nom: float):
     """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
     :meth:`Scenario.cut_s_after` from the span start.  The counts fall by
     h e per step, accumulated as a stepping integrator accumulates them, so
@@ -341,10 +339,9 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     the same rounding decides whether the span records NMinHit.  A step
     that would take n below n_min is shortened to reach it, and the span
     ends there with ``("NMinHit", t, n_min)`` and a last sample at n_min
-    with e = 0 (or raises :class:`NonViable` when ``on_n_min`` is "error").
-    Where the density crosses 1 it ends with ``("RdiHitOne", t, n)``, the
-    crossing being the root of the density along the relation inside its
-    step (:func:`_cut_crossing`)."""
+    with e = 0.  Where the density crosses 1 first, in that step or an
+    earlier one, it ends with ``("RdiHitOne", t, n)`` instead, the crossing
+    being the root of the density inside its step (:func:`_cut_crossing`)."""
     p = scenario.params
     A, q2, n_min = p.A, p.q / 2.0, p.n_min
     ts = _span_grid(t, tb, h_nom)
@@ -353,18 +350,15 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     es = np.full(ts.size, e)
     event = None
     below = ns < n_min
-    hit = int(np.argmax(below)) if below.any() else ts.size
-    if hit < ts.size:
+    if below.any():
         # The step is shortened to end at n_min.
+        hit = int(np.argmax(below))
         ts, ns, es = ts[:hit + 1], ns[:hit + 1], es[:hit + 1]
         ts[hit] = starts[hit] + ((ns[hit - 1] if hit else n) - n_min) / e
         ns[hit], es[hit] = n_min, 0.0
         event = ("NMinHit", float(ts[hit]), n_min)
     ss = scenario.cut_s_after(s, np.append(t, ts), np.append(n, ns))
     over = A * ns * ss ** q2 > 1.0
-    # A crossing in an earlier step ends the span before n_min is reached.
-    if on_n_min == "error" and event is not None and not over[:hit].any():
-        raise NonViable(f"policy would cut below n_min={n_min} near t={starts[hit]:.6g}")
     if over.any():
         i = int(np.argmax(over))
         t0, s0, n0 = (float(ts[i - 1]), float(ss[i - 1]), float(ns[i - 1])) if i else (t, s, n)
@@ -373,46 +367,27 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
             h_cross = _cut_crossing(scenario, t0, s0, n0, e, float(ts[i]) - t0)
         ts, ss, ns, es = ts[:i], ss[:i], ns[:i], es[:i]
         event = ("RdiHitOne", t0 + h_cross, n0 - h_cross * e)
-    if fault_s_drift:
-        ss = ss * (1.0 + fault_s_drift) ** np.arange(1, ss.size + 1)    # once per step
     return (ts, ss, ns, es), event
 
 
 def _cut_crossing(scenario: Scenario, t: float, s: float, n: float, e: float,
                   h: float) -> float:
     """The fraction hh of a cut step from (t, s, n), of length ``h``, at
-    which the density reaches 1: the root of log r along
-    :meth:`Scenario.cut_s_after` over [t, t + hh], a smooth function, by
-    Newton's method kept inside the bracket [0, h] (where it leaves it, by
-    bisection).  The density starts below 1 and ends above it."""
+    which the density reaches 1: the root of A n s**(q/2) - 1 along
+    :meth:`Scenario.cut_s_after` over [t, t + hh], bisected to the rounding
+    of t + h.  The density starts below 1 and ends above it; where the
+    one-step solve rounds its end below 1, the crossing is that end."""
     p = scenario.params
 
-    def log_r(hh: float) -> tuple[float, float]:
-        """log r at t + hh and its derivative (q/2) (ds/dt)/s - e/n."""
+    def excess(hh: float) -> float:
         n1 = n - hh * e
         s1 = float(scenario.cut_s_after(s, np.array([t, t + hh]), np.array([n, n1]))[0])
-        return (math.log(p.A * n1 * s1 ** (p.q / 2.0)),
-                p.q / 2.0 * scenario.growth_rate(t + hh, s1, n1) / s1 - e / n1)
+        return p.A * n1 * s1 ** (p.q / 2.0) - 1.0
 
-    lo, hi = 0.0, h
-    f_lo = math.log(p.A * n * s ** (p.q / 2.0))
-    f_hi = log_r(h)[0]
-    hh = h * f_lo / (f_lo - f_hi)          # log r is nearly linear over a step
-    for _ in range(_NEWTON_MAX_ITER):
-        f, slope = log_r(hh)
-        if f == 0.0:
-            return hh
-        if f < 0.0:
-            lo = hh
-        else:
-            hi = hh
-        new = hh - f / slope if slope > 0.0 else 0.5 * (lo + hi)
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - hh) <= math.ulp(t + hh) or hi - lo <= math.ulp(t + hh):
-            return new
-        hh = new
-    return hh
+    try:
+        return bisect(excess, 0.0, h, xtol=math.ulp(t + h))
+    except BracketError:
+        return h
 
 
 def integrate(scenario: Scenario, policy: Policy, horizon: float,
@@ -424,15 +399,17 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     aligned to policy breakpoints so the control is smooth inside every span.
     ``on_n_min`` selects what happens when thinning would push n below n_min:
     ``"clamp"`` freezes the rate at zero (recording an NMinHit event) and
-    ``"error"`` raises :class:`NonViable`.  ``fault_s_drift`` multiplies s by
-    ``1 + fault_s_drift`` once per step (compounded along free and cut
+    ``"error"`` raises :class:`NonViable` at the time n reaches n_min (a
+    ceiling crossing within that step or before it ends the run first).
+    ``fault_s_drift`` multiplies each span's s by ``1 + fault_s_drift``
+    once per step after the span is solved (compounded along free and cut
     spans, once per sample on the ceiling, where s follows the count); it
     exists solely so verification harnesses can prove they detect a
     corrupted integrator, and must be finite and above -1 so that s stays
     positive.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
-    require a rate above e_max.
+    require a rate above e_max, naming the time the ride starts.
     """
     p = scenario.params
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -487,8 +464,11 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 kind, span, e = "free", _free_span, 0.0
             else:
                 kind, span, e = "cut", _cut_span, level
-            (ts, ss, ns, es), event = span(scenario, t, s, n, e, tb, h_nom,
-                                           fault_s_drift, on_n_min)
+            (ts, ss, ns, es), event = span(scenario, t, s, n, e, tb, h_nom)
+            if fault_s_drift:
+                # Compounded per step, but once per sample on the ceiling, where
+                # s follows the count.
+                ss = ss * (1.0 + fault_s_drift) ** (1 if on_arc else np.arange(1, ss.size + 1))
             rec.span(e, on_arc, ts, ss, ns, es)
             t0 = t
             if ts.size:
@@ -500,6 +480,8 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
             if event is None:
                 continue
             if event[0] == "NMinHit":
+                if on_n_min == "error":
+                    raise NonViable(f"policy would cut below n_min={n_min} at t={t:.6g}")
                 exhausted = True
                 rec.events.append(TrajectoryEvent(t, "NMinHit", False))
             elif event[0] == "ExitPoint" or n <= n_corner:

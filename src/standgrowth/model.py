@@ -64,8 +64,7 @@ _GAMMA_MARGIN = 1e-9
 # Elasticity of the Fagacees family tends to 1 as r -> 0; its reported upper
 # bound is taken at this offset from 0.
 _GAMMA_EDGE = 1e-6
-# Iteration cap of the Newton iterations: the inversion in
-# Scenario.uncut_s_after, and the cut crossing in dynamics.
+# Iteration cap of the Newton inversion in Scenario.uncut_s_after.
 _NEWTON_MAX_ITER = 50
 # The four-node Gauss-Legendre rule on [-1, 1] of Scenario.cut_s_after: nodes
 # -x, +x for each x below, with weight w.  Written out (they are those of

@@ -49,7 +49,8 @@ from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
-from .trajectories import EXHAUSTION_REL_TOL, build_policy, t_cap0, time_to_count
+from .trajectories import (EXHAUSTION_REL_TOL, _ceiling_policy, _exhaustion_after,
+                           build_policy, t_cap0, t_sup0, time_to_count)
 
 __all__ = [
     "Prop2Report",
@@ -566,14 +567,18 @@ def _canonical_values(runs: dict[str, tuple]) -> dict[str, float | None]:
 
 
 def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
-    """The five named policies entering every search, deduplicated by window."""
+    """The five named policies entering every search, deduplicated by window.
+    Esup and ET are built from one first ceiling hit and its exhaustion
+    time."""
     p = scenario.params
-    names = (("E0", "e0"), ("Esup", "esup"), ("Zero", "zero"), ("Max", "max"))
-    out = {name: build_policy(scenario, kind) for name, kind in names}
+    t_up = t_sup0(scenario)
+    t_exhaust = _exhaustion_after(scenario, t_up)
+    out = {"E0": build_policy(scenario, "e0"),
+           "Esup": _ceiling_policy(scenario, "esup", None, t_up, t_exhaust),
+           "Zero": build_policy(scenario, "zero"), "Max": build_policy(scenario, "max")}
     t0n = time_to_count(p, scenario.initial.n, p.n_min)
-    t_exhaust = t_cap0(scenario)
     if t0n < horizon <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
-        out["ET"] = build_policy(scenario, "et", T=horizon)
+        out["ET"] = _ceiling_policy(scenario, "et", horizon, t_up, t_exhaust)
     return out
 
 
@@ -654,18 +659,17 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
                       terminal_n_min=terminal_n_min)
     canonical_values = _canonical_values(runs)
 
-    best = None   # (value, cut_key, order_idx, name, policy)
-    for idx, (name, (traj, val)) in enumerate(runs.items()):
+    best = None   # (value, cut_key, policy)
+    for name, (traj, val) in runs.items():
         if val is None:
             continue
-        policy = named[name]
         tie_tol = _tie_tol(val, 0.0 if best is None else best[0])
         if best is None or val > best[0] + tie_tol:
-            best = (val, _cumulative_cut_key(traj, horizon), idx, name, policy)
+            best = (val, _cumulative_cut_key(traj, horizon), named[name])
         elif val >= best[0] - tie_tol:
             cut_key = _cumulative_cut_key(traj, horizon)
             if cut_key > best[1]:
-                best = (val, cut_key, idx, name, policy)
+                best = (val, cut_key, named[name])
 
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
@@ -683,7 +687,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         # A tie with a canonical policy is no gain: report 0, not rounding noise.
         gap = 0.0 if abs(best[0] - top) <= _tie_tol(best[0], top) else best[0] - top
     return SearchResult(
-        best_policy=best[4],
+        best_policy=best[2],
         best_value=float(best[0]),
         canonical_values=canonical_values,
         condition_report=cond,

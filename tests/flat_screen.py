@@ -15,15 +15,26 @@ from standgrowth.model import Scenario
 from standgrowth.optimizer import _HOLD_CODE
 
 
+def _rk4(growth_rate, t, s, n, e, h, k1):
+    """s after one RK4 step of length ``h`` at the rate ``e`` from (t, s, n),
+    whose first stage ``k1`` is given."""
+    n_mid, n_new = n - h / 2 * e, n - h * e
+    k2 = growth_rate(t + h / 2, s + h / 2 * k1, n_mid)
+    k3 = growth_rate(t + h / 2, s + h / 2 * k2, n_mid)
+    k4 = growth_rate(t + h, s + h * k3, n_new)
+    return s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
-                levels_matrix: np.ndarray, steps_total: int = 1024):
+                levels_matrix: np.ndarray, steps_total: int = 1024, substeps: int = 1):
     """Approximate objectives for a batch of interval-coded policies.
 
     One fixed-step pass vectorized across candidates, under the event rules
-    of ``integrate``: free growth takes RK4 steps; an uncut row reaches the
-    density ceiling at :meth:`Scenario.ceiling_time`; riders follow the arc
-    relation (:meth:`Scenario.arc_count_after`) from the step's start or
-    their crossing, up to the exact exhaustion time
+    of ``integrate``: growth off the ceiling takes RK4 steps, each step
+    split into ``substeps`` equal RK4 steps at its rate; an uncut row
+    reaches the density ceiling at :meth:`Scenario.ceiling_time`; riders
+    follow the arc relation (:meth:`Scenario.arc_count_after`) from the
+    step's start or their crossing, up to the exact exhaustion time
     (:meth:`Scenario.arc_exhaustion_time`); a crossing at n_min is the exit
     corner.  A row crossing elsewhere under a positive rate dies; the
     ceiling time at its starting count only decides its corner test.
@@ -66,11 +77,12 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
                 break
             # Clamp the rate so the count cannot undershoot n_min in the step.
             e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-            n_mid, n_new = n - h / 2 * e, n - h * e
-            k2 = growth_rate(t + h / 2, s + h / 2 * dsdt, n_mid)
-            k3 = growth_rate(t + h / 2, s + h / 2 * k2, n_mid)
-            k4 = growth_rate(t + h, s + h * k3, n_new)
-            s_new = s + h / 6 * (dsdt + 2 * k2 + 2 * k3 + k4)
+            hs = h / substeps
+            s_new = _rk4(growth_rate, t, s, n, e, hs, dsdt)
+            for i in range(1, substeps):
+                t_i, n_i = t + i * hs, n - i * hs * e
+                s_new = _rk4(growth_rate, t_i, s_new, n_i, e, hs, growth_rate(t_i, s_new, n_i))
+            n_new = n - h * e
 
             exiting = np.zeros(m, dtype=bool)
             t_arc, n_arc = t, n              # where each rider's arc starts

@@ -157,7 +157,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
         es = np.asarray(rec.e)
         arcs = np.asarray(rec.arc, dtype=bool)
         rs = rdi(p, ns, ss)
-        dr = _drdt_values(scenario, ts, ss, ns, es)
+        dr = _drdt_values(scenario, ts, ss, ns, es, rs)
         return Trajectory(t=ts, s=ss, n=ns, e=es, r=rs, drdt=dr, on_arc=arcs,
                           events=tuple(rec.events), validity_end=end_time,
                           exited=exited, spans=tuple(rec.spans))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import standgrowth as sg
+from standgrowth.dynamics import DEFAULT_STEPS
 from conftest import load, scenarios
 
 SCENARIO_FILES = ("concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
@@ -93,8 +94,12 @@ class TestIntegrate:
         assert traj.n[-1] == pytest.approx(600.0, abs=1e-12)
 
     def test_n_min_error_mode(self):
+        """The error names the time the count reaches n_min, where the clamp
+        records NMinHit."""
         scn = small_stand(n_min=600.0)
-        with pytest.raises(sg.NonViable):
+        clamped = sg.integrate(scn, sg.Policy.max_rate(40.0), 12.0)
+        t_hit = next(ev.time for ev in clamped.events if ev.kind == "NMinHit")
+        with pytest.raises(sg.NonViable, match=rf"at t={t_hit:.6g}$"):
             sg.integrate(scn, sg.Policy.max_rate(40.0), 12.0, on_n_min="error")
 
     def test_uncut_span_is_exact_at_any_step(self, convex_price):
@@ -177,9 +182,68 @@ class TestIntegrate:
         assert np.all(np.diff(vals) < 0.0)
 
     def test_infeasible_boundary_raises(self):
+        """Along an arc the ceiling-holding rate only falls, so the error
+        names the time the ride starts: the first ceiling hit."""
         scn = small_stand(A=0.01741, n0=300.0, s0=0.08, e_max=1.0, n_min=150.0)
-        with pytest.raises(sg.InfeasibleBoundary):
+        with pytest.raises(sg.InfeasibleBoundary, match=rf"at t={sg.t_sup0(scn):.6g}$"):
             sg.integrate(scn, sg.build_policy(scn, "esup"), 40.0)
+
+    def test_fault_drift_compounds_per_step_and_once_on_an_arc(self, convex_price):
+        """Free and cut spans drift s once more at every step; on the
+        ceiling s follows the count, drifted once per sample."""
+        scn, drift = convex_price.scenario, 1e-6
+        for policy, kind in ((sg.Policy.zero(), "free"),
+                             (sg.Policy.max_rate(scn.params.e_max / 10), "cut")):
+            clean = sg.integrate(scn, policy, 5.0)
+            traj = sg.integrate(scn, policy, 5.0, fault_s_drift=drift)
+            assert [span[0] for span in traj.spans] == [kind]
+            np.testing.assert_array_equal(traj.n, clean.n)
+            np.testing.assert_array_equal(traj.s,
+                                          clean.s * (1.0 + drift) ** np.arange(clean.s.size))
+        traj = sg.integrate(scn, sg.build_policy(scn, "esup"), 20.0, fault_s_drift=drift)
+        assert [span[0] for span in traj.spans] == ["free", "arc"]
+        # The hit itself is placed on the ceiling; the arc's samples follow it.
+        ride = traj.on_arc & (traj.t > traj.spans[1][1])
+        assert ride.sum() > 100
+        np.testing.assert_array_equal(traj.s[ride],
+                                      scn.params.ceiling_s(traj.n[ride]) * (1.0 + drift))
+
+    @pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                      "fagacees.ini", "linear_growth.ini"])
+    def test_cut_crossing_located_to_rounding(self, name):
+        """Cutting at e_max/100 crosses the ceiling inside a step (between
+        8.57 and 9.49); the bisected time matches an independent root of
+        the density along the step, by Brent's method."""
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        scn = load(name).scenario
+        p = scn.params
+        rate = p.e_max / 100
+        traj = sg.integrate(scn, sg.Policy.piecewise([], [rate]), p.t_star)
+        event = traj.events[-1]
+        assert (event.kind, event.terminal, traj.spans[-1][0]) == ("RdiHitOne", True, "cut")
+        t0, s0, n0 = traj.t[-2], traj.s[-2], traj.n[-2]
+
+        def excess(hh):
+            times, counts = np.array([t0, t0 + hh]), np.array([n0, n0 - hh * rate])
+            return p.A * counts[1] * scn.cut_s_after(s0, times, counts)[0] ** (p.q / 2) - 1.0
+
+        root = t0 + brentq(excess, 0.0, p.t_star / DEFAULT_STEPS, xtol=1e-15)
+        assert event.time == pytest.approx(root, rel=0.0, abs=2 * math.ulp(root))
+        assert traj.n[-1] == pytest.approx(n0 - (event.time - t0) * rate, rel=1e-15)
+
+    def test_cut_crossing_at_a_breakpoint(self, fagacees):
+        """A breakpoint within rounding of a cut crossing ends a step there:
+        the span finds the density above 1 at the step end, while the
+        one-step solve from the step start may round it below (6 of these
+        20 breakpoints did); the crossing is then that end."""
+        scn = fagacees.scenario
+        rate, horizon = scn.params.e_max / 10, scn.params.t_star
+        t_c = sg.integrate(scn, sg.Policy.piecewise([], [rate]), horizon).events[-1].time
+        for k in range(-29, 30, 3):
+            b = t_c + k * math.ulp(t_c)
+            traj = sg.integrate(scn, sg.Policy.piecewise([b], [rate, rate]), horizon)
+            assert traj.events[-1].kind == "RdiHitOne"
+            assert traj.events[-1].time == pytest.approx(t_c, rel=1e-12)
 
     def test_horizon_beyond_validity_rejected(self, convex_price):
         with pytest.raises(ValueError):
