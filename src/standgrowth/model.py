@@ -421,14 +421,16 @@ class Scenario:
             s1**k = s**k + k A**(1-theta) n**(-theta) * amount,
             k = 1 - (q/2)(1-theta);
 
-        fagacees by Newton's method in log r from the starting density.  D is
-        decreasing and concave in log r, so the first step lands at or above
-        the root (clipped to r = 1) and the later ones descend to it
-        monotonically.  Each element stops on its own: one step after its
-        step falls below 1e-9, as convergence is quadratic, so an element's
-        result does not depend on the array it comes in.  ``s``, ``n`` and
-        ``amount`` (floats or ndarrays) broadcast against each other, and
-        ``amount`` must not carry a stand past the ceiling.
+        fagacees by Newton's method in x = log r from the starting density.
+        In x, D and its slope dD/dx = -r**b (r+p)/(1+p) are sums of
+        expm1(b x) and expm1((b+1) x), so a step takes two expm1 and no
+        exp, log or power.  D is decreasing and concave in x, so the first
+        step lands at or above the root (clipped to r = 1) and the later ones
+        descend to it monotonically.  Each element stops on its own: one step
+        after its step falls below 1e-9, as convergence is quadratic, so an
+        element's result does not depend on the array it comes in.  ``s``,
+        ``n`` and ``amount`` (floats or ndarrays) broadcast against each
+        other, and ``amount`` must not carry a stand past the ceiling.
         """
         p, growth = self.params, self.growth
         q2 = p.q / 2.0
@@ -436,19 +438,28 @@ class Scenario:
             k, coef = self._power_terms()
             return (s ** k + coef * n ** (-growth.theta) * amount) ** (1.0 / k)
         b = 2.0 / p.q - 1.0
+        w = growth.p / (1.0 + growth.p)
+
+        def density(x):
+            """D and dD/dx at x = log r, the terms of
+            :meth:`GrowthFunction.density_integral` from r**b - 1 and
+            r**(b+1) - 1."""
+            rb, rb1 = np.expm1(b * x), np.expm1((b + 1.0) * x)
+            return (-rb1 / (b + 1.0) / (1.0 + growth.p) - rb / b * w,
+                    -(1.0 + rb1) / (1.0 + growth.p) - (1.0 + rb) * w)
+
         # Powers by np.power on arrays, so that those of scalars round as
         # those of arrays do.
         s, n = np.asarray(s, dtype=float), np.asarray(n, dtype=float)
         x_a = np.log(p.A * n * s ** q2)
-        target = (growth.density_integral(np.exp(x_a), b)
+        target = (density(x_a)[0]
                   - q2 * n ** b * p.A ** (2.0 / p.q) * np.asarray(amount, dtype=float))
         x = np.full(np.shape(target), x_a)
         polish = np.zeros(x.shape, dtype=bool)    # within 1e-9: one step left
         done = np.zeros(x.shape, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER):
-            r = np.exp(x)
-            slope = -np.power(r, b + 1.0) / growth.g(r)     # dD/d(log r)
-            x_new = np.minimum(x - (growth.density_integral(r, b) - target) / slope, 0.0)
+            d, slope = density(x)
+            x_new = np.minimum(x - (d - target) / slope, 0.0)
             dx = np.abs(x_new - x)
             x = np.where(done, x, x_new)
             done |= polish

@@ -21,8 +21,9 @@ Two independent routes to the same question:
   ceiling, and the cut relation, closed-form under power growth and
   solved by collocation under fagacees growth.
   It ranks them on the by-parts form of the objective, whose integrand
-  depends on the state alone and so is second order in the step; the best
-  few are re-integrated at a fine step together with the canonical
+  depends on the state alone and so is second order in the step.  Of the
+  best few, each screened state is re-integrated once at a fine step, by its
+  first contender in enumeration order, together with the canonical
   policies, and the exact objective decides.  Its E0 and Esup runs are the
   references of :func:`check_prop2`'s xi floor.
 
@@ -33,7 +34,10 @@ a schedule whose ceiling ride needs a rate above e_max.
 canonical values a search carries, without integrating again.
 
 Ties are broken toward earlier cutting (lexicographically larger cumulative
-harvest), then by enumeration order, so results are deterministic.
+harvest), then toward the run met first: the canonical policies, then the
+contenders by screen rank, equal screen values in enumeration order.  So
+results are deterministic, and since the candidates of one screened state
+share one run, rounding between their runs decides no tie.
 """
 
 from __future__ import annotations
@@ -98,12 +102,22 @@ _NO_CLAIM = Prop2Report(branch=None, alpha_margin=None, discount_margin=None,
                         alpha_star=None, concave_bound=None, xi_form=None)
 
 
-def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
+def _ceiling_times(scenario: Scenario) -> tuple[float, float]:
+    """The first ceiling hit under zero cutting and the exhaustion time of
+    the arc started there: (t_sup0, t_cap0), each evaluated once."""
+    t_up = t_sup0(scenario)
+    return t_up, _exhaustion_after(scenario, t_up)
+
+
+def _require_admissible_horizon(scenario: Scenario, horizon: float,
+                                t_upper: float | None = None) -> None:
     """Reject a horizon that is not finite and positive or exceeds the maximal
-    exit time (beyond it no admissible trajectory exists)."""
+    exit time ``t_upper`` (beyond it no admissible trajectory exists);
+    ``t_upper`` is evaluated here when None."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
-    t_upper = t_cap0(scenario)
+    if t_upper is None:
+        t_upper = t_cap0(scenario)
     if horizon > t_upper * (1.0 + EXHAUSTION_REL_TOL):
         raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
 
@@ -121,15 +135,20 @@ def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
     riding the ceiling needs a rate above e_max there is no Esup reference,
     and the report makes no claim (every field None).
     """
-    p = scenario.params
-    growth = scenario.growth
     _require_admissible_horizon(scenario, horizon)
-
     if xi_m is None:
         try:
             xi_m = xi_lower_bound(scenario, horizon)
         except InfeasibleBoundary:
             return _NO_CLAIM
+    return _prop2_report(scenario, econ, horizon, terminal_n_min, xi_m)
+
+
+def _prop2_report(scenario: Scenario, econ: EconomicModel, horizon: float,
+                  terminal_n_min: bool, xi_m: XiLowerBound) -> Prop2Report:
+    """:func:`check_prop2` on an admissible horizon, with its floor ``xi_m``."""
+    p = scenario.params
+    growth = scenario.growth
     ts = np.linspace(horizon / PROP2_GRID, horizon, PROP2_GRID)
     dh = delta_h(econ, scenario.env, ts)
     xv = xi_m(ts)
@@ -566,13 +585,14 @@ def _canonical_values(runs: dict[str, tuple]) -> dict[str, float | None]:
     return {name: runs[name][1] if name in runs else None for name in CANONICAL_NAMES}
 
 
-def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
+def canonical_policies(scenario: Scenario, horizon: float,
+                       times: tuple[float, float] | None = None) -> dict[str, Policy]:
     """The five named policies entering every search, deduplicated by window.
     Esup and ET are built from one first ceiling hit and its exhaustion
-    time."""
+    time, ``times`` as :func:`_ceiling_times` gives them (evaluated here when
+    None)."""
     p = scenario.params
-    t_up = t_sup0(scenario)
-    t_exhaust = _exhaustion_after(scenario, t_up)
+    t_up, t_exhaust = _ceiling_times(scenario) if times is None else times
     out = {"E0": build_policy(scenario, "e0"),
            "Esup": _ceiling_policy(scenario, "esup", None, t_up, t_exhaust),
            "Zero": build_policy(scenario, "zero"), "Max": build_policy(scenario, "max")}
@@ -580,6 +600,45 @@ def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
     if t0n < horizon <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
         out["ET"] = _ceiling_policy(scenario, "et", horizon, t_up, t_exhaust)
     return out
+
+
+def _contenders(values: np.ndarray, n_end: np.ndarray, rescore_top: int) -> list[int]:
+    """The candidates a search re-scores: of the ``rescore_top`` best finite
+    screen values, in rank order (equal values in enumeration order), the
+    first of each screened state.
+
+    Candidates of one prefix-tree row share their screen ``(value, n_end)``
+    bit for bit, and their runs differ only by rounding; a later one
+    repeating an earlier one's pair is that row again, and is left out.
+    """
+    order = np.argsort(-values, kind="stable")
+    states, out = set(), []
+    for i in order[:max(rescore_top, 1)]:
+        state = (float(values[i]), float(n_end[i]))
+        if np.isfinite(state[0]) and state not in states:
+            states.add(state)
+            out.append(int(i))
+    return out
+
+
+def _pick_best(runs: dict[str, tuple], named: dict[str, Policy], horizon: float):
+    """(value, policy) of the best run with a value, None without one.
+
+    Runs within :func:`_tie_tol` tie; among them the lexicographically larger
+    cumulative harvest wins, then the run met first in ``runs``.
+    """
+    best = None   # (value, cut_key, policy)
+    for name, (traj, val) in runs.items():
+        if val is None:
+            continue
+        tie_tol = _tie_tol(val, 0.0 if best is None else best[0])
+        if best is None or val > best[0] + tie_tol:
+            best = (val, _cumulative_cut_key(traj, horizon), named[name])
+        elif val >= best[0] - tie_tol:
+            cut_key = _cumulative_cut_key(traj, horizon)
+            if cut_key > best[1]:
+                best = (val, cut_key, named[name])
+    return None if best is None else (best[0], best[2])
 
 
 def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
@@ -595,8 +654,9 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     above e_max, are discarded; candidates that exhaust the stand early
     clear-cut at the exit corner.  With ``terminal_n_min`` only schedules
     ending at n(T) = n_min compete.  The screening pass runs at roughly 1024
-    steps over the horizon; the best ``rescore_top`` candidates and all
-    canonical policies are re-integrated at ``fine_step`` (default
+    steps over the horizon.  Of the best ``rescore_top`` candidates, each
+    screened state once, by its first contender in enumeration order, and
+    all canonical policies are re-integrated at ``fine_step`` (default
     horizon/4096), each distinct schedule once, before the final comparison.
     The fine E0 and Esup runs are the references of ``condition_report``;
     where Esup has no run, the report makes no claim (every field None).  A
@@ -604,7 +664,8 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     time, is rejected before any candidate is screened.
     """
     p = scenario.params
-    _require_admissible_horizon(scenario, horizon)
+    times = _ceiling_times(scenario)
+    _require_admissible_horizon(scenario, horizon, times[1])
     if not 1 <= n_intervals <= 10:
         raise ValueError("n_intervals must lie in 1..10")
     codes = []
@@ -646,40 +707,25 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
                 v = "" if not np.isfinite(values[i]) else f"{values[i]:.10g}"
                 fh.write(f"{i},{lv},{v},{int(feasible[i])}\n")
 
-    order = np.argsort(-values, kind="stable")
-    top = [i for i in order[:max(rescore_top, 1)] if np.isfinite(values[i])]
-
     # A contender may repeat a canonical policy (all-hold is Esup); it is
     # integrated once.
-    named = canonical_policies(scenario, horizon)
-    for i in top:
+    named = canonical_policies(scenario, horizon, times)
+    for i in _contenders(values, n_end, rescore_top):
         row = codes[list(np.unravel_index(i, (codes.size,) * n_intervals))]
         named[f"cand{i}"] = _levels_to_policy(row, horizon, n_intervals)
     runs = _fine_runs(scenario, econ, horizon, named, step=fine_step,
                       terminal_n_min=terminal_n_min)
     canonical_values = _canonical_values(runs)
-
-    best = None   # (value, cut_key, policy)
-    for name, (traj, val) in runs.items():
-        if val is None:
-            continue
-        tie_tol = _tie_tol(val, 0.0 if best is None else best[0])
-        if best is None or val > best[0] + tie_tol:
-            best = (val, _cumulative_cut_key(traj, horizon), named[name])
-        elif val >= best[0] - tie_tol:
-            cut_key = _cumulative_cut_key(traj, horizon)
-            if cut_key > best[1]:
-                best = (val, cut_key, named[name])
-
+    best = _pick_best(runs, named, horizon)
     if best is None:
         raise NoFeasiblePolicy("no candidate satisfied the constraints")
 
     # The fine E0 and Esup runs are the references; without a ceiling ride
     # there is no Esup run and no claim.
     fast, slow = runs["E0"][0], runs["Esup"][0]
-    cond = _NO_CLAIM if slow is None else check_prop2(
-        scenario, econ, horizon, terminal_n_min=terminal_n_min,
-        xi_m=EnvelopeRefs(scenario, fast=fast, slow=slow).xi_lower_bound())
+    cond = _NO_CLAIM if slow is None else _prop2_report(
+        scenario, econ, horizon, terminal_n_min,
+        EnvelopeRefs(scenario, fast=fast, slow=slow).xi_lower_bound())
     feasible_canon = [v for v in canonical_values.values() if v is not None]
     gap = float("nan")
     if feasible_canon:
@@ -687,7 +733,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
         # A tie with a canonical policy is no gain: report 0, not rounding noise.
         gap = 0.0 if abs(best[0] - top) <= _tie_tol(best[0], top) else best[0] - top
     return SearchResult(
-        best_policy=best[2],
+        best_policy=best[1],
         best_value=float(best[0]),
         canonical_values=canonical_values,
         condition_report=cond,

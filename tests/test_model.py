@@ -9,6 +9,8 @@ from scipy.integrate import quad
 
 import standgrowth as sg
 
+import newton_uncut
+
 
 def energy_quad(env, t0, t1, rtol=1e-10):
     """Cumulative energy by adaptive quadrature: the oracle for the closed forms."""
@@ -466,6 +468,32 @@ class TestCutCollocation:
         s = scn.cut_s_after(s0, times, np.maximum(n0 - rate * times, n_min))
         assert np.all(np.isfinite(s))
         assert np.all(np.diff(s) > 0.0) and s[0] > s0
+
+
+class TestUncutNewton:
+    """Newton's method in log r from two expm1 a step, against the
+    exp/log/power iteration it replaced (``newton_uncut.py``)."""
+
+    @given(q=st.floats(1.0001, 1.9999), p_shape=st.floats(0.1, 20.0),
+           n=st.floats(50.0, 600.0), lg_r0=st.floats(-3.0, -1e-6),
+           fraction=st.floats(0.0, 1.0), family=st.sampled_from(["exponential", "hyperbolic"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exp_log_iteration(self, q, p_shape, n, lg_r0, fraction, family):
+        A = 0.01741
+        r0 = 10.0 ** lg_r0
+        s = (r0 / (A * n)) ** (2.0 / q)
+        scn = fagacees_scenario(p_shape=p_shape, q=q, A=A, s0=s, n0=n, n_min=n,
+                                family=family)
+        # Amounts from 0 up to the one that reaches the ceiling.
+        b = 2.0 / q - 1.0
+        full = scn.growth.density_integral(r0, b) / (q / 2.0 * n ** b * A ** (2.0 / q))
+        amount = full * fraction * np.linspace(0.0, 1.0, 17) ** 0.5
+        got = scn.uncut_s_after(s, n, amount)
+        want = newton_uncut.uncut_s_after(scn, s, n, amount)
+        # Both invert D to rounding: the root in log r moves by a few ulps
+        # of log r0, and s by that over q/2.
+        tol = 8.0 * np.finfo(float).eps * max(1.0, -math.log(r0)) / (q / 2.0)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=0.0)
 
 
 class TestUncutArrays:

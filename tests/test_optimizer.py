@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -7,9 +8,11 @@ import pytest
 
 import standgrowth as sg
 from standgrowth.optimizer import (_HOLD_CODE, _covers, _levels_to_policy, _screen_candidates,
+                                   _tie_tol,
                                    canonical_policies)
 
 from conftest import load, window_horizon
+from every_contender import every_contender_search, screen
 
 SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
              "linear_growth.ini", "low_energy.ini"]
@@ -241,6 +244,99 @@ class TestBruteForce:
             want = sg.check_prop2(scn, econ, horizon, terminal_n_min=terminal,
                                   xi_m=refs.xi_lower_bound())
             assert res.condition_report.to_json_dict() == want.to_json_dict(), (u, horizon)
+
+
+    def test_ceiling_times_evaluated_once(self, concave_price, monkeypatch):
+        # One (t_sup0, t_cap0) serves the horizon check, the canonical
+        # policies and the condition report.
+        from standgrowth import optimizer, trajectories
+        calls = collections.Counter()
+
+        def counting(name):
+            fn = getattr(trajectories, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("t_sup0", "_exhaustion_after"):
+            wrapped = counting(name)
+            monkeypatch.setattr(trajectories, name, wrapped)
+            monkeypatch.setattr(optimizer, name, wrapped)
+        res = sg.brute_force(concave_price.scenario, concave_price.economics, 30.0,
+                             n_intervals=3)
+        assert res.condition_report.branch == "EsupOptimal"
+        assert calls == {"t_sup0": 1, "_exhaustion_after": 1}
+
+
+def _schedule(policy) -> tuple:
+    return policy.breakpoints, policy.levels
+
+
+class TestRescoreEachState:
+    """The re-score integrates each screened state once; the reference
+    (``every_contender.py``) integrated every contender."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("k", [5, 8])
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_matches_every_contender_rescore(self, name, k, terminal):
+        loaded = load(name)
+        scn, econ = loaded.scenario, loaded.economics
+        for u in (0.1, 0.5, 0.9):
+            horizon = window_horizon(scn, u)
+            where = (u, horizon)
+            best, canonical_values, contenders = every_contender_search(
+                scn, econ, horizon, k, terminal_n_min=terminal)
+            if best is None:
+                with pytest.raises(sg.NoFeasiblePolicy):
+                    sg.brute_force(scn, econ, horizon, n_intervals=k,
+                                   terminal_n_min=terminal)
+                continue
+            res = sg.brute_force(scn, econ, horizon, n_intervals=k, terminal_n_min=terminal)
+            assert res.canonical_values == canonical_values, where
+            value, policy = best
+            assert abs(res.best_value - value) <= _tie_tol(res.best_value, value), where
+            if _schedule(res.best_policy) != _schedule(policy):
+                # A flip between tied schedules of one screened state.
+                _, values, n_end = screen(scn, econ, horizon, k, terminal)
+
+                def states(pol):
+                    return {(values[i], n_end[i]) for i, c in contenders.items()
+                            if _schedule(c) == _schedule(pol)}
+                assert states(res.best_policy) & states(policy), where
+
+    def test_tied_state_reports_its_first_contender(self, concave_price):
+        # [0, hold] with a switch at 6 and all-hold (Esup) are one screened
+        # state; every contender's own run let rounding pick [0, hold].
+        res = sg.brute_force(concave_price.scenario, concave_price.economics, 30.0,
+                             n_intervals=5)
+        assert res.best_policy.kind == "esup"
+
+    def test_each_state_rescored_once(self, concave_price, monkeypatch):
+        scn, econ, horizon = concave_price.scenario, concave_price.economics, 30.0
+        _, values, n_end = screen(scn, econ, horizon, 5, False)
+        _, _, contenders = every_contender_search(scn, econ, horizon, 5)
+        canon = {_schedule(pol) for pol in canonical_policies(scn, horizon).values()}
+        # The first contender of each screened state, in enumeration order.
+        firsts = {}
+        for i, pol in sorted(contenders.items()):
+            firsts.setdefault((values[i], n_end[i]), _schedule(pol))
+        assert len(firsts) < len(contenders)
+
+        seen = []
+        integrate = sg.integrate
+
+        def counting(scenario, policy, *args, **kwargs):
+            seen.append(_schedule(policy))
+            return integrate(scenario, policy, *args, **kwargs)
+
+        monkeypatch.setattr("standgrowth.optimizer.integrate", counting)
+        sg.brute_force(scn, econ, horizon, n_intervals=5)
+        assert len(set(seen)) == len(seen)
+        assert canon <= set(seen)
+        assert set(seen) - canon == set(firsts.values()) - canon
 
 
 def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:
