@@ -23,16 +23,16 @@ n_min)``.  Each kind of span is solved by its own method:
   relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
   with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
   (:meth:`Scenario.arc_exhaustion_time`);
-* **cut** (a positive rate): the count falls linearly, by e h per step,
-  and the samples are :meth:`Scenario.cut_s_after` from the span start:
-  under power growth the density equation still separates into a closed
-  form, and under fagacees growth each step is solved by four-node
-  Gauss-Legendre collocation, exact to rounding at the integrator's
-  steps.  A crossing of r = 1 is the root of the density along that
-  relation inside its step, bisected to rounding (:func:`_rootfind.bisect`).
-  When n crosses n_min inside a step, the rate is constant, so the
-  crossing time (n - n_min)/e is exact; a crossing of r = 1 ends the run,
-  with the count there n - e * h_cross;
+* **cut** (a positive rate): the count is the closed form n - e (tau - t)
+  from the span start, at the samples and at the events, and the samples
+  are :meth:`Scenario.cut_s_after` from the span start: under power growth
+  the density equation still separates into a closed form, and under
+  fagacees growth each step is solved by four-node Gauss-Legendre
+  collocation, exact to rounding at the integrator's steps.  A crossing of
+  r = 1 is the root of the density along that relation inside its step,
+  bisected to rounding (:func:`_rootfind.bisect`).  The span is spent, and
+  records NMinHit, at t + (n - n_min)/e, or at an earlier grid time whose
+  count is within :data:`SPENT_REL_TOL` of n_min;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) corner
+SPENT_REL_TOL = 1e-12       # relative tolerance at which a count has reached n_min
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
 SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
 HOLD = "hold"               # level that grows freely, then rides the density ceiling
@@ -308,8 +309,8 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
               h_nom: float):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
     rate ``e``, by :meth:`Scenario.arc_count_after` from the span start, up
-    to ``("ExitPoint", t, n_min)`` where the count runs out
-    (:meth:`Scenario.arc_exhaustion_time` from the last sample).  Along an
+    to ``("ExitPoint", t, n_min)`` where the count runs out, at
+    :meth:`Scenario.arc_exhaustion_time` from the span start.  Along an
     arc (q/2) V/s only falls, so the span raises
     :class:`InfeasibleBoundary` at its start when ``e`` is above e_max."""
     p, v = scenario.params, scenario.env.v
@@ -322,8 +323,7 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     below = ns < p.n_min
     if below.any():
         last = int(np.argmax(below))                # the step that runs out
-        t_from, n_from = (float(ts[last - 1]), float(ns[last - 1])) if last else (t, n)
-        t_exit = min(float(scenario.arc_exhaustion_time(t_from, n_from)), float(ts[last]))
+        t_exit = min(float(scenario.arc_exhaustion_time(t, n)), float(ts[last]))
         ts, ns = ts[:last], ns[:last]
         event = ("ExitPoint", t_exit, p.n_min)
     ss = p.ceiling_s(ns)
@@ -333,29 +333,26 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
 def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float):
     """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
-    :meth:`Scenario.cut_s_after` from the span start.  The counts fall by
-    h e per step, accumulated as a stepping integrator accumulates them, so
-    where the count reaches n_min at the end of a span to within rounding,
-    the same rounding decides whether the span records NMinHit.  A step
-    that would take n below n_min is shortened to reach it, and the span
-    ends there with ``("NMinHit", t, n_min)`` and a last sample at n_min
-    with e = 0.  Where the density crosses 1 first, in that step or an
-    earlier one, it ends with ``("RdiHitOne", t, n)`` instead, the crossing
-    being the root of the density inside its step (:func:`_cut_crossing`)."""
+    :meth:`Scenario.cut_s_after` from the span start.  Every count, at the
+    samples and at the events, is n - (tau - t) e from the span start.  The
+    span is spent at the earlier of t + (n - n_min)/e and the first grid
+    time whose count is within :data:`SPENT_REL_TOL` of n_min, and ends
+    there with ``("NMinHit", t, n_min)`` and a last sample at n_min with
+    e = 0.  Where the density crosses 1 first, in that step or an earlier
+    one, it ends with ``("RdiHitOne", t, n)`` instead, the crossing being
+    the root of the density inside its step (:func:`_cut_crossing`)."""
     p = scenario.params
     A, q2, n_min = p.A, p.q / 2.0, p.n_min
     ts = _span_grid(t, tb, h_nom)
-    starts = np.append(t, ts[:-1])
-    ns = np.cumsum(np.append(n, -np.minimum(h_nom, tb - starts) * e))[1:]
+    ns = n - (ts - t) * e
     es = np.full(ts.size, e)
     event = None
-    below = ns < n_min
-    if below.any():
-        # The step is shortened to end at n_min.
-        hit = int(np.argmax(below))
+    t_spent = t + (n - n_min) / e
+    spent = (ns <= n_min * (1.0 + SPENT_REL_TOL)) | (ts >= t_spent)
+    if spent.any():
+        hit = int(np.argmax(spent))
         ts, ns, es = ts[:hit + 1], ns[:hit + 1], es[:hit + 1]
-        ts[hit] = starts[hit] + ((ns[hit - 1] if hit else n) - n_min) / e
-        ns[hit], es[hit] = n_min, 0.0
+        ts[hit], ns[hit], es[hit] = min(t_spent, ts[hit]), n_min, 0.0
         event = ("NMinHit", float(ts[hit]), n_min)
     ss = scenario.cut_s_after(s, np.append(t, ts), np.append(n, ns))
     over = A * ns * ss ** q2 > 1.0
@@ -366,7 +363,7 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
         if A * n0 * s0 ** q2 < 1.0 - 1e-12:
             h_cross = _cut_crossing(scenario, t0, s0, n0, e, float(ts[i]) - t0)
         ts, ss, ns, es = ts[:i], ss[:i], ns[:i], es[:i]
-        event = ("RdiHitOne", t0 + h_cross, n0 - h_cross * e)
+        event = ("RdiHitOne", t0 + h_cross, n - (t0 + h_cross - t) * e)
     return (ts, ss, ns, es), event
 
 
@@ -433,7 +430,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
-    exhausted = n <= n_min * (1.0 + 1e-12)
+    exhausted = n <= n_min * (1.0 + SPENT_REL_TOL)
     on_arc = False
     rec = _Recorder(t, s, n)
 

@@ -49,7 +49,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, integrate
+from .dynamics import (EXIT_REL_TOL, HOLD, SPENT_REL_TOL, InfeasibleBoundary, Policy,
+                       integrate)
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
@@ -198,9 +199,10 @@ def _reaches_n_min(p: StandParams, n):
 
 
 def _spent_count(p: StandParams) -> float:
-    """Counts at or below which no tree is left to cut: ``integrate``'s
-    test for a stand that starts exhausted."""
-    return p.n_min * (1.0 + 1e-12)
+    """Counts at or below which no tree is left to cut: within
+    ``SPENT_REL_TOL`` of n_min, the rule by which ``integrate`` finds a
+    stand spent at its start and a cut span spent at a grid time."""
+    return p.n_min * (1.0 + SPENT_REL_TOL)
 
 
 def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
@@ -306,14 +308,15 @@ class _Segment:
     Each live row is advanced by the span kind of its state, as in
     ``integrate``:
 
-    * **cut**: a positive rate with n above n_min.  The count falls
-      linearly, clamped at n_min, so the step that reaches n_min runs
-      linearly to it.  The samples are :meth:`Scenario.cut_s_after` from
-      the segment start (a closed form under power growth, collocation
-      under fagacees growth), and a row leaves as a free row at the grid
-      time at which it is spent.  The density crossing 1 is located at
-      :meth:`Scenario.ceiling_time` from the step start, where the row
-      exits at the corner or dies;
+    * **cut**: a positive rate with n above n_min.  The count is the
+      closed form n0 - e (T - T[0]), and n_min from the first grid time at
+      which that is at or below :func:`_spent_count`, the rule of
+      ``integrate``'s cut spans.  The samples are
+      :meth:`Scenario.cut_s_after` from the segment start (a closed form
+      under power growth, collocation under fagacees growth), and a row
+      leaves as a free row at the grid time at which it is spent.  The
+      density crossing 1 is located at :meth:`Scenario.ceiling_time` from
+      the step start, where the row exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
       n_min.  The samples are :meth:`Scenario.uncut_s_after` from the row's
       start, up to its :meth:`Scenario.ceiling_time`;
@@ -419,14 +422,16 @@ class _Segment:
         """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
         :meth:`Scenario.cut_s_after`, up to the step in which each crosses
         the ceiling or the grid time at which it is spent, where it leaves
-        as a ``free`` row.  Each count falls linearly and is clamped at
-        n_min, so the step that reaches n_min runs linearly to it, as a step
-        with the rate clamped does."""
+        as a ``free`` row.  Each count is the closed form from T[0], and
+        n_min from the grid time at which it is spent, so the step that
+        reaches n_min runs linearly to it, as a step with the rate clamped
+        does."""
         sc, rows, T, S, h = self.scenario, self.rows, self.T, self.S, self.h
         p = sc.params
         e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
         ar = np.arange(idx.size)
-        n = np.maximum(n0[:, None] - e[:, None] * (T - T[0]), p.n_min)
+        n = n0[:, None] - e[:, None] * (T - T[0])
+        n[n <= _spent_count(p)] = p.n_min
         s = np.empty_like(n)
         s[:, 0], s[:, 1:] = s0, sc.cut_s_after(s0, T, n)
         growth = sc.growth_per_energy(s, n)

@@ -3,14 +3,20 @@
 Kept as the reference for the differential test (``test_integrator_reference.py``):
 one scalar loop steps every span with RK4 or with the ceiling-arc relation,
 free growth and ceiling riding included.  Its body is ``integrate`` as it
-stood before the spans were split by kind, with three changes that make it
-a sharper reference:
+stood before the spans were split by kind, with changes that give both
+the same event rules and make it a sharper reference:
 
 * it bisects a ceiling crossing under a positive rate to the rounding of
   its time, as ``integrate`` locates it;
 * a segment's opening sample takes the segment's control whenever the
   previous segment stopped within its stopping tolerance of the breakpoint
-  (1e-13 relative past t = 1), as in ``integrate``'s recorder;
+  (1e-13 relative past t = 1), as in ``integrate``'s recorder, and a
+  segment shorter than that tolerance takes no step and lists no span;
+* under a positive rate, the count at every step and event is the closed
+  form n - e (tau - t) from the segment start, as in ``integrate``'s cut
+  spans (s keeps its RK4 steps), and the run is spent at the earlier of
+  the time the closed form reaches n_min and the first grid time whose
+  count is within ``SPENT_REL_TOL`` of n_min;
 * it can take the steps where the stand changes fast in finer RK4
   substeps (off by default).
 
@@ -23,9 +29,9 @@ import math
 import numpy as np
 
 from standgrowth._rootfind import bisect
-from standgrowth.dynamics import (DEFAULT_STEPS, EXIT_REL_TOL, HOLD, InfeasibleBoundary,
-                                  NonViable, Policy, Trajectory, TrajectoryEvent,
-                                  _drdt_values)
+from standgrowth.dynamics import (DEFAULT_STEPS, EXIT_REL_TOL, HOLD, SPENT_REL_TOL,
+                                  InfeasibleBoundary, NonViable, Policy, Trajectory,
+                                  TrajectoryEvent, _drdt_values)
 from standgrowth.model import Scenario, boundary_control, rdi
 
 
@@ -82,8 +88,8 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     (at rate 0) or ``cut_resolution`` (at a positive rate), a step advances
     s by as many RK4 substeps as keep the relative growth of s in each, plus
     the share of the count it removes, at most that fraction, while the
-    count still falls by h e per step: a finer reference where the stand
-    changes fast, on the same grid, with the same counts.
+    counts stay the closed form: a finer reference where the stand changes
+    fast, on the same grid, with the same counts.
 
     Raises :class:`InfeasibleBoundary` when holding the density ceiling would
     require a rate above e_max.
@@ -138,7 +144,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
-    exhausted = n <= n_min * (1.0 + 1e-12)
+    exhausted = n <= n_min * (1.0 + SPENT_REL_TOL)
     on_arc = False
 
     rec = _Recorder()
@@ -188,12 +194,17 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                 return exit_at(t, True)
             on_arc = True
             s = p.ceiling_s(n)
+        if t >= tb - 1e-13 * max(1.0, tb):
+            # A segment shorter than the stopping tolerance takes no step.
+            rec.span_to(t)
+            continue
         if rec.t and abs(rec.t[-1] - ta) < 1e-13 * max(1.0, ta):
             # Backfill the control column of the span-opening sample.
             rec.e[-1] = (boundary_control(p, scenario.env, s, t) if on_arc
                          else (0.0 if exhausted else rate))
             rec.arc[-1] = on_arc
         start_span()
+        t_a, n_a = t, n                 # a cut's counts are closed-form from here
         n_steps = max(1, round((tb - ta) / step))
         h_nom = (tb - ta) / n_steps
         while t < tb - 1e-13 * max(1.0, tb):
@@ -218,14 +229,20 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
             else:
                 e = 0.0 if exhausted else rate
                 hit_n_min = False
-                if e > 0.0 and n - e * h < n_min:
-                    if on_n_min == "error":
-                        raise NonViable(
-                            f"policy would cut below n_min={n_min} near t={t:.6g}")
-                    h = (n - n_min) / e
-                    t_after_full = t + h
-                    hit_n_min = True
-                s1, n1 = rk4_step(t, s, n, h, e)
+                if e > 0.0:
+                    # Spent at the earlier of the exact time and the first
+                    # grid time whose count is within SPENT_REL_TOL of n_min.
+                    t_spent = t_a + (n_a - n_min) / e
+                    if (t_after_full >= t_spent
+                            or n_a - (t_after_full - t_a) * e <= n_min * (1.0 + SPENT_REL_TOL)):
+                        if on_n_min == "error":
+                            raise NonViable(
+                                f"policy would cut below n_min={n_min} near t={t:.6g}")
+                        t_after_full = min(t_spent, t_after_full)
+                        h = t_after_full - t
+                        hit_n_min = True
+                s1, _ = rk4_step(t, s, n, h, e)
+                n1 = n_a - (t_after_full - t_a) * e if e > 0.0 else n
                 r1 = A * n1 * s1 ** q2
                 if r1 > 1.0:
                     if r >= 1.0 - 1e-12:
@@ -238,7 +255,8 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                             return A * n2 * s2 ** q2 - 1.0
                         h_cross = bisect(r_excess, 0.0, h, xtol=math.ulp(t + h))
                     t = t + h_cross
-                    n = n - h_cross * e
+                    if e > 0.0:
+                        n = n_a - (t - t_a) * e
                     if near_corner(n):
                         return exit_at(t, False)
                     # The state is placed exactly on the ceiling.

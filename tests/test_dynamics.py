@@ -471,8 +471,9 @@ class TestSampleSpacing:
     @pytest.mark.parametrize("step", [None, 30.0 / 512])
     def test_n_min_reached_on_a_node(self, concave_price, step):
         # Cutting at e_max reaches n_min at t = 3.75, which is node 512 of the
-        # default grid at H = 30 (and node 64 at H/512).  The step from that
-        # node has zero width and its NMinHit sample merges into the node.
+        # default grid at H = 30 (and node 64 at H/512).  The closed-form
+        # count there is n_min, so the cut is spent at that node and records
+        # NMinHit there, with no sample added after it.
         scn = concave_price.scenario
         traj = sg.integrate(scn, sg.build_policy(scn, "max"), 30.0, step=step)
         assert [ev.time for ev in traj.events if ev.kind == "NMinHit"] == [3.75]

@@ -9,6 +9,8 @@ times carry that event's difference, which is held to the same relative
 tolerance as s and n.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -127,20 +129,38 @@ def test_bundled_scenarios(name):
             assert_matches_reference(scenario, policy, horizon)
 
 
-@pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
-                                  "linear_growth.ini"])
+@pytest.mark.parametrize("name", SCENARIO_FILES)
 def test_n_min_reached_at_a_breakpoint(name):
-    """e0 cuts until t0_n, its breakpoint, where the count reaches n_min to
-    within rounding.  The span accumulates its count step by step, as the
-    reference does, and records NMinHit at the breakpoint before the stand
-    exits, as the reference does (``run_both`` compares the event kinds;
-    ``test_bundled_scenarios`` runs this policy too, and compares values)."""
-    scenario = load(name).scenario
-    horizon = scenario.params.t_star
-    policy = sg.build_policy(scenario, "e0")
-    new, ref = run_both(scenario, policy, horizon, horizon / sg.dynamics.DEFAULT_STEPS)
-    assert [ev.kind for ev in new.events] == ["NMinHit", "ExitPoint"]
-    assert new.events[0].time == pytest.approx(policy.breakpoints[0], rel=1e-12, abs=0.0)
+    """e0 cuts until t0_n, its breakpoint, where the closed-form count is
+    n_min.  The same cut stopped 1.25e-12 earlier ends with its count above
+    n_min but within SPENT_REL_TOL of it, and is spent at its breakpoint
+    too.  Both runs record NMinHit at the breakpoint (``run_both`` compares
+    the event kinds; ``test_bundled_scenarios`` runs e0 too, and compares
+    values).  et waits until its breakpoint tb, then cuts at e_max; the
+    count is n - e (t - tb) from the cut's start, so NMinHit falls at
+    tb + (n - n_min)/e to the bit at any step."""
+    loaded = load(name)
+    scenario = loaded.scenario
+    p = scenario.params
+    e0 = sg.build_policy(scenario, "e0")
+    rate = e0.levels[0]
+    count = p.n_min * (1.0 + 0.5 * sg.dynamics.SPENT_REL_TOL)
+    near = sg.Policy.piecewise([(scenario.initial.n - count) / rate], e0.levels)
+    assert p.n_min < scenario.initial.n - near.breakpoints[0] * rate <= count * (1.0 + 1e-15)
+    for policy in (e0, near):
+        new, ref = run_both(scenario, policy, p.t_star, p.t_star / sg.dynamics.DEFAULT_STEPS)
+        assert new.events[0].kind == "NMinHit"
+        assert new.events[0].time == ref.events[0].time == policy.breakpoints[0]
+        assert new.n[new.t == policy.breakpoints[0]] == p.n_min
+
+    horizon = loaded.run.horizon
+    et = sg.build_policy(scenario, "et", T=0.9 * horizon)
+    (tb,), (_, rate) = et.breakpoints, et.levels
+    for steps in (256, 1024, 4096, 32768):
+        traj = sg.integrate(scenario, et, horizon, horizon / steps)
+        (n_tb,) = traj.n[traj.t == tb]
+        hits = [ev.time for ev in traj.events if ev.kind == "NMinHit"]
+        assert hits == [tb + (n_tb - p.n_min) / rate], steps
 
 
 # A draw whose arc control e differed by 1.76e-12 relative from the
@@ -154,8 +174,23 @@ LATE_ARC_DRAW = sg.Scenario(
     initial=sg.StandState(t=0.0, s=0.024729119936240874, n=110.00000000000001))
 
 
+# A draw whose terminal policies put their last breakpoint 5e-15 before the
+# horizon: integrate takes no step in that last segment, and the reference
+# listed it as a span ("free", 4.999999999999995, 5.0).
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")     # lambda = 0 warns by design
+    SHORT_LAST_SEGMENT_DRAW = sg.Scenario(
+        params=sg.StandParams(q=1.5, A=0.015625, n_min=100.0, e_max=6.853166573936408,
+                              t_star=150.0),
+        growth=sg.GrowthFunction.power(0.0),
+        env=sg.Environment(v=sg.GrowthEnergy("exponential", 1.0, 0.0),
+                           h0=sg.DominantHeight(30.0, 20.0)),
+        initial=sg.StandState(t=0.0, s=0.21887692117461713, n=100.00000000000003))
+
+
 @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1))
 @example(scn=LATE_ARC_DRAW, horizon=57.3623369829145, seed=1)
+@example(scn=SHORT_LAST_SEGMENT_DRAW, horizon=5.0, seed=0)
 @settings(max_examples=15, deadline=None)
 def test_generated_scenarios(scn, horizon, seed):
     for policy in policies(scn, horizon, seed):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -477,6 +477,10 @@ class TestUncutNewton:
     @given(q=st.floats(1.0001, 1.9999), p_shape=st.floats(0.1, 20.0),
            n=st.floats(50.0, 600.0), lg_r0=st.floats(-3.0, -1e-6),
            fraction=st.floats(0.0, 1.0), family=st.sampled_from(["exponential", "hyperbolic"]))
+    # D - target is ill-conditioned at small amounts from a sparse stand:
+    # the reference's s was off by 2.8e-14 relative here, above a bound of
+    # 8 ulps of log r0.
+    @example(q=1.125, p_shape=8.0, n=50.0, lg_r0=-3.0, fraction=0.03125, family="exponential")
     @settings(max_examples=60, deadline=None)
     def test_matches_exp_log_iteration(self, q, p_shape, n, lg_r0, fraction, family):
         A = 0.01741
@@ -490,9 +494,15 @@ class TestUncutNewton:
         amount = full * fraction * np.linspace(0.0, 1.0, 17) ** 0.5
         got = scn.uncut_s_after(s, n, amount)
         want = newton_uncut.uncut_s_after(scn, s, n, amount)
-        # Both invert D to rounding: the root in log r moves by a few ulps
-        # of log r0, and s by that over q/2.
-        tol = 8.0 * np.finfo(float).eps * max(1.0, -math.log(r0)) / (q / 2.0)
+        # Both invert D to rounding.  The target D(r0) - c * amount carries
+        # a few ulps of D(r0), which move the root in x = log r by that over
+        # |dD/dx| = r**(b+1) / g(r), largest at r0 since the slope grows with
+        # r; log r0 carries a few ulps of itself.  So x is off by a few ulps
+        # of |log r0| + kappa, kappa = D(r0) g(r0) / r0**(b+1) (290 at
+        # r0 = 1e-3, q = 1.125), and s by that over q/2.  On 20000 draws
+        # over these ranges the gap reaches a quarter of this bound.
+        kappa = scn.growth.density_integral(r0, b) * scn.growth.g(r0) / r0 ** (b + 1.0)
+        tol = 8.0 * np.finfo(float).eps * max(1.0, -math.log(r0) + kappa) / (q / 2.0)
         np.testing.assert_allclose(got, want, rtol=tol, atol=0.0)
 
 

@@ -13,6 +13,7 @@ merges rows whose states are bit-equal and advances the same per-row
 arithmetic, so the two agree bit for bit.
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -26,6 +27,7 @@ from standgrowth.optimizer import _HOLD_CODE, _screen_candidates
 
 from conftest import load, scenarios, window_horizon
 from flat_screen import flat_screen
+from reference_integrator import reference_integrate
 from unmerged_screen import unmerged_screen
 
 SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
@@ -238,14 +240,16 @@ def test_constant_schedule_independent_of_its_batch(name):
 
 
 def test_row_independent_of_its_batch(concave_price):
-    """A row whose count lands within ``_spent_count`` of n_min in a step,
-    without its clamp acting, leaves the RK4 loop there whether or not
-    another row of its batch is clamped in that step."""
+    """A row whose count lands above n_min but within ``_spent_count`` of it
+    at a grid time is spent there, at n_min, whether or not another row of
+    its batch is spent in that step.  ``integrate`` and the reference, cut
+    from the same state to a breakpoint at that grid time, both record
+    NMinHit there, with n = n_min."""
     scn, econ = concave_price.scenario, concave_price.economics
     p = scn.params
     grid, _, h, root = optimizer._screen_start(scn, econ, 10.0, 1, 64)
     near = p.n_min + h * p.e_max * (1.0 + 1e-13)
-    assert p.n_min <= near - h * p.e_max <= optimizer._spent_count(p)
+    assert p.n_min < near - grid[1] * p.e_max <= optimizer._spent_count(p)
 
     def advance(counts):
         rows = root.take(np.zeros(len(counts), dtype=np.intp))
@@ -257,3 +261,11 @@ def test_row_independent_of_its_batch(concave_price):
     among = advance([near, p.n_min + 0.5 * h * p.e_max])
     for name in ("s", "n", "rate", "value"):
         assert getattr(alone, name).view(np.uint64) == getattr(among, name).view(np.uint64), name
+    assert alone.n[0] == p.n_min
+
+    start = dataclasses.replace(scn, initial=sg.StandState(0.0, float(root.s[0]), near))
+    policy = sg.Policy.piecewise([grid[1]], [p.e_max, 0.0])
+    for run in (sg.integrate, reference_integrate):
+        traj = run(start, policy, 10.0, h)
+        assert traj.events[0].kind == "NMinHit" and traj.events[0].time == grid[1], run
+        assert traj.n[1] == p.n_min, run
