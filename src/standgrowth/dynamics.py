@@ -23,16 +23,14 @@ n_min)``.  Each kind of span is solved by its own method:
   relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
   with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
   (:meth:`Scenario.arc_exhaustion_time`);
-* **cut** (a positive rate): the count is the closed form n - e (tau - t)
-  from the span start, at the samples and at the events, and the samples
-  are :meth:`Scenario.cut_s_after` from the span start: under power growth
-  the density equation still separates into a closed form, and under
-  fagacees growth each step is solved by four-node Gauss-Legendre
-  collocation, exact to rounding at the integrator's steps.  A crossing of
-  r = 1 is the root of the density along that relation inside its step,
-  bisected to rounding (:func:`_rootfind.bisect`).  The span is spent, and
-  records NMinHit, at t + (n - n_min)/e, or at an earlier grid time whose
-  count is within :data:`SPENT_REL_TOL` of n_min;
+* **cut** (a positive rate): every count is the closed form n - e (tau - t)
+  from the span start, and the samples are :meth:`Scenario.cut_s_after`
+  from there: a closed form under power growth, four-node Gauss-Legendre
+  collocation per step under fagacees growth, exact to rounding at the
+  integrator's steps.  A crossing of r = 1 is the root of the density
+  inside its step, bisected to rounding (:func:`_rootfind.bisect`); the
+  span is spent at the first grid time whose count is at most
+  :func:`_spent_count`, or at t + (n - n_min)/e where that is earlier;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
@@ -61,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rootfind import BracketError, bisect
-from .model import Environment, Scenario, boundary_control, rdi
+from .model import Environment, Scenario, StandParams, boundary_control, rdi
 
 __all__ = [
     "HOLD",
@@ -82,6 +80,11 @@ SPENT_REL_TOL = 1e-12       # relative tolerance at which a count has reached n_
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
 SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
 HOLD = "hold"               # level that grows freely, then rides the density ceiling
+
+
+def _spent_count(p: StandParams) -> float:
+    """The count at or below which a stand is spent: no tree is left to cut."""
+    return p.n_min * (1.0 + SPENT_REL_TOL)
 
 
 def _rate(level) -> float:
@@ -335,10 +338,10 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
     :meth:`Scenario.cut_s_after` from the span start.  Every count, at the
     samples and at the events, is n - (tau - t) e from the span start.  The
-    span is spent at the earlier of t + (n - n_min)/e and the first grid
-    time whose count is within :data:`SPENT_REL_TOL` of n_min, and ends
-    there with ``("NMinHit", t, n_min)`` and a last sample at n_min with
-    e = 0.  Where the density crosses 1 first, in that step or an earlier
+    span is spent at the first grid time whose count is at most
+    :func:`_spent_count`, and ends there, or at t + (n - n_min)/e where
+    that is earlier, with ``("NMinHit", t, n_min)`` and a last sample at
+    n_min with e = 0.  Where the density crosses 1 first, in that step or an earlier
     one, it ends with ``("RdiHitOne", t, n)`` instead, the crossing being
     the root of the density inside its step (:func:`_cut_crossing`)."""
     p = scenario.params
@@ -347,12 +350,11 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     ns = n - (ts - t) * e
     es = np.full(ts.size, e)
     event = None
-    t_spent = t + (n - n_min) / e
-    spent = (ns <= n_min * (1.0 + SPENT_REL_TOL)) | (ts >= t_spent)
+    spent = ns <= _spent_count(p)
     if spent.any():
         hit = int(np.argmax(spent))
         ts, ns, es = ts[:hit + 1], ns[:hit + 1], es[:hit + 1]
-        ts[hit], ns[hit], es[hit] = min(t_spent, ts[hit]), n_min, 0.0
+        ts[hit], ns[hit], es[hit] = min(t + (n - n_min) / e, ts[hit]), n_min, 0.0
         event = ("NMinHit", float(ts[hit]), n_min)
     ss = scenario.cut_s_after(s, np.append(t, ts), np.append(n, ns))
     over = A * ns * ss ** q2 > 1.0
@@ -430,7 +432,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
-    exhausted = n <= n_min * (1.0 + SPENT_REL_TOL)
+    exhausted = n <= _spent_count(p)
     on_arc = False
     rec = _Recorder(t, s, n)
 

@@ -49,8 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import (EXIT_REL_TOL, HOLD, SPENT_REL_TOL, InfeasibleBoundary, Policy,
-                       integrate)
+from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, _spent_count, integrate
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
@@ -196,13 +195,6 @@ _GRID_CELLS = 1 << 15     # (rows x grid times) cells per block of a closed-form
 def _reaches_n_min(p: StandParams, n):
     """Whether a final count ``n`` ends at n_min, for ``terminal_n_min``."""
     return n <= p.n_min * (1.0 + 1e-6)
-
-
-def _spent_count(p: StandParams) -> float:
-    """Counts at or below which no tree is left to cut: within
-    ``SPENT_REL_TOL`` of n_min, the rule by which ``integrate`` finds a
-    stand spent at its start and a cut span spent at a grid time."""
-    return p.n_min * (1.0 + SPENT_REL_TOL)
 
 
 def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,

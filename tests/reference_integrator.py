@@ -14,9 +14,9 @@ the same event rules and make it a sharper reference:
   segment shorter than that tolerance takes no step and lists no span;
 * under a positive rate, the count at every step and event is the closed
   form n - e (tau - t) from the segment start, as in ``integrate``'s cut
-  spans (s keeps its RK4 steps), and the run is spent at the earlier of
-  the time the closed form reaches n_min and the first grid time whose
-  count is within ``SPENT_REL_TOL`` of n_min;
+  spans (s keeps its RK4 steps), and the run is spent at the first grid
+  time whose count is at most ``_spent_count``, or at the time the closed
+  form reaches n_min where that is earlier;
 * it can take the steps where the stand changes fast in finer RK4
   substeps (off by default).
 
@@ -29,9 +29,9 @@ import math
 import numpy as np
 
 from standgrowth._rootfind import bisect
-from standgrowth.dynamics import (DEFAULT_STEPS, EXIT_REL_TOL, HOLD, SPENT_REL_TOL,
-                                  InfeasibleBoundary, NonViable, Policy, Trajectory,
-                                  TrajectoryEvent, _drdt_values)
+from standgrowth.dynamics import (DEFAULT_STEPS, EXIT_REL_TOL, HOLD, InfeasibleBoundary,
+                                  NonViable, Policy, Trajectory, TrajectoryEvent,
+                                  _drdt_values, _spent_count)
 from standgrowth.model import Scenario, boundary_control, rdi
 
 
@@ -144,7 +144,7 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
-    exhausted = n <= n_min * (1.0 + SPENT_REL_TOL)
+    exhausted = n <= _spent_count(p)
     on_arc = False
 
     rec = _Recorder()
@@ -230,15 +230,13 @@ def reference_integrate(scenario: Scenario, policy: Policy, horizon: float,
                 e = 0.0 if exhausted else rate
                 hit_n_min = False
                 if e > 0.0:
-                    # Spent at the earlier of the exact time and the first
-                    # grid time whose count is within SPENT_REL_TOL of n_min.
-                    t_spent = t_a + (n_a - n_min) / e
-                    if (t_after_full >= t_spent
-                            or n_a - (t_after_full - t_a) * e <= n_min * (1.0 + SPENT_REL_TOL)):
+                    # Spent at the first grid time whose count is at most
+                    # _spent_count, or at the exact time where that is earlier.
+                    if n_a - (t_after_full - t_a) * e <= _spent_count(p):
                         if on_n_min == "error":
                             raise NonViable(
                                 f"policy would cut below n_min={n_min} near t={t:.6g}")
-                        t_after_full = min(t_spent, t_after_full)
+                        t_after_full = min(t_a + (n_a - n_min) / e, t_after_full)
                         h = t_after_full - t
                         hit_n_min = True
                 s1, _ = rk4_step(t, s, n, h, e)

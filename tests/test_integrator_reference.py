@@ -129,14 +129,25 @@ def test_bundled_scenarios(name):
             assert_matches_reference(scenario, policy, horizon)
 
 
+# The events of e0 up to t_star: NMinHit at its breakpoint, then the exit
+# through the corner, or the horizon where the stand never reaches it.
+E0_EVENTS = {
+    "concave_price_power.ini": ["NMinHit", "ExitPoint"],
+    "convex_price_power.ini": ["NMinHit", "ExitPoint"],
+    "fagacees.ini": ["NMinHit", "ExitPoint"],
+    "linear_growth.ini": ["NMinHit", "ExitPoint"],
+    "low_energy.ini": ["NMinHit", "HorizonEnd"],
+}
+
+
 @pytest.mark.parametrize("name", SCENARIO_FILES)
 def test_n_min_reached_at_a_breakpoint(name):
     """e0 cuts until t0_n, its breakpoint, where the closed-form count is
     n_min.  The same cut stopped 1.25e-12 earlier ends with its count above
     n_min but within SPENT_REL_TOL of it, and is spent at its breakpoint
-    too.  Both runs record NMinHit at the breakpoint (``run_both`` compares
-    the event kinds; ``test_bundled_scenarios`` runs e0 too, and compares
-    values).  et waits until its breakpoint tb, then cuts at e_max; the
+    too.  Both runs record NMinHit at the breakpoint and then the events of
+    ``E0_EVENTS`` (``run_both`` checks that the reference records the same
+    kinds; ``test_bundled_scenarios`` runs e0 too, and compares values).  et waits until its breakpoint tb, then cuts at e_max; the
     count is n - e (t - tb) from the cut's start, so NMinHit falls at
     tb + (n - n_min)/e to the bit at any step."""
     loaded = load(name)
@@ -149,7 +160,7 @@ def test_n_min_reached_at_a_breakpoint(name):
     assert p.n_min < scenario.initial.n - near.breakpoints[0] * rate <= count * (1.0 + 1e-15)
     for policy in (e0, near):
         new, ref = run_both(scenario, policy, p.t_star, p.t_star / sg.dynamics.DEFAULT_STEPS)
-        assert new.events[0].kind == "NMinHit"
+        assert [ev.kind for ev in new.events] == E0_EVENTS[name]
         assert new.events[0].time == ref.events[0].time == policy.breakpoints[0]
         assert new.n[new.t == policy.breakpoints[0]] == p.n_min
 

@@ -249,7 +249,7 @@ def test_row_independent_of_its_batch(concave_price):
     p = scn.params
     grid, _, h, root = optimizer._screen_start(scn, econ, 10.0, 1, 64)
     near = p.n_min + h * p.e_max * (1.0 + 1e-13)
-    assert p.n_min < near - grid[1] * p.e_max <= optimizer._spent_count(p)
+    assert p.n_min < near - grid[1] * p.e_max <= sg.dynamics._spent_count(p)
 
     def advance(counts):
         rows = root.take(np.zeros(len(counts), dtype=np.intp))
