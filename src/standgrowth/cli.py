@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import EnvelopeRefs, audit_trajectory
+from .analysis import EnvelopeRefs, audit_trajectory, check_hypotheses
 from .config import ConfigError, load_scenario
 from .dynamics import (HOLD, InfeasibleBoundary, NonViable, Policy, integrate,
                        json_text, sample_policies, write_events_json,
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     refs = EnvelopeRefs.build(scenario, horizon, step=args.step)
     xi_m = refs.xi_lower_bound()
-    hyp = refs.hypotheses
+    hyp = check_hypotheses(scenario)
 
     policies = sample_policies(scenario, args.policies, rng, horizon)
     total_violations = []

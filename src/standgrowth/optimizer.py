@@ -346,7 +346,7 @@ class _Segment:
         # Only cut rows take their level: a spent row steps at rate 0.
         rates = np.where(cut, levels, 0.0)
         for idx in self._blocks(cut, _CUT_CELLS):
-            self._cut(idx, rates, hold, free, riding)
+            self._cut(idx, rates, free)
         for idx in self._blocks(free):
             self._free(idx, hold, riding)
         for idx in self._blocks(riding):
@@ -410,14 +410,15 @@ class _Segment:
         self._die(idx[~at_corner & ~rides])
         self._ride(idx[rides], t_c[rides], n_c[rides], riding)
 
-    def _cut(self, idx, rates, hold, free, riding) -> None:
+    def _cut(self, idx, rates, free) -> None:
         """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
         :meth:`Scenario.cut_s_after`, up to the step in which each crosses
         the ceiling or the grid time at which it is spent, where it leaves
         as a ``free`` row.  Each count is the closed form from T[0], and
         n_min from the grid time at which it is spent, so the step that
         reaches n_min runs linearly to it, as a step with the rate clamped
-        does."""
+        does.  A cut row's level is a rate, never ``hold``, so a crossing
+        exits at the corner or dies."""
         sc, rows, T, S, h = self.scenario, self.rows, self.T, self.S, self.h
         p = sc.params
         e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
@@ -447,7 +448,9 @@ class _Segment:
             # Located from the step start, at the step's clamped rate.
             t_c = np.clip(sc.ceiling_time(t, s_c, n_c), t, T[j + 1])
             e_c = np.minimum(e[c], (n_c - p.n_min) / h)
-            self._cross(idx[c], t_c, n_c - (t_c - t) * e_c, hold[idx[c]], riding)
+            at_corner = n_c - (t_c - t) * e_c <= p.n_min * (1.0 + EXIT_REL_TOL)
+            self._exit(idx[c[at_corner]], t_c[at_corner])
+            self._die(idx[c[~at_corner]])
 
     def _free(self, idx, hold, riding) -> None:
         """Uncut growth of the rows ``idx`` from their grid index j0, in

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import standgrowth as sg
-from conftest import envelope_refs, xi_bound
+from standgrowth.cli import main
+from conftest import SCENARIO_DIR, envelope_refs, xi_bound
 
 
 class TestH3:
@@ -21,10 +22,11 @@ class TestH3:
         assert ok
         assert margin == pytest.approx(scn.params.e_max, rel=1e-9)
 
-    def test_worst_rate_at_start_for_decreasing_energy(self):
+    @pytest.mark.parametrize("family", ["exponential", "hyperbolic"])
+    def test_worst_rate_at_start_for_decreasing_energy(self, family):
         # Peak rate (q/2) v0 / s_m sits at t = 0: 0.8 * 2 / 0.05 = 32, margin 8.
         params = sg.StandParams(q=1.6, A=0.001, n_min=100.0, e_max=40.0, t_star=150.0)
-        env = sg.Environment(v=sg.GrowthEnergy("exponential", 2.0, 0.05),
+        env = sg.Environment(v=sg.GrowthEnergy(family, 2.0, 0.05),
                              h0=sg.DominantHeight(30.0, 20.0))
         scn = sg.Scenario(params=params, growth=sg.GrowthFunction.power(0.3), env=env,
                           initial=sg.StandState(t=0.0, s=0.05, n=1000.0))
@@ -56,6 +58,29 @@ class TestHypotheses:
                           initial=sg.StandState(t=0.0, s=0.05, n=1000.0))
         rep = sg.check_hypotheses(scn)
         assert not rep.h3_ceiling_rate and not rep.all_pass
+        # Peak rate 0.8 * 2 / 0.05 = 32 at t = 0 against e_max = 5.
+        assert rep.witnesses == (("H3", rep.h3_margin),)
+        assert rep.h3_margin == pytest.approx(-27.0, abs=1e-12)
+
+    def test_h4_failure_witness_is_gamma_lower(self, convex_price):
+        # theta = 1 - 1e-10 leaves 1 - theta below the elasticity margin, so
+        # gamma_lower rounds to 0 and H4 fails on exactly that value.
+        scn = dataclasses.replace(convex_price.scenario,
+                                  growth=sg.GrowthFunction.power(1.0 - 1e-10))
+        rep = sg.check_hypotheses(scn)
+        assert rep.h1_energy and rep.h2_competition and rep.h3_ceiling_rate
+        assert not rep.h4_elasticity and not rep.all_pass
+        assert rep.witnesses == (("H4", 0.0),)
+
+    def test_near_linear_power_growth_passes(self, tmp_path):
+        # theta = 1e-15 is admissible, though g(r) rounds to r: the
+        # hypotheses hold by construction, whatever g's rounding.
+        text = (SCENARIO_DIR / "linear_growth.ini").read_text()
+        path = tmp_path / "near_linear.ini"
+        path.write_text(text.replace("variant = linear", "variant = power\ntheta = 1e-15"))
+        rep = sg.check_hypotheses(sg.load_scenario(path).scenario)
+        assert rep.all_pass and rep.witnesses == (), rep.to_json_dict()
+        assert main(["verify", str(path), "--policies", "10"]) == 0
 
 
 class TestThresholds:
@@ -209,19 +234,6 @@ class TestAudit:
         assert set(doc) == {"hypotheses", "xi_m_form", "checks_run", "violations",
                             "clean"}
         assert not any(c.startswith("diag_") for c in doc["checks_run"])
-
-    def test_hypotheses_checked_once_per_refs(self, convex_price, rng, monkeypatch):
-        import standgrowth.analysis as analysis
-        calls = []
-        check = analysis.check_hypotheses
-        monkeypatch.setattr(analysis, "check_hypotheses",
-                            lambda scenario: calls.append(scenario) or check(scenario))
-        scn = convex_price.scenario
-        refs = sg.EnvelopeRefs.build(scn, 30.0)
-        for policy in sg.sample_policies(scn, 3, rng, 30.0):
-            report = sg.audit_trajectory(scn, sg.integrate(scn, policy, 30.0), refs)
-            assert report.hypotheses.all_pass
-        assert len(calls) == 1
 
     def test_corrupted_integrator_is_flagged(self, convex_price, rng):
         scn = convex_price.scenario

@@ -193,6 +193,17 @@ class TestEnvironment:
             b = rng.uniform(0.0, 150.0, size=500)
             assert np.all(v((a + b) / 2.0) <= (v(a) + v(b)) / 2.0 + 1e-14)
 
+    @pytest.mark.parametrize("family", ["exponential", "hyperbolic"])
+    @pytest.mark.parametrize("lam", [0.0, 0.04])
+    def test_v_positive_non_increasing(self, family, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # lam = 0 warns
+            v = sg.GrowthEnergy(family, 2.0, lam)
+        vals = v(np.linspace(0.0, 150.0, 1001))
+        assert np.all(vals > 0.0)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert vals[0] == 2.0
+
     def test_constant_energy_flagged(self):
         with pytest.warns(UserWarning):
             v = sg.GrowthEnergy("exponential", 1.0, 0.0)

@@ -83,6 +83,10 @@ def test_tree_matches_flat_screen_with_four_levels(concave_price):
     _assert_matches_flat(concave_price.scenario, concave_price.economics,
                          window_horizon(concave_price.scenario, 0.5),
                          (_HOLD_CODE, 0.0, e_max / 2, e_max), 4)
+    # e_max/100 cuts into the ceiling: at H = 30, 8 of the screen's cut rows
+    # cross it above n_min and die there.
+    _assert_matches_flat(concave_price.scenario, concave_price.economics, 30.0,
+                         (_HOLD_CODE, 0.0, e_max / 100), 5)
 
 
 def test_tree_matches_flat_screen_through_arc_exits(concave_price):
@@ -183,6 +187,7 @@ def test_merged_rows_match_unmerged_tree_with_four_levels_and_arc_exits(concave_
     _assert_matches_unmerged(scn, econ, window_horizon(scn, 0.5),
                              (_HOLD_CODE, 0.0, e_max / 2, e_max), 4)
     _assert_matches_unmerged(scn, econ, 29.0, (_HOLD_CODE, e_max), 8)
+    _assert_matches_unmerged(scn, econ, 30.0, (_HOLD_CODE, 0.0, e_max / 100), 5)
 
 
 @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), k=st.sampled_from([2, 5]))
