@@ -20,7 +20,7 @@ scenario = sg.load_scenario(HERE.parent / "scenarios" / "concave_price_power.ini
 
 HORIZON = 30.0
 refs = sg.EnvelopeRefs.build(scenario, HORIZON, with_terminal=True)
-xi_m = sg.xi_lower_bound(scenario, HORIZON)
+xi_m = refs.xi_lower_bound()
 rng = np.random.default_rng(5)
 
 clean = 0

@@ -269,9 +269,7 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
     (requires refs.terminal and only makes sense for trajectories ending at
     n_min).  The report carries the scenario's :func:`check_hypotheses`.
     """
-    p = scenario.params
-    growth = scenario.growth
-    power = growth.kind == "power"
+    power = scenario.growth.kind == "power"
     ts = traj.t
     s, n = traj.s, traj.n
     s_lo, n_lo = refs.fast_sn(ts)
@@ -299,12 +297,10 @@ def audit_trajectory(scenario: Scenario, traj: Trajectory, refs: EnvelopeRefs,
             rel_le("s_ge_terminal", s_T, s)
 
     # Per-tree growth sandwich and its monotonicity in time.
-    gpt = growth.g(rdi(p, n, s)) / n
-    gpt_hi = growth.g(rdi(p, n_hi, s_hi)) / n_hi
-    rel_le("growth_per_tree_ge_slow", gpt_hi, gpt)
+    gpt = scenario.growth_per_energy(s, n)
+    rel_le("growth_per_tree_ge_slow", scenario.growth_per_energy(s_hi, n_hi), gpt)
     if power:
-        gpt_lo = growth.g(rdi(p, n_lo, s_lo)) / n_lo
-        rel_le("growth_per_tree_le_fast", gpt, gpt_lo)
+        rel_le("growth_per_tree_le_fast", gpt, scenario.growth_per_energy(s_lo, n_lo))
     checks.append("growth_per_tree_nondecreasing")
     diffs = np.diff(gpt)
     _collect(violations, diffs < -AUDIT_TOL * np.abs(gpt[:-1]), ts[1:],

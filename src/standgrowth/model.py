@@ -34,7 +34,9 @@ closed forms of the dynamics:
 * ``arc_count_after`` and ``arc_exhaustion_time``: the count along the
   ceiling, and when it reaches n_min.
 
-All of them accept scalars or numpy arrays.
+All of them accept scalars or numpy arrays.  Their cases from the initial
+state, ``t_sup0`` (the first ceiling hit without cutting) and ``t_cap0``
+(the exhaustion of the arc started there), are computed once per scenario.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -385,6 +388,24 @@ class Scenario:
     @property
     def rdi0(self) -> float:
         return float(rdi(self.params, self.initial.n, self.initial.s))
+
+    @cached_property
+    def t_sup0(self) -> float:
+        """First time the density reaches the ceiling under zero cutting: the
+        t = 0 case of :meth:`ceiling_time`, ``inf`` beyond t_star."""
+        root = self.ceiling_time(0.0, self.initial.s, self.initial.n)
+        return math.inf if root > self.params.t_star else root
+
+    @cached_property
+    def t_cap0(self) -> float:
+        """When the ceiling arc started at :attr:`t_sup0` reaches n_min:
+        :meth:`arc_exhaustion_time`, ``inf`` beyond t_star or when t_sup0 is."""
+        if self.t_sup0 == math.inf:
+            # Not left to the closed form: with a hyperbolic supply, the energy
+            # inverse from t = inf can be inf * 0 = NaN, which no comparison catches.
+            return math.inf
+        root = self.arc_exhaustion_time(self.t_sup0, self.initial.n)
+        return math.inf if root > self.params.t_star else root
 
     def growth_rate(self, t, s, n):
         """Basal-area growth per tree ds/dt = g(r)/n * V(t) at the state (t, s, n)."""

@@ -53,8 +53,7 @@ from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, _spent_cou
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
-from .trajectories import (EXHAUSTION_REL_TOL, _ceiling_policy, _exhaustion_after,
-                           build_policy, t_cap0, t_sup0, time_to_count)
+from .trajectories import EXHAUSTION_REL_TOL, build_policy, time_to_count
 
 __all__ = [
     "Prop2Report",
@@ -102,45 +101,33 @@ _NO_CLAIM = Prop2Report(branch=None, alpha_margin=None, discount_margin=None,
                         alpha_star=None, concave_bound=None, xi_form=None)
 
 
-def _ceiling_times(scenario: Scenario) -> tuple[float, float]:
-    """The first ceiling hit under zero cutting and the exhaustion time of
-    the arc started there: (t_sup0, t_cap0), each evaluated once."""
-    t_up = t_sup0(scenario)
-    return t_up, _exhaustion_after(scenario, t_up)
-
-
-def _require_admissible_horizon(scenario: Scenario, horizon: float,
-                                t_upper: float | None = None) -> None:
+def _require_admissible_horizon(scenario: Scenario, horizon: float) -> None:
     """Reject a horizon that is not finite and positive or exceeds the maximal
-    exit time ``t_upper`` (beyond it no admissible trajectory exists);
-    ``t_upper`` is evaluated here when None."""
+    exit time t_cap0 (beyond it no admissible trajectory exists)."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive (got {horizon})")
-    if t_upper is None:
-        t_upper = t_cap0(scenario)
-    if horizon > t_upper * (1.0 + EXHAUSTION_REL_TOL):
-        raise ValueError(f"horizon {horizon} exceeds the maximal exit time {t_upper}")
+    if horizon > scenario.t_cap0 * (1.0 + EXHAUSTION_REL_TOL):
+        raise ValueError(f"horizon {horizon} exceeds the maximal exit time {scenario.t_cap0}")
 
 
 def check_prop2(scenario: Scenario, econ: EconomicModel, horizon: float,
-                *, terminal_n_min: bool = False,
-                xi_m: XiLowerBound | None = None) -> Prop2Report:
+                *, terminal_n_min: bool = False) -> Prop2Report:
     """Evaluate the sufficient-optimality conditions on a time grid.
 
     Requires the horizon not to exceed the maximal exit time (beyond it no
     admissible trajectory exists).  Returns the first satisfied branch:
     convex-price cut-first optimality (power growth only), then concave-price
     ceiling-riding optimality (``ETOptimal`` instead when ``terminal_n_min``).
-    Without ``xi_m`` the floor is read off the E0 and Esup references; where
-    riding the ceiling needs a rate above e_max there is no Esup reference,
-    and the report makes no claim (every field None).
+    The floor is read off the E0 and Esup references, integrated at the
+    default step (horizon/4096); where riding the ceiling needs a rate above
+    e_max there is no Esup reference, and the report makes no claim (every
+    field None).
     """
     _require_admissible_horizon(scenario, horizon)
-    if xi_m is None:
-        try:
-            xi_m = xi_lower_bound(scenario, horizon)
-        except InfeasibleBoundary:
-            return _NO_CLAIM
+    try:
+        xi_m = xi_lower_bound(scenario, horizon)
+    except InfeasibleBoundary:
+        return _NO_CLAIM
     return _prop2_report(scenario, econ, horizon, terminal_n_min, xi_m)
 
 
@@ -585,20 +572,16 @@ def _canonical_values(runs: dict[str, tuple]) -> dict[str, float | None]:
     return {name: runs[name][1] if name in runs else None for name in CANONICAL_NAMES}
 
 
-def canonical_policies(scenario: Scenario, horizon: float,
-                       times: tuple[float, float] | None = None) -> dict[str, Policy]:
-    """The five named policies entering every search, deduplicated by window.
-    Esup and ET are built from one first ceiling hit and its exhaustion
-    time, ``times`` as :func:`_ceiling_times` gives them (evaluated here when
-    None)."""
+def canonical_policies(scenario: Scenario, horizon: float) -> dict[str, Policy]:
+    """The five named policies entering every search, deduplicated by window,
+    each by :func:`build_policy`; ET only where the horizon lies in
+    (t0_n, t_cap0]."""
     p = scenario.params
-    t_up, t_exhaust = _ceiling_times(scenario) if times is None else times
-    out = {"E0": build_policy(scenario, "e0"),
-           "Esup": _ceiling_policy(scenario, "esup", None, t_up, t_exhaust),
+    out = {"E0": build_policy(scenario, "e0"), "Esup": build_policy(scenario, "esup"),
            "Zero": build_policy(scenario, "zero"), "Max": build_policy(scenario, "max")}
     t0n = time_to_count(p, scenario.initial.n, p.n_min)
-    if t0n < horizon <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
-        out["ET"] = _ceiling_policy(scenario, "et", horizon, t_up, t_exhaust)
+    if t0n < horizon <= scenario.t_cap0 * (1.0 + EXHAUSTION_REL_TOL):
+        out["ET"] = build_policy(scenario, "et", horizon)
     return out
 
 
@@ -664,8 +647,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     time, is rejected before any candidate is screened.
     """
     p = scenario.params
-    times = _ceiling_times(scenario)
-    _require_admissible_horizon(scenario, horizon, times[1])
+    _require_admissible_horizon(scenario, horizon)
     if not 1 <= n_intervals <= 10:
         raise ValueError("n_intervals must lie in 1..10")
     codes = []
@@ -709,7 +691,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     # A contender may repeat a canonical policy (all-hold is Esup); it is
     # integrated once.
-    named = canonical_policies(scenario, horizon, times)
+    named = canonical_policies(scenario, horizon)
     for i in _contenders(values, n_end, rescore_top):
         row = codes[list(np.unravel_index(i, (codes.size,) * n_intervals))]
         named[f"cand{i}"] = _levels_to_policy(row, horizon, n_intervals)

@@ -19,7 +19,8 @@ variables in the density equation gives the ceiling-hit time t_up as the root of
 
 whose right side is elementary for every growth variant
 (:meth:`GrowthFunction.density_integral`); :meth:`Scenario.ceiling_time`
-solves it from any uncut state, and t_up is its case at t = 0.
+solves it from any uncut state, and t_up is its case at t = 0,
+:attr:`Scenario.t_sup0`.
 
 On the ceiling itself (r = 1) the count obeys a separable equation whose
 integral form is
@@ -27,12 +28,13 @@ integral form is
     n(T)**(1-2/q) = n(t_up)**(1-2/q) + A**(2/q) (1-q/2) * Energy(t_up, T),
 
 which yields the ceiling-exhaustion time T_exit (count n_min reached on the
-arc) and, equivalently, the maximal exit time.  The cumulative energy has a
-closed-form inverse (:meth:`GrowthEnergy.time_at`), so t_up and T_exit are
-closed forms too; only the arc-leaving time of ``et`` is found by bracketed
-bisection.  A time that never comes within t_star is ``math.inf``
-(:data:`UNREACHABLE`), as the closed forms return it, so it compares
-correctly against any horizon; JSON writes it as ``null``.
+arc), :attr:`Scenario.t_cap0`, and, equivalently, the maximal exit time.  The
+cumulative energy has a closed-form inverse (:meth:`GrowthEnergy.time_at`),
+so t_up and T_exit are closed forms too, which the scenario computes once
+and :func:`t_sup0` and :func:`t_cap0` read; only the arc-leaving time of
+``et`` is found by bracketed bisection.  A time that never comes within
+t_star is ``math.inf`` (:data:`UNREACHABLE`), as the closed forms return it,
+so it compares correctly against any horizon; JSON writes it as ``null``.
 """
 
 from __future__ import annotations
@@ -79,42 +81,27 @@ def time_to_count(params: StandParams, n0: float, n: float) -> float:
 
 
 def t_sup0(scenario: Scenario) -> float:
-    """First time the density reaches the ceiling under zero cutting.
-
-    The t = 0 case of :meth:`Scenario.ceiling_time`; returns
-    :data:`UNREACHABLE` when the energy over [0, t_star] is insufficient.
-    """
-    init = scenario.initial
-    root = scenario.ceiling_time(0.0, init.s, init.n)
-    return UNREACHABLE if root > scenario.params.t_star else root
+    """First time the density reaches the ceiling under zero cutting
+    (:attr:`Scenario.t_sup0`); :data:`UNREACHABLE` beyond t_star."""
+    return scenario.t_sup0
 
 
 def t_cap0(scenario: Scenario) -> float:
-    """Time at which the ceiling arc started at t_sup0 exhausts the stand.
-
-    :data:`UNREACHABLE` when t_sup0 is unreachable or the remaining energy
-    is insufficient within t_star.
-    """
-    return _exhaustion_after(scenario, t_sup0(scenario))
-
-
-def _exhaustion_after(scenario: Scenario, t_up: float) -> float:
-    """:func:`t_cap0` for a first ceiling hit at ``t_up``."""
-    if is_unreachable(t_up):
-        # Not left to the closed form: with a hyperbolic supply, the energy
-        # inverse from t = inf can be inf * 0 = NaN, which no comparison catches.
-        return UNREACHABLE
-    root = scenario.arc_exhaustion_time(t_up, scenario.initial.n)
-    return UNREACHABLE if root > scenario.params.t_star else root
+    """Time at which the ceiling arc started at t_sup0 exhausts the stand
+    (:attr:`Scenario.t_cap0`); :data:`UNREACHABLE` when t_sup0 is, or beyond
+    t_star."""
+    return scenario.t_cap0
 
 
 def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Policy:
     """Construct a named policy: ``"zero"``, ``"max"``, ``"e0"``, ``"esup"``,
     or ``"et"`` (needs T).
 
-    Degenerate identifications: ``et`` with T at or below the pure-cutting
-    time returns the ``e0`` policy, and T at the ceiling-exhaustion time
-    returns ``esup``.  T beyond that window is a domain error.
+    ``esup`` and ``et`` read t_sup0 and t_cap0 off the scenario, which
+    computes each once.  Degenerate identifications: ``et`` with T at or
+    below the pure-cutting time returns the ``e0`` policy, and T at the
+    ceiling-exhaustion time returns ``esup``.  T beyond that window is a
+    domain error.
     """
     p = scenario.params
     if kind == "zero":
@@ -129,15 +116,7 @@ def build_policy(scenario: Scenario, kind: str, T: float | None = None) -> Polic
         return Policy((t0n,), (p.e_max, 0.0), kind="e0", meta=(("t_cut_end", t0n),))
     if kind not in ("esup", "et"):
         raise ValueError(f"unknown policy kind {kind!r}")
-    t_up = t_sup0(scenario)
-    return _ceiling_policy(scenario, kind, T, t_up, _exhaustion_after(scenario, t_up))
-
-
-def _ceiling_policy(scenario: Scenario, kind: str, T: float | None, t_up: float,
-                    t_exhaust: float) -> Policy:
-    """``esup`` or ``et`` of :func:`build_policy`, given the first ceiling hit
-    ``t_up`` and the ceiling-exhaustion time ``t_exhaust``."""
-    p = scenario.params
+    t_up, t_exhaust = scenario.t_sup0, scenario.t_cap0
     if kind == "esup":
         meta = (("t_rdi_one", None if is_unreachable(t_up) else t_up),
                 ("t_exhaust", None if is_unreachable(t_exhaust) else t_exhaust))
@@ -169,7 +148,7 @@ def _ceiling_policy(scenario: Scenario, kind: str, T: float | None, t_up: float,
         return Policy((t_switch,), (HOLD, p.e_max), kind="et",
                       meta=(("T", T), ("t_switch", t_switch), ("t_rdi_one", t_up)))
     if T <= t_exhaust * (1.0 + EXHAUSTION_REL_TOL):
-        return _ceiling_policy(scenario, "esup", None, t_up, t_exhaust)
+        return build_policy(scenario, "esup")
     raise ValueError(f"target horizon T={T} exceeds the ceiling-exhaustion time "
                      f"{t_exhaust}; no policy reaches n_min exactly at T")
 
@@ -224,16 +203,14 @@ def characteristic_times(scenario: Scenario, T: float | None = None) -> Characte
     p = scenario.params
     cut_first = integrate(scenario, build_policy(scenario, "e0"), p.t_star,
                           step=p.t_star / EXTREMAL_STEPS)
-    t_up = t_sup0(scenario)
-    t_exhaust = _exhaustion_after(scenario, t_up)
     t_switch = None
     if T is not None and not (math.isfinite(T)
-                              and T > t_exhaust * (1.0 + EXHAUSTION_REL_TOL)):
-        t_switch = _ceiling_policy(scenario, "et", T, t_up, t_exhaust).meta_dict().get("t_switch")
+                              and T > scenario.t_cap0 * (1.0 + EXHAUSTION_REL_TOL)):
+        t_switch = build_policy(scenario, "et", T).meta_dict().get("t_switch")
     return CharacteristicTimes(
         t0_n=time_to_count(p, scenario.initial.n, p.n_min),
-        t_sup0=t_up,
-        t_cap0=t_exhaust,
+        t_sup0=scenario.t_sup0,
+        t_cap0=scenario.t_cap0,
         t_lower=cut_first.validity_end if cut_first.exited else UNREACHABLE,
         t_lower_heuristic=scenario.growth.kind != "power",
         t_star_switch=t_switch,

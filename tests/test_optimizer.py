@@ -232,42 +232,47 @@ class TestBruteForce:
     @pytest.mark.parametrize("name", SCENARIOS)
     @pytest.mark.parametrize("terminal", [False, True])
     def test_condition_report_matches_built_references(self, name, terminal):
-        """The report from the search's own E0 and Esup runs equals the one
-        from references built apart at the same step."""
+        """The report from the search's own E0 and Esup runs equals
+        :func:`check_prop2`'s, whose references are built apart at the same
+        step (horizon/4096)."""
         loaded = load(name)
         scn, econ = loaded.scenario, loaded.economics
         for u in (0.1, 0.5, 0.9):
             horizon = window_horizon(scn, u)
             res = sg.brute_force(scn, econ, horizon, n_intervals=5,
                                  terminal_n_min=terminal)
-            refs = sg.EnvelopeRefs.build(scn, horizon, step=horizon / 4096)
-            want = sg.check_prop2(scn, econ, horizon, terminal_n_min=terminal,
-                                  xi_m=refs.xi_lower_bound())
+            want = sg.check_prop2(scn, econ, horizon, terminal_n_min=terminal)
             assert res.condition_report.to_json_dict() == want.to_json_dict(), (u, horizon)
 
-
-    def test_ceiling_times_evaluated_once(self, concave_price, monkeypatch):
-        # One (t_sup0, t_cap0) serves the horizon check, the canonical
-        # policies and the condition report.
-        from standgrowth import optimizer, trajectories
+    def test_ceiling_times_cached_on_the_scenario(self, concave_price, low_energy,
+                                                  monkeypatch):
+        """t_sup0 and t_cap0 are the closed forms from the initial state, bit
+        for bit, evaluated once per scenario object: the horizon checks, the
+        canonical policies and the condition report of any number of searches
+        share them, and a scenario with another initial state gets its own."""
         calls = collections.Counter()
+        for name in ("t_sup0", "t_cap0"):
+            prop = vars(sg.Scenario)[name]
 
-        def counting(name):
-            fn = getattr(trajectories, name)
-
-            def wrapped(*args, **kwargs):
+            def counting(scenario, fn=prop.func, name=name):
                 calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+                return fn(scenario)
+            monkeypatch.setattr(prop, "func", counting)
 
-        for name in ("t_sup0", "_exhaustion_after"):
-            wrapped = counting(name)
-            monkeypatch.setattr(trajectories, name, wrapped)
-            monkeypatch.setattr(optimizer, name, wrapped)
-        res = sg.brute_force(concave_price.scenario, concave_price.economics, 30.0,
-                             n_intervals=3)
-        assert res.condition_report.branch == "EsupOptimal"
-        assert calls == {"t_sup0": 1, "_exhaustion_after": 1}
+        scn = dataclasses.replace(concave_price.scenario)   # a fresh cache
+        init = scn.initial
+        for _ in range(2):
+            res = sg.brute_force(scn, concave_price.economics, 30.0, n_intervals=3)
+            assert res.condition_report.branch == "EsupOptimal"
+            assert calls == {"t_sup0": 1, "t_cap0": 1}
+        assert scn.t_sup0 == scn.ceiling_time(0.0, init.s, init.n)
+        assert scn.t_cap0 == scn.arc_exhaustion_time(scn.t_sup0, init.n)
+
+        moved = dataclasses.replace(scn, initial=sg.StandState(0.0, 1.5 * init.s, init.n))
+        assert moved.t_sup0 == moved.ceiling_time(0.0, moved.initial.s, init.n) < scn.t_sup0
+        assert moved.t_cap0 == moved.arc_exhaustion_time(moved.t_sup0, init.n) < scn.t_cap0
+        assert calls == {"t_sup0": 2, "t_cap0": 2}
+        assert sg.is_unreachable(low_energy.scenario.t_cap0)
 
 
 def _schedule(policy) -> tuple:

@@ -78,6 +78,16 @@ def test_tree_matches_flat_screen(name, u, k):
                          window_horizon(loaded.scenario, u), (_HOLD_CODE, 0.0, e_max), k)
 
 
+def _corner_stand(scn):
+    """``scn`` started just inside the exit corner, 1e-8 above n_min and
+    1e-9 below the ceiling, where each positive level's cut row crosses the
+    ceiling within ``EXIT_REL_TOL`` of n_min in its first step and exits at
+    the corner."""
+    n0 = scn.params.n_min * (1.0 + 1e-8)
+    return dataclasses.replace(
+        scn, initial=sg.StandState(0.0, float(scn.params.ceiling_s(n0)) * (1.0 - 1e-9), n0))
+
+
 def test_tree_matches_flat_screen_with_four_levels(concave_price):
     e_max = concave_price.scenario.params.e_max
     _assert_matches_flat(concave_price.scenario, concave_price.economics,
@@ -87,6 +97,8 @@ def test_tree_matches_flat_screen_with_four_levels(concave_price):
     # cross it above n_min and die there.
     _assert_matches_flat(concave_price.scenario, concave_price.economics, 30.0,
                          (_HOLD_CODE, 0.0, e_max / 100), 5)
+    _assert_matches_flat(_corner_stand(concave_price.scenario), concave_price.economics, 5.0,
+                         (_HOLD_CODE, 0.0, e_max / 100, e_max), 3)
 
 
 def test_tree_matches_flat_screen_through_arc_exits(concave_price):
@@ -188,6 +200,8 @@ def test_merged_rows_match_unmerged_tree_with_four_levels_and_arc_exits(concave_
                              (_HOLD_CODE, 0.0, e_max / 2, e_max), 4)
     _assert_matches_unmerged(scn, econ, 29.0, (_HOLD_CODE, e_max), 8)
     _assert_matches_unmerged(scn, econ, 30.0, (_HOLD_CODE, 0.0, e_max / 100), 5)
+    _assert_matches_unmerged(_corner_stand(scn), econ, 5.0,
+                             (_HOLD_CODE, 0.0, e_max / 100, e_max), 3)
 
 
 @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), k=st.sampled_from([2, 5]))
