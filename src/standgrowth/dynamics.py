@@ -50,7 +50,6 @@ such a crossing as a failure.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -534,15 +533,16 @@ def sample_policies(scenario: Scenario, count: int, rng: np.random.Generator,
 
 
 def write_trajectory_csv(trajectory: Trajectory, env: Environment, path) -> None:
-    """Write samples as CSV with the fixed header t,s,n,r,e,h."""
-    h_vals = env.h0(trajectory.t)
+    """Write samples as CSV with the fixed header t,s,n,r,e,h: each value
+    to 12 significant digits, lines ending in CRLF, as ``csv.writer``
+    writes them (no value needs quoting).  The rows are formatted as one
+    string."""
+    cols = (trajectory.t, trajectory.s, trajectory.n, trajectory.r, trajectory.e,
+            env.h0(trajectory.t))
+    row = ",".join(["%.12g"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "s", "n", "r", "e", "h"])
-        for i in range(len(trajectory.t)):
-            writer.writerow([f"{trajectory.t[i]:.12g}", f"{trajectory.s[i]:.12g}",
-                             f"{trajectory.n[i]:.12g}", f"{trajectory.r[i]:.12g}",
-                             f"{trajectory.e[i]:.12g}", f"{h_vals[i]:.12g}"])
+        fh.write("t,s,n,r,e,h\r\n")
+        fh.write("".join(row % values for values in zip(*(col.tolist() for col in cols))))
 
 
 def json_text(payload) -> str:

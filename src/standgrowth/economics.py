@@ -30,9 +30,9 @@ span's samples.  The direct form skips free spans, where e = 0, and takes a
 cut span's constant rate and the ceiling-holding rate (q/2) V(t)/s at each
 arc sample, so no rate is read across a jump.  Agreeing values are a strong
 end-to-end check of the integration.  The search's screen sums the same
-integrand (``revenue_rate``) by the per-step trapezoid: where the control
-jumps the integrand only kinks, so that ranking is second order in the
-step.
+integrand (``revenue_rate``) piece by piece between the events, where the
+control jumps and the integrand kinks, by Gregory's end-corrected
+trapezoid, so that ranking is fourth order in the step.
 """
 
 from __future__ import annotations

@@ -21,10 +21,11 @@ Two independent routes to the same question:
   ceiling, and the cut relation, closed-form under power growth and
   solved by collocation under fagacees growth.
   It ranks them on the by-parts form of the objective, whose integrand
-  depends on the state alone and so is second order in the step.  Of the
-  best few, each screened state is re-integrated once at a fine step, by its
-  first contender in enumeration order, together with the canonical
-  policies, and the exact objective decides.  Its E0 and Esup runs are the
+  depends on the state alone and is smooth between events, each piece
+  summed by Gregory's end-corrected trapezoid, fourth order in the step.
+  Of the best few, each screened state is re-integrated once at a fine
+  step, by its first contender in enumeration order, together with the
+  canonical policies, and the exact objective decides.  Its E0 and Esup runs are the
   references of :func:`check_prop2`'s xi floor.
 
 :func:`compare_canonicals` scores the canonical policies through the same
@@ -185,7 +186,7 @@ def _reaches_n_min(p: StandParams, n):
 
 
 def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
-                       codes: np.ndarray, k: int, steps_total: int = 1024):
+                       codes: np.ndarray, k: int, steps_total: int = 256):
     """Approximate objectives of every k-interval schedule over ``codes``.
 
     The schedules form a prefix tree: two that agree on their first j
@@ -203,18 +204,20 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     and advanced, segment by segment, by the span kind of its state, under
     the event rules of ``integrate`` (see :class:`_Segment`), on (rows x
     grid times) blocks: ceiling riders and uncut rows by closed forms, cut
-    rows by :meth:`Scenario.cut_s_after`.  A row
-    crossing the ceiling at n_min exits at the corner; a ``hold`` row
-    crossing elsewhere rides the ceiling, unless holding it needs a rate
+    rows by :meth:`Scenario.cut_s_after`.  A cut row is spent at the time
+    ``integrate`` finds, and grows uncut from there.  A row crossing the
+    ceiling at n_min exits at the corner; a ``hold`` row crossing elsewhere
+    rides the ceiling from the crossing, unless holding it needs a rate
     above e_max; any other crossing kills the row.  Values are the by-parts
-    objective, its integrand (shared with ``objective_ibp``) summed by the
-    per-step trapezoid over the grid; it depends on the state alone and only
-    kinks where the control jumps, so the ranking is second order in the
-    step.  A row reaching the exit corner adds its trapezoid up to the exit
-    time at the corner state, then freezes.  The rate clamp at n_min
-    perturbs only the state, at second order; winners are re-integrated
-    exactly.  Returns (values, feasible, n_end): -inf values for dead rows,
-    and the count where each row stopped.
+    objective, its integrand (shared with ``objective_ibp``) summed over
+    each piece, a run of one span kind within one segment, between its
+    events: the trapezoid over a partial step at either end, Gregory's
+    end-corrected trapezoid over the full steps.  The integrand depends on
+    the state alone and is smooth inside a piece, so the sum is fourth
+    order in the step, and the events cost only the partial steps'
+    trapezoids.  A row reaching the exit corner freezes there; winners are
+    re-integrated exactly.  Returns (values, feasible, n_end): -inf values
+    for dead rows, and the count where each row stopped.
     """
     c = len(codes)
     grid, steps_per, h, rows = _screen_start(scenario, econ, horizon, k, steps_total)
@@ -284,32 +287,37 @@ class _Rows:
 class _Segment:
     """One segment of the screen on its grid times T[0..S].
 
-    Each live row is advanced by the span kind of its state, as in
-    ``integrate``:
+    Each live row is advanced by the span kind of its state, under the
+    event rules of ``integrate``:
 
     * **cut**: a positive rate with n above n_min.  The count is the
-      closed form n0 - e (T - T[0]), and n_min from the first grid time at
-      which that is at or below :func:`_spent_count`, the rule of
-      ``integrate``'s cut spans.  The samples are
+      closed form n0 - e (T - T[0]), and the samples are
       :meth:`Scenario.cut_s_after` from the segment start (a closed form
-      under power growth, collocation under fagacees growth), and a row
-      leaves as a free row at the grid time at which it is spent.  The
-      density crossing 1 is located at :meth:`Scenario.ceiling_time` from
-      the step start, where the row exits at the corner or dies;
+      under power growth, collocation under fagacees growth).  The row is
+      spent at T[0] + (n0 - n_min)/e or at the first grid time whose count
+      is at or below :func:`_spent_count`, whichever is first, which takes
+      that grid time's place in its samples, and leaves there as a free
+      row.  The density crossing 1 is located at
+      :meth:`Scenario.ceiling_time` from the step start, where the row
+      exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
       n_min.  The samples are :meth:`Scenario.uncut_s_after` from the row's
-      start, up to its :meth:`Scenario.ceiling_time`;
+      start, up to its :meth:`Scenario.ceiling_time`, where a ``hold`` row
+      starts its arc;
     * **arc**: a ``hold`` row on the ceiling.  The count is
       :meth:`Scenario.arc_count_after` from the arc start, up to the first
       sample below n_min, where the row exits at
       :meth:`Scenario.arc_exhaustion_time`.  Along an arc (q/2) V/s only
       falls, so a row whose arc starts above e_max dies there.
 
-    A row changes kind mid-segment by writing its state and ``value`` at
-    grid index ``j0`` (with its ``rate`` there) and the time ``t0`` its new
-    kind starts from; the cut rows run first, then the free rows, then the
-    arcs.  The time factors (V and those of the
-    by-parts integrand) are taken once per grid time.
+    Each run of one kind is a piece, and each piece is summed on its own
+    (:meth:`_gregory`): its by-parts integrand is smooth inside it, and
+    kinks only at its ends.  A row changes kind by writing its state,
+    ``rate`` and ``value`` at the last grid index ``j0`` before the change,
+    then moving them on to the time ``t0`` of the change by the trapezoid
+    of that partial step (:meth:`_move`); the cut rows run first, then the
+    free rows, then the arcs.  The time factors (V and those of the by-parts
+    integrand) are taken once per grid time.
     """
 
     def __init__(self, scenario: Scenario, econ: EconomicModel, times: np.ndarray,
@@ -365,28 +373,40 @@ class _Segment:
         rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx] = s, n, rate, value
         self.j0[idx] = j
 
+    def _move(self, idx, t, s, n, rate) -> None:
+        """Move the rows on from their last sample, the later of T[j0] and
+        t0, to the state (s, n) at ``t``, with integrand ``rate`` there,
+        adding the trapezoid of that partial step."""
+        rows = self.rows
+        last = np.maximum(self.T[self.j0[idx]], self.t0[idx])
+        rows.value[idx] += 0.5 * (t - last) * (rows.rate[idx] + rate)
+        rows.s[idx], rows.n[idx], rows.rate[idx] = s, n, rate
+        self.t0[idx] = t
+
     def _exit(self, idx, te) -> None:
-        """Rows reaching the corner at ``te`` add their trapezoid from their
-        last grid time at the corner state, then freeze."""
-        sc, rows = self.scenario, self.rows
+        """Rows reaching the corner at ``te`` move there, then freeze."""
+        sc = self.scenario
         s_bar, n_min = sc.params.s_bar, sc.params.n_min
-        corner = revenue_rate(sc, self.econ, s_bar, n_min, te)
-        rows.value[idx] += 0.5 * (te - self.T[self.j0[idx]]) * (rows.rate[idx] + corner)
-        rows.s[idx], rows.n[idx], rows.done[idx] = s_bar, n_min, True
+        self._move(idx, te, s_bar, n_min, revenue_rate(sc, self.econ, s_bar, n_min, te))
+        self.rows.done[idx] = True
 
     def _die(self, idx) -> None:
         """Rows breaking a constraint keep their last state."""
         self.rows.dead[idx] = self.rows.done[idx] = True
 
-    def _ride(self, idx, t0, n0, riding) -> None:
-        """``hold`` rows crossing the ceiling at (t0, n0) ride it from there,
-        or die where holding it needs a rate above e_max."""
+    def _ride(self, idx, t_c, n_c, riding) -> None:
+        """``hold`` rows crossing the ceiling at (t_c, n_c) move there and
+        ride it from there, or die where holding it needs a rate above
+        e_max."""
         sc = self.scenario
         p = sc.params
-        over = boundary_control(p, sc.env, p.ceiling_s(n0), t0) > p.e_max * (1.0 + 1e-9)
+        s_c = p.ceiling_s(n_c)
+        over = boundary_control(p, sc.env, s_c, t_c) > p.e_max * (1.0 + 1e-9)
         self._die(idx[over])
         ok = ~over
-        self.t0[idx[ok]], self.rows.n[idx[ok]], riding[idx[ok]] = t0[ok], n0[ok], True
+        idx, t_c, s_c, n_c = idx[ok], t_c[ok], s_c[ok], n_c[ok]
+        self._move(idx, t_c, s_c, n_c, revenue_rate(sc, self.econ, s_c, n_c, t_c))
+        riding[idx] = True
 
     def _cross(self, idx, t_c, n_c, hold, riding) -> None:
         """Rows crossing the ceiling at (t_c, n_c), their state handed over at
@@ -400,51 +420,64 @@ class _Segment:
     def _cut(self, idx, rates, free) -> None:
         """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
         :meth:`Scenario.cut_s_after`, up to the step in which each crosses
-        the ceiling or the grid time at which it is spent, where it leaves
-        as a ``free`` row.  Each count is the closed form from T[0], and
-        n_min from the grid time at which it is spent, so the step that
-        reaches n_min runs linearly to it, as a step with the rate clamped
-        does.  A cut row's level is a rate, never ``hold``, so a crossing
-        exits at the corner or dies."""
-        sc, rows, T, S, h = self.scenario, self.rows, self.T, self.S, self.h
+        the ceiling or the time at which it is spent.  Each count is the
+        closed form from T[0].  A row is spent at the exact time its count
+        reaches n_min, or at the first grid time whose count is at or below
+        :func:`_spent_count` where that is earlier, as ``integrate``'s cut
+        spans are: that time replaces the grid time in the row's times, so
+        its state there comes from the same solve, and the row leaves there
+        as a ``free`` row.  A cut row's level is a rate, never ``hold``, so
+        a crossing exits at the corner or dies."""
+        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
         p = sc.params
         e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
         ar = np.arange(idx.size)
         n = n0[:, None] - e[:, None] * (T - T[0])
-        n[n <= _spent_count(p)] = p.n_min
+        # The first grid time at or below the spent count; S + 1 where none is.
+        spent = n <= _spent_count(p)
+        j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1), S + 1)
+        n[spent] = p.n_min
+        t_n_min = T[0] + (n0 - p.n_min) / e
+        sp = np.flatnonzero(j_spent <= S)
+        j = j_spent[sp]
+        t_s = np.minimum(t_n_min[sp], T[j])
+        times = np.repeat(T[None], idx.size, axis=0)
+        times[sp, j] = t_s
         s = np.empty_like(n)
-        s[:, 0], s[:, 1:] = s0, sc.cut_s_after(s0, T, n)
+        s[:, 0], s[:, 1:] = s0, sc.cut_s_after(s0, times, n)
         growth = sc.growth_per_energy(s, n)
         R = _revenue_rate_from(self.econ, self.factors, s, n, growth * self.V)
         R[:, 0] = rows.rate[idx]
         # The first step ending above the ceiling (g increases through
-        # g(1) = 1, so g(r)/n * n > 1 is r > 1) and the first grid time
-        # before S at which the row is spent; S + 1 where there is none.
+        # g(1) = 1, so g(r)/n * n > 1 is r > 1); S + 1 where there is none.
         over = growth[:, 1:] * n[:, 1:] > 1.0
-        spent = n[:, 1:S] <= _spent_count(p)
         j_over = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
-        j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1) + 1, S + 1)
         crosses = j_over <= np.minimum(j_spent, S)
-        jb = np.where(crosses, j_over - 1, np.minimum(j_spent, S))
-        value = self._trapezoid(rows.value[idx], R, self.j0[idx], jb)
+        jb = np.where(crosses, j_over - 1, np.minimum(j_spent - 1, S))
+        value = self._gregory(rows.value[idx], R, self.j0[idx], self.t0[idx], jb)
         self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
-        free[idx[~crosses & (j_spent < S)]] = True
+        leaves = ~crosses[sp]
+        if leaves.any():
+            i, t_i, s_i = idx[sp[leaves]], t_s[leaves], s[sp[leaves], j[leaves]]
+            self._move(i, t_i, s_i, p.n_min, revenue_rate(sc, self.econ, s_i, p.n_min, t_i))
+            free[i[t_i < T[S]]] = True
         if crosses.any():
             c, j = ar[crosses], jb[crosses]
             t, s_c, n_c = T[j], s[c, j], n[c, j]
-            # Located from the step start, at the step's clamped rate.
-            t_c = np.clip(sc.ceiling_time(t, s_c, n_c), t, T[j + 1])
-            e_c = np.minimum(e[c], (n_c - p.n_min) / h)
-            at_corner = n_c - (t_c - t) * e_c <= p.n_min * (1.0 + EXIT_REL_TOL)
+            # Located from the step start, up to the step's end or the time
+            # the row is spent; the count there at the row's rate, floored
+            # at n_min.
+            t_c = np.clip(sc.ceiling_time(t, s_c, n_c), t, np.minimum(T[j + 1], t_n_min[c]))
+            at_corner = (np.maximum(n_c - (t_c - t) * e[c], p.n_min)
+                         <= p.n_min * (1.0 + EXIT_REL_TOL))
             self._exit(idx[c[at_corner]], t_c[at_corner])
             self._die(idx[c[~at_corner]])
 
     def _free(self, idx, hold, riding) -> None:
-        """Uncut growth of the rows ``idx`` from their grid index j0, in
-        closed form, up to the step in which each reaches the ceiling."""
+        """Uncut growth of the rows ``idx`` from their start t0, in closed
+        form, up to the step in which each reaches the ceiling."""
         sc, rows, T, S = self.scenario, self.rows, self.T, self.S
-        j0, s0, n0 = self.j0[idx], rows.s[idx], rows.n[idx]
-        t0 = T[j0]
+        j0, t0, s0, n0 = self.j0[idx], self.t0[idx], rows.s[idx], rows.n[idx]
         ar = np.arange(idx.size)
         t_hit = sc.ceiling_time(t0, s0, n0)
         # The step reaching the ceiling; above S where none does.
@@ -455,7 +488,7 @@ class _Segment:
         R[ar, j0] = rows.rate[idx]
         # The last grid time each row reaches: S, or the start of its crossing step.
         jb = np.minimum(j_hit - 1, S)
-        value = self._trapezoid(rows.value[idx], R, j0, jb)
+        value = self._gregory(rows.value[idx], R, j0, t0, jb)
         self._hand_over(idx, jb, s[ar, jb], n0, R[ar, jb], value)
         hits = j_hit <= S
         if hits.any():
@@ -475,19 +508,38 @@ class _Segment:
         below = (n < p.n_min) & (np.arange(S + 1) > j0[:, None])
         ends = below.any(axis=1)
         jb = np.where(ends, np.argmax(below, axis=1) - 1, S)
-        value = self._trapezoid(rows.value[idx], R, j0, jb)
+        value = self._gregory(rows.value[idx], R, j0, t0, jb)
         self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
         rows.on_arc[idx[~ends]] = True
         if ends.any():
             je = jb[ends] + 1
             self._exit(idx[ends], np.minimum(sc.arc_exhaustion_time(t0[ends], n0[ends]), T[je]))
 
-    def _trapezoid(self, value, R, j0, jb):
-        """``value`` plus the per-step trapezoids of the rows' integrand ``R``
-        over the grid steps from index j0 to jb."""
+    def _gregory(self, value, R, j0, t0, jb):
+        """``value`` plus the integral of the rows' integrand ``R`` over their
+        pieces, from t0 to grid index jb: the trapezoid over a first partial
+        step, where t0 lies after T[j0], and Gregory's end-corrected
+        trapezoid over the full steps after it (Davis & Rabinowitz, Methods
+        of Numerical Integration, 2nd ed., 1984, section 2.9).  The
+        correction takes the second differences at both ends of a piece of
+        at least two full steps, so the rule is fourth order in the step;
+        over two steps it is Simpson's rule."""
+        T, h = self.T, self.h
+        ar = np.arange(j0.size)
+        a = j0 + (t0 > T[j0])           # the first full step's start
         J = np.arange(1, self.S + 1)
-        full = (J > j0[:, None]) & (J <= jb[:, None])
-        return value + self.h / 2 * np.sum(np.where(full, R[:, :-1] + R[:, 1:], 0.0), axis=1)
+        full = (J > a[:, None]) & (J <= jb[:, None])
+        value = value + h / 2 * np.sum(np.where(full, R[:, :-1] + R[:, 1:], 0.0), axis=1)
+        part = (a > j0) & (jb >= a)
+        if part.any():
+            r, a0 = ar[part], a[part]
+            value[part] += 0.5 * (T[a0] - t0[part]) * (R[r, j0[part]] + R[r, a0])
+        ends = jb - a >= 2
+        if ends.any():
+            r, a, b = ar[ends], a[ends], jb[ends]
+            value[ends] -= h / 24 * (3 * R[r, a] - 4 * R[r, a + 1] + R[r, a + 2]
+                                     + 3 * R[r, b] - 4 * R[r, b - 1] + R[r, b - 2])
+        return value
 
 
 def _levels_to_policy(levels_row: np.ndarray, horizon: float, k: int) -> Policy:
@@ -636,7 +688,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     would break the density ceiling, or whose ride along it needs a rate
     above e_max, are discarded; candidates that exhaust the stand early
     clear-cut at the exit corner.  With ``terminal_n_min`` only schedules
-    ending at n(T) = n_min compete.  The screening pass runs at roughly 1024
+    ending at n(T) = n_min compete.  The screening pass runs at roughly 256
     steps over the horizon.  Of the best ``rescore_top`` candidates, each
     screened state once, by its first contender in enumeration order, and
     all canonical policies are re-integrated at ``fine_step`` (default

@@ -2,23 +2,27 @@
 
 Kept as the reference for the differential test (``test_screen_tree.py``):
 it steps every row of a full (3^k, k) level matrix over every segment, so it
-is slow but plainly in enumeration order.  Its body is the screen as it stood
-before prefix sharing.
+is slow but plainly in enumeration order.  It takes RK4 steps where the
+screen solves the dynamics in closed form or by collocation, but follows the
+screen's event rules and sums each piece by the same rule, Gregory's
+end-corrected trapezoid, so the two differ by the RK4 error and rounding.
 """
 
 import numpy as np
 
-from standgrowth.dynamics import EXIT_REL_TOL
-from standgrowth.economics import (EconomicModel, _revenue_rate_from,
-                                   _revenue_time_factors, price)
-from standgrowth.model import Scenario
+from standgrowth.dynamics import EXIT_REL_TOL, _spent_count
+from standgrowth.economics import EconomicModel, price, revenue_rate
+from standgrowth.model import Scenario, boundary_control
 from standgrowth.optimizer import _HOLD_CODE
 
+# Weights of a piece's first three grid samples in its start correction.
+_HEAD = np.array([3.0, -4.0, 1.0, 0.0])
 
-def _rk4(growth_rate, t, s, n, e, h, k1):
-    """s after one RK4 step of length ``h`` at the rate ``e`` from (t, s, n),
-    whose first stage ``k1`` is given."""
+
+def _rk4(growth_rate, t, s, n, e, h):
+    """s after one RK4 step of length ``h`` at the rate ``e`` from (t, s, n)."""
     n_mid, n_new = n - h / 2 * e, n - h * e
+    k1 = growth_rate(t, s, n)
     k2 = growth_rate(t + h / 2, s + h / 2 * k1, n_mid)
     k3 = growth_rate(t + h / 2, s + h / 2 * k2, n_mid)
     k4 = growth_rate(t + h, s + h * k3, n_new)
@@ -30,104 +34,162 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
     """Approximate objectives for a batch of interval-coded policies.
 
     One fixed-step pass vectorized across candidates, under the event rules
-    of ``integrate``: growth off the ceiling takes RK4 steps, each step
-    split into ``substeps`` equal RK4 steps at its rate; an uncut row
-    reaches the density ceiling at :meth:`Scenario.ceiling_time`; riders
-    follow the arc relation (:meth:`Scenario.arc_count_after`) from the
-    step's start or their crossing, up to the exact exhaustion time
-    (:meth:`Scenario.arc_exhaustion_time`); a crossing at n_min is the exit
-    corner.  A row crossing elsewhere under a positive rate dies; the
-    ceiling time at its starting count only decides its corner test.
+    of ``integrate``: growth off the ceiling takes RK4 steps, each split
+    into ``substeps`` equal RK4 steps at its rate.  A cut row is spent at
+    the exact time its count reaches n_min, or at the step end where the
+    count there is at or below the spent count, and the step is split
+    there; the row grows uncut for the rest of it.  An uncut row reaches
+    the density ceiling at :meth:`Scenario.ceiling_time`, where the step is
+    split: a ``hold`` row rides the ceiling from there by the arc relation
+    (:meth:`Scenario.arc_count_after`), up to the exact exhaustion time
+    (:meth:`Scenario.arc_exhaustion_time`), unless riding needs a rate
+    above e_max.  A crossing at n_min is the exit corner; any other
+    crossing kills the row, and for a cut row the ceiling time from the
+    step start only decides its corner test.
+
     Values are the by-parts objective, its integrand (shared with
-    ``objective_ibp``) summed by the per-step trapezoid; it depends on the
-    state alone and only kinks where the control jumps, so the ranking is
-    second order in the step.  A row reaching the exit corner adds its
-    trapezoid up to the exit time at the corner state, then freezes.  The
-    rate clamp at n_min perturbs only the state, at second order; winners
-    are re-integrated exactly.  Returns (values, feasible, n_end).
+    ``objective_ibp``) summed over each piece: a run of one span kind within
+    one segment, bounded by events and segment ends.  A partial step, at
+    either end of a piece, takes the trapezoid; the full steps take
+    Gregory's end-corrected trapezoid where the piece has at least two.
+    A row reaching the exit corner freezes there.  Returns (values,
+    feasible, n_end).
     """
     p = scenario.params
     env = scenario.env
-    growth_rate, env_v = scenario.growth_rate, env.v
+    growth_rate = scenario.growth_rate
     A, q2, n_min, s_bar = p.A, p.q / 2.0, p.n_min, p.s_bar
+    spent_count = _spent_count(p)
     m, k = levels_matrix.shape
     steps_per = max(1, int(np.ceil(steps_total / k)))
     h = horizon / (k * steps_per)
+
+    def advance_s(t, s, n, e, length):
+        """s after ``length`` at the rate ``e`` from (t, s, n)."""
+        hs = length / substeps
+        for i in range(substeps):
+            s = _rk4(growth_rate, t + i * hs, s, n - i * hs * e, e, hs)
+        return s
 
     s = np.full(m, scenario.initial.s)
     n = np.full(m, scenario.initial.n)
     on_arc = np.zeros(m, dtype=bool)
     dead = np.zeros(m, dtype=bool)
     done = np.zeros(m, dtype=bool)          # dead or exited: value frozen
-    t_exit = np.empty(m)
     t = 0.0
-    # The growth rate at each step end is the next step's first RK4 stage.
-    dsdt = growth_rate(t, s, n)
-    rate = _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
+    rate = np.full(m, revenue_rate(scenario, econ, scenario.initial.s, scenario.initial.n, t))
     value = np.full(m, price(econ, env, scenario.initial.s, t) * scenario.initial.n)
+    # Per piece: its grid samples so far, its start correction, and its
+    # last three grid samples' integrand, latest first.
+    seen = np.zeros(m, dtype=np.intp)
+    head = np.zeros(m)
+    last = np.zeros((3, m))
+
+    def grid_sample(R):
+        """The rows reach a grid time with integrand ``R`` (done rows too,
+        whose pieces are never read again)."""
+        head[:] += _HEAD[np.minimum(seen, 3)] * R
+        seen[:] += 1
+        last[:] = np.stack((R, last[0], last[1]))
+
+    def end_piece(idx):
+        """The rows' pieces end at their last grid sample: Gregory's end
+        corrections where a piece has at least two full steps."""
+        ends = idx[seen[idx] >= 3]
+        value[ends] -= h / 24 * (head[ends] + 3 * last[0, ends] - 4 * last[1, ends]
+                                 + last[2, ends])
+        seen[idx], head[idx] = 0, 0.0
+
+    def move(idx, t_to, s_to, n_to):
+        """The rows' partial step from their piece time to ``t_to``, where
+        their piece ends and they take the state (s_to, n_to)."""
+        R = revenue_rate(scenario, econ, s_to, n_to, t_to)
+        value[idx] += 0.5 * (t_to - t_from[idx]) * (rate[idx] + R)
+        end_piece(idx)
+        s[idx], n[idx], rate[idx], t_from[idx] = s_to, n_to, R, t_to
+
+    def exit_at(idx, te):
+        move(idx, te, s_bar, n_min)
+        done[idx] = True
+
+    def die(idx):
+        dead[idx] = done[idx] = True
+
+    def off_ceiling(rows, t0, e, t_end, n_end):
+        """The rows of the mask ``rows`` grow from their state at ``t0`` up
+        to ``t_end`` at the rates ``e``, to the counts ``n_end`` (values for
+        every row, so that the steps run on whole arrays).  A row ending
+        above the ceiling crosses it at the ceiling time from its start
+        instead: at n_min it exits, a ``hold`` row rides from there, unless
+        riding needs a rate above e_max, and any other row dies.  Returns
+        which rows stayed below the ceiling."""
+        s_end = advance_s(t0, s, n, e, t_end - t0)
+        below = A * n_end * s_end ** q2 <= 1.0
+        np.copyto(s, s_end, where=rows & below)
+        np.copyto(n, n_end, where=rows & below)
+        x = np.flatnonzero(rows & ~below)
+        if not x.size:
+            return below
+        t0 = np.broadcast_to(t0, (m,))[x]
+        t_c = np.clip(scenario.ceiling_time(t0, s[x], n[x]), t0, t_end[x])
+        at_corner = np.maximum(n[x] - (t_c - t0) * e[x], n_min) <= n_min * (1.0 + EXIT_REL_TOL)
+        exit_at(x[at_corner], t_c[at_corner])
+        rides = ~at_corner & hold[x]
+        die(x[~at_corner & ~rides])
+        r, t_r = x[rides], t_c[rides]
+        s_r = p.ceiling_s(n[r])
+        over = boundary_control(p, env, s_r, t_r) > p.e_max * (1.0 + 1e-9)
+        die(r[over])
+        move(r[~over], t_r[~over], s_r[~over], n[r[~over]])
+        on_arc[r[~over]] = True
+        return below
 
     for seg in range(k):
         seg_levels = levels_matrix[:, seg]
-        hold_mask = seg_levels == _HOLD_CODE
-        on_arc &= hold_mask          # numeric segments leave the ceiling
-        # Hold rows grow freely; ceiling riders' results are replaced below.
-        e_level = np.where(hold_mask, 0.0, np.maximum(seg_levels, 0.0))
+        hold = seg_levels == _HOLD_CODE
+        on_arc &= hold          # numeric segments leave the ceiling
+        e_level = np.where(hold, 0.0, np.maximum(seg_levels, 0.0))
+        grid_sample(rate)               # every live row starts a piece
         for _ in range(steps_per):
             if done.all():
                 break
-            # Clamp the rate so the count cannot undershoot n_min in the step.
-            e = np.minimum(e_level, np.maximum(n - n_min, 0.0) / h)
-            hs = h / substeps
-            s_new = _rk4(growth_rate, t, s, n, e, hs, dsdt)
-            for i in range(1, substeps):
-                t_i, n_i = t + i * hs, n - i * hs * e
-                s_new = _rk4(growth_rate, t_i, s_new, n_i, e, hs, growth_rate(t_i, s_new, n_i))
-            n_new = n - h * e
+            t1 = t + h
+            t_from = np.full(m, t)      # where each row's current piece picks up
 
-            exiting = np.zeros(m, dtype=bool)
-            t_arc, n_arc = t, n              # where each rider's arc starts
-            crossing = ~done & ~on_arc & (A * n_new * s_new ** q2 > 1.0)
-            if crossing.any():
-                idx = np.flatnonzero(crossing)
-                t_c = np.clip(scenario.ceiling_time(t, s[idx], n[idx]), t, t + h)
-                n_c = n[idx] - (t_c - t) * e[idx]
-                at_corner = n_c <= n_min * (1.0 + EXIT_REL_TOL)
-                rides = ~at_corner & hold_mask[idx]
-                t_exit[idx[at_corner]] = t_c[at_corner]
-                exiting[idx[at_corner]] = True
-                dead[idx[~at_corner & ~rides]] = True
-                if rides.any():
-                    on_arc[idx[rides]] = True
-                    t_arc, n_arc = np.full(m, t), n.copy()
-                    t_arc[idx[rides]], n_arc[idx[rides]] = t_c[rides], n_c[rides]
+            off = ~done & ~on_arc
+            e = np.where(off & (n > spent_count), e_level, 0.0)
+            n_end = n - h * e
+            spent = (e > 0.0) & (n_end <= spent_count)
+            t_end = np.full(m, t1)
+            t_end[spent] = np.minimum(t + (n[spent] - n_min) / e[spent], t1)
+            n_end[spent] = n_min
+            left = spent & off_ceiling(off, t, e, t_end, n_end)
+            if left.any():
+                # The cut's piece ends where it is spent; the row grows uncut
+                # for the rest of the step.
+                i = np.flatnonzero(left)
+                move(i, t_end[i], s[i], n_min)
+                off_ceiling(left, t_end, np.zeros(m), np.full(m, t1), n)
 
-            riding = on_arc & ~done
-            if riding.any():
-                n_end = scenario.arc_count_after(n_arc, env_v.integral(t_arc, t + h))
-                ends = riding & (n_end < n_min)
+            a = np.flatnonzero(~done & on_arc)
+            if a.size:
+                ta = t_from[a]
+                n_end = scenario.arc_count_after(n[a], env.v.integral(ta, t1))
+                ends = n_end < n_min
                 if ends.any():
-                    t_from = t_arc[ends] if np.ndim(t_arc) else t_arc
-                    t_exit[ends] = np.minimum(
-                        scenario.arc_exhaustion_time(t_from, n_arc[ends]), t + h)
-                    exiting |= ends
-                n_new = np.where(riding, n_end, n_new)
-                s_new = np.where(riding, p.ceiling_s(n_new), s_new)
+                    exit_at(a[ends], np.minimum(
+                        scenario.arc_exhaustion_time(ta[ends], n[a[ends]]), t1))
+                n[a[~ends]] = n_end[~ends]
+                s[a[~ends]] = p.ceiling_s(n_end[~ends])
 
-            if exiting.any():
-                te = t_exit[exiting]
-                corner = _revenue_rate_from(econ, _revenue_time_factors(econ, env, te),
-                                            s_bar, n_min, growth_rate(te, s_bar, n_min))
-                value[exiting] += 0.5 * (te - t) * (rate[exiting] + corner)
-                s_new[exiting], n_new[exiting] = s_bar, n_min
-            done |= dead               # rows breaking the ceiling keep their last state
-            s = np.where(done, s, s_new)
-            n = np.where(done, n, n_new)
-            done |= exiting
-            t += h
-            dsdt = growth_rate(t, s, n)
-            rate_new = _revenue_rate_from(econ, _revenue_time_factors(econ, env, t), s, n, dsdt)
-            value += np.where(done, 0.0, 0.5 * h * (rate + rate_new))
-            rate = rate_new
+            live = ~done
+            R = revenue_rate(scenario, econ, s, n, t1)
+            width = np.where(t_from > t, t1 - t_from, h)
+            value[live] += 0.5 * (width * (rate + R))[live]
+            rate[live] = R[live]
+            grid_sample(R)
+            t = t1
+        end_piece(np.flatnonzero(~done))
 
     value[dead] = -np.inf
     return value, ~dead, n

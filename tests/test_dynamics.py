@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import standgrowth as sg
 from standgrowth.dynamics import DEFAULT_STEPS
-from conftest import load, scenarios
+from conftest import load, scenarios, window_horizon
 
 SCENARIO_FILES = ("concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
                   "linear_growth.ini", "low_energy.ini")
@@ -316,6 +316,28 @@ class TestExports:
         kinds = [ev["kind"] for ev in payload["events"]]
         assert "RdiHitOne" in kinds and "ExitPoint" in kinds
         assert payload["validity_end"] == pytest.approx(traj.validity_end)
+
+    @pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                      "fagacees.ini", "linear_growth.ini", "low_energy.ini"])
+    def test_csv_bytes_match_csv_writer(self, name, tmp_path):
+        """The one-string writer writes the bytes of the ``csv.writer`` loop
+        it replaced, on runs that end at the horizon, at the ceiling and at
+        the exit corner."""
+        scn = load(name).scenario
+        horizon = window_horizon(scn, 0.5)
+        for kind in ("zero", "max", "esup", "et"):
+            traj = sg.integrate(scn, sg.build_policy(scn, kind, horizon), horizon)
+            got, want = tmp_path / f"{kind}.csv", tmp_path / f"{kind}.ref.csv"
+            sg.write_trajectory_csv(traj, scn.env, got)
+            h_vals = scn.env.h0(traj.t)
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "s", "n", "r", "e", "h"])
+                for i in range(len(traj.t)):
+                    writer.writerow([f"{traj.t[i]:.12g}", f"{traj.s[i]:.12g}",
+                                     f"{traj.n[i]:.12g}", f"{traj.r[i]:.12g}",
+                                     f"{traj.e[i]:.12g}", f"{h_vals[i]:.12g}"])
+            assert got.read_bytes() == want.read_bytes(), kind
 
     def test_esup_control_matches_ceiling_rate(self, convex_price):
         scn = convex_price.scenario
