@@ -453,7 +453,9 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
             if n <= n_corner:
                 return exit_at(t, True)
             on_arc = True
-            s = p.ceiling_s(n)
+            # On an array, as the arc span's samples are: the scalar power
+            # can round an ulp away from the sample that ends the last span.
+            s = float(p.ceiling_s(np.array([n]))[0])
         h_nom = (tb - ta) / max(1, round((tb - ta) / step))
         while t < tb - 1e-13 * max(1.0, tb):
             if on_arc:

@@ -31,7 +31,9 @@ cut span's constant rate and the ceiling-holding rate (q/2) V(t)/s at each
 arc sample, so no rate is read across a jump.  Agreeing values are a strong
 end-to-end check of the integration.  The search's screen sums the same
 integrand (``revenue_rate``) piece by piece between the events, where the
-control jumps and the integrand kinks, by Gregory's end-corrected
+control jumps and the integrand kinks.  Where the stand grows uncut, n is
+fixed and the integrand n dP/dt integrates exactly to n [P(s, t)] between
+the piece's ends; the other pieces take Gregory's end-corrected
 trapezoid, so that ranking is fourth order in the step.
 """
 

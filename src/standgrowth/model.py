@@ -86,6 +86,10 @@ _GAUSS_A = (
     (0.33438384394837756, 0.7079060120674879, 0.32607257743127305, -0.028381389862282287),
     (0.3549651445090452, 0.6268902294837367, 0.7053535150325437, 0.17392742256872692),
 )
+# Column k of that matrix over the (node, stand, step) axes of a sweep, so
+# that one expression updates every node: node j is its step start plus
+# a[j][0] f0 + a[j][1] f1 + a[j][2] f2 + a[j][3] f3, summed in that order.
+_GAUSS_A_COLS = tuple(np.array(_GAUSS_A).T[:, :, None, None])
 # Picard sweeps of a fagacees cut span: a stand is solved once a sweep moves
 # none of its step-end values by more than _PICARD_TOL times its last one
 # (four units in the last place), and a stand still moving after
@@ -93,8 +97,8 @@ _GAUSS_A = (
 _PICARD_TOL = 2.0 ** -50
 _PICARD_MAX_SWEEPS = 64
 # Cells per stand and step that Scenario.cut_s_after keeps, for sizing
-# blocks: the node arrays of a fagacees sweep (counts, energy, basal area
-# and growth), four cells each.
+# blocks: about the node arrays of a fagacees sweep (counts, energy, basal
+# area and growth), four cells each.
 _CUT_CELLS = 4 * len(_GAUSS_NODES)
 
 
@@ -557,19 +561,21 @@ class Scenario:
         vh = np.broadcast_to(v_nodes * half_t, full).reshape(shape)
         s0 = np.broadcast_to(np.asarray(s, dtype=float), lead).reshape(-1, 1)
         out = np.empty(shape[1:])
-        if not m:
+        if not (m and shape[1]):
             return out.reshape(lead + (m,))
-        nodes = np.broadcast_to(s0, shape).copy()
+        # growth_per_energy at the nodes, g(A n s**(q/2)) / n, with A n taken once.
+        g, q2, an = self.growth.g, self.params.q / 2.0, self.params.A * n_nodes
+        a0, a1, a2, a3 = _GAUSS_A_COLS
+        nodes = np.broadcast_to(s0, shape)
         stands = np.arange(shape[1])        # the stands still sweeping
         ends = None
         for _ in range(_PICARD_MAX_SWEEPS):
-            f = self.growth_per_energy(nodes, n_nodes) * vh
+            f = g(an * nodes ** q2) / n_nodes * vh
             last = ends
             ends = s0 + np.cumsum(_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3]),
                                   axis=-1)
             starts = np.concatenate((s0, ends[:, :-1]), axis=1)
-            for node, a in zip(nodes, _GAUSS_A):
-                node[...] = starts + (a[0] * f[0] + a[1] * f[1] + a[2] * f[2] + a[3] * f[3])
+            nodes = starts + (a0 * f[0] + a1 * f[1] + a2 * f[2] + a3 * f[3])
             if last is None:
                 continue
             solved = np.max(np.abs(ends - last), axis=1) <= _PICARD_TOL * ends[:, -1]
@@ -579,7 +585,7 @@ class Scenario:
                 if not left.any():
                     return out.reshape(lead + (m,))
                 stands, s0, ends = stands[left], s0[left], ends[left]
-                nodes, n_nodes, vh = nodes[:, left], n_nodes[:, left], vh[:, left]
+                nodes, an, n_nodes, vh = nodes[:, left], an[:, left], n_nodes[:, left], vh[:, left]
         raise RuntimeError(f"fagacees cut span did not converge in {_PICARD_MAX_SWEEPS} "
                            f"sweeps from s={s0[:, 0]}")
 

@@ -21,11 +21,15 @@ Two independent routes to the same question:
   ceiling, and the cut relation, closed-form under power growth and
   solved by collocation under fagacees growth.
   It ranks them on the by-parts form of the objective, whose integrand
-  depends on the state alone and is smooth between events, each piece
-  summed by Gregory's end-corrected trapezoid, fourth order in the step.
+  n dP/dt depends on the state alone and is smooth between events.  An
+  uncut piece keeps its count, so it adds n [P(s, t)] between its ends
+  exactly, and is solved at its end alone; a cut or ceiling-riding piece
+  is summed by Gregory's end-corrected trapezoid, fourth order in the step.
+  Rows merge by one ``np.lexsort`` over the bit patterns of their states.
   Of the best few, each screened state is re-integrated once at a fine
   step, by its first contender in enumeration order, together with the
-  canonical policies, and the exact objective decides.  Its E0 and Esup runs are the
+  canonical policies, and the exact objective decides; Max, which the
+  n_min clamp makes E0, shares E0's run.  Its E0 and Esup runs are the
   references of :func:`check_prop2`'s xi floor.
 
 :func:`compare_canonicals` scores the canonical policies through the same
@@ -200,24 +204,27 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     stand.  So each distinct state is advanced once, and the leaves are read
     through the map.
 
-    Every row is sampled on one fixed grid of about ``steps_total`` steps
-    and advanced, segment by segment, by the span kind of its state, under
-    the event rules of ``integrate`` (see :class:`_Segment`), on (rows x
-    grid times) blocks: ceiling riders and uncut rows by closed forms, cut
-    rows by :meth:`Scenario.cut_s_after`.  A cut row is spent at the time
-    ``integrate`` finds, and grows uncut from there.  A row crossing the
-    ceiling at n_min exits at the corner; a ``hold`` row crossing elsewhere
-    rides the ceiling from the crossing, unless holding it needs a rate
-    above e_max; any other crossing kills the row.  Values are the by-parts
-    objective, its integrand (shared with ``objective_ibp``) summed over
-    each piece, a run of one span kind within one segment, between its
-    events: the trapezoid over a partial step at either end, Gregory's
-    end-corrected trapezoid over the full steps.  The integrand depends on
-    the state alone and is smooth inside a piece, so the sum is fourth
-    order in the step, and the events cost only the partial steps'
-    trapezoids.  A row reaching the exit corner freezes there; winners are
-    re-integrated exactly.  Returns (values, feasible, n_end): -inf values
-    for dead rows, and the count where each row stopped.
+    Every row is advanced, segment by segment, by the span kind of its
+    state, under the event rules of ``integrate`` (see :class:`_Segment`):
+    ceiling riders and cut rows on (rows x grid times) blocks of one fixed
+    grid of about ``steps_total`` steps, riders by a closed form and cut
+    rows by :meth:`Scenario.cut_s_after`; uncut rows by closed forms at the
+    end of their piece alone.  A cut row is spent at the time ``integrate``
+    finds, and grows uncut from there.  A row crossing the ceiling at n_min
+    exits at the corner; a ``hold`` row crossing elsewhere rides the
+    ceiling from the crossing, unless holding it needs a rate above e_max;
+    any other crossing kills the row.  Values are the by-parts objective,
+    its integrand n dP/dt (shared with ``objective_ibp``) summed over each
+    piece, a run of one span kind within one segment, between its events.
+    An uncut piece keeps its count, so it adds n [P(s, t)] between its
+    ends, exactly.  The other pieces take the trapezoid over a partial step
+    at either end and Gregory's end-corrected trapezoid over the full
+    steps: the integrand depends on the state alone and is smooth inside a
+    piece, so the sum is fourth order in the step, and the events cost only
+    the partial steps' trapezoids.  A row reaching the exit corner freezes
+    there; winners are re-integrated exactly.  Returns (values, feasible,
+    n_end): -inf values for dead rows, and the count where each row
+    stopped.
     """
     c = len(codes)
     grid, steps_per, h, rows = _screen_start(scenario, econ, horizon, k, steps_total)
@@ -275,13 +282,24 @@ class _Rows:
         return _Rows(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def unique(self) -> tuple[_Rows, np.ndarray]:
-        """One row per bit-equal state, and the index of each row's state
-        among them."""
-        key = np.stack([self.s.view(np.uint64), self.n.view(np.uint64),
-                        self.rate.view(np.uint64), self.value.view(np.uint64),
-                        self.on_arc, self.dead, self.done], axis=1, dtype=np.uint64)
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        return self.take(first), inverse.reshape(-1)
+        """One row per bit-equal state, its first in row order, and the index
+        of each row's state among them.
+
+        The keys are the bit patterns of ``s``, ``n``, ``rate`` and
+        ``value`` and the three flags packed into one; one stable
+        ``np.lexsort`` brings equal keys together, and each run of them is
+        one state."""
+        flags = (self.on_arc.view(np.uint8) | self.dead.view(np.uint8) << 1
+                 | self.done.view(np.uint8) << 2)
+        key = np.stack([flags, self.value.view(np.uint64), self.rate.view(np.uint64),
+                        self.n.view(np.uint64), self.s.view(np.uint64)], dtype=np.uint64)
+        order = np.lexsort(key)
+        key = key[:, order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        return self.take(order[first]), inverse
 
 
 class _Segment:
@@ -301,23 +319,27 @@ class _Segment:
       :meth:`Scenario.ceiling_time` from the step start, where the row
       exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
-      n_min.  The samples are :meth:`Scenario.uncut_s_after` from the row's
-      start, up to its :meth:`Scenario.ceiling_time`, where a ``hold`` row
-      starts its arc;
+      n_min.  The row is solved at the end of its piece alone: the segment
+      end, by :meth:`Scenario.uncut_s_after` from the row's start, or its
+      :meth:`Scenario.ceiling_time`, placed on the ceiling, where a
+      ``hold`` row starts its arc;
     * **arc**: a ``hold`` row on the ceiling.  The count is
       :meth:`Scenario.arc_count_after` from the arc start, up to the first
       sample below n_min, where the row exits at
       :meth:`Scenario.arc_exhaustion_time`.  Along an arc (q/2) V/s only
       falls, so a row whose arc starts above e_max dies there.
 
-    Each run of one kind is a piece, and each piece is summed on its own
-    (:meth:`_gregory`): its by-parts integrand is smooth inside it, and
-    kinks only at its ends.  A row changes kind by writing its state,
-    ``rate`` and ``value`` at the last grid index ``j0`` before the change,
-    then moving them on to the time ``t0`` of the change by the trapezoid
-    of that partial step (:meth:`_move`); the cut rows run first, then the
-    free rows, then the arcs.  The time factors (V and those of the by-parts
-    integrand) are taken once per grid time.
+    Each run of one kind is a piece, and each piece is summed on its own:
+    its by-parts integrand is smooth inside it, and kinks only at its ends.
+    A free piece keeps its count n, so it adds n [P(s, t)] between its
+    ends, exactly; a cut or arc piece is summed by :meth:`_gregory`.  A
+    free row ends its piece at the time of its change, with its state,
+    ``rate`` and ``value`` there.  A cut or arc row changes kind by writing
+    them at the last grid index ``j0`` before the change, then moving them
+    on to the time ``t0`` of the change by the trapezoid of that partial
+    step (:meth:`_move`).  The cut rows run first, then the free rows, then
+    the arcs.  The time factors (V and those of the by-parts integrand) are
+    taken once per grid time.
     """
 
     def __init__(self, scenario: Scenario, econ: EconomicModel, times: np.ndarray,
@@ -368,18 +390,19 @@ class _Segment:
         return _revenue_rate_from(self.econ, self.factors, s, n, dsdt)
 
     def _hand_over(self, idx, j, s, n, rate, value) -> None:
-        """Write the rows' state, integrand and value at grid index ``j``."""
+        """Write the rows' state, integrand and value at grid index ``j``,
+        or at their start t0 where that lies after T[j]."""
         rows = self.rows
         rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx] = s, n, rate, value
         self.j0[idx] = j
+        self.t0[idx] = np.maximum(self.T[j], self.t0[idx])
 
     def _move(self, idx, t, s, n, rate) -> None:
-        """Move the rows on from their last sample, the later of T[j0] and
-        t0, to the state (s, n) at ``t``, with integrand ``rate`` there,
-        adding the trapezoid of that partial step."""
+        """Move the rows on from their last sample, at t0, to the state
+        (s, n) at ``t``, with integrand ``rate`` there, adding the trapezoid
+        of that partial step."""
         rows = self.rows
-        last = np.maximum(self.T[self.j0[idx]], self.t0[idx])
-        rows.value[idx] += 0.5 * (t - last) * (rows.rate[idx] + rate)
+        rows.value[idx] += 0.5 * (t - self.t0[idx]) * (rows.rate[idx] + rate)
         rows.s[idx], rows.n[idx], rows.rate[idx] = s, n, rate
         self.t0[idx] = t
 
@@ -474,23 +497,24 @@ class _Segment:
             self._die(idx[c[~at_corner]])
 
     def _free(self, idx, hold, riding) -> None:
-        """Uncut growth of the rows ``idx`` from their start t0, in closed
-        form, up to the step in which each reaches the ceiling."""
-        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
+        """Uncut growth of the rows ``idx`` from their start t0, solved at
+        the end of the piece alone: the segment end, by
+        :meth:`Scenario.uncut_s_after`, or the :meth:`Scenario.ceiling_time`
+        hit, placed on the ceiling.  The count is fixed, so the piece's
+        by-parts integral is n [P(s, t)] between its ends, exactly."""
+        sc, econ, env, rows, T = self.scenario, self.econ, self.scenario.env, self.rows, self.T
         j0, t0, s0, n0 = self.j0[idx], self.t0[idx], rows.s[idx], rows.n[idx]
-        ar = np.arange(idx.size)
         t_hit = sc.ceiling_time(t0, s0, n0)
-        # The step reaching the ceiling; above S where none does.
-        j_hit = np.maximum(np.searchsorted(T, t_hit), j0 + 1)
-        s = sc.uncut_s_after(s0[:, None], n0[:, None], self._energy_from(t0))
-        s[ar, j0] = s0
-        R = self._grid_rate(s, n0[:, None])
-        R[ar, j0] = rows.rate[idx]
-        # The last grid time each row reaches: S, or the start of its crossing step.
-        jb = np.minimum(j_hit - 1, S)
-        value = self._gregory(rows.value[idx], R, j0, t0, jb)
-        self._hand_over(idx, jb, s[ar, jb], n0, R[ar, jb], value)
-        hits = j_hit <= S
+        hits = t_hit <= T[-1]
+        t = np.where(hits, t_hit, T[-1])
+        s = sc.params.ceiling_s(n0)
+        grows = ~hits
+        s[grows] = sc.uncut_s_after(s0[grows], n0[grows], env.v.integral(t0[grows], T[-1]))
+        rows.value[idx] += n0 * (price(econ, env, s, t) - price(econ, env, s0, t0))
+        rows.s[idx], rows.rate[idx] = s, revenue_rate(sc, econ, s, n0, t)
+        # The grid index at or before the end, as _arc reads it.
+        self.j0[idx] = np.maximum(np.searchsorted(T, t, side="right") - 1, j0)
+        self.t0[idx] = t
         if hits.any():
             self._cross(idx[hits], t_hit[hits], n0[hits], hold[idx[hits]], riding)
 
@@ -599,14 +623,18 @@ def _fine_runs(scenario: Scenario, econ: EconomicModel, horizon: float,
     """Fine run and objective of each named policy: name -> (trajectory or
     None, value or None), in the order of ``policies``.
 
-    Each distinct schedule is integrated once.  A schedule whose ceiling ride
-    needs a rate above e_max has no run; a run has a value when it covers the
-    horizon and, with ``terminal_n_min``, ends at n_min.
+    Each distinct schedule is integrated once, and Max shares E0's run:
+    with the n_min clamp, cutting at e_max throughout is E0's dynamics.  A
+    schedule whose ceiling ride needs a rate above e_max has no run; a run
+    has a value when it covers the horizon and, with ``terminal_n_min``,
+    ends at n_min.
     """
     by_schedule = {}
     runs = {}
     for name, policy in policies.items():
         schedule = (policy.breakpoints, policy.levels)
+        if name == "Max" and "E0" in runs:
+            by_schedule[schedule] = runs["E0"]
         if schedule not in by_schedule:
             try:
                 traj = integrate(scenario, policy, horizon, step=step)

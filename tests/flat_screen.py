@@ -4,8 +4,9 @@ Kept as the reference for the differential test (``test_screen_tree.py``):
 it steps every row of a full (3^k, k) level matrix over every segment, so it
 is slow but plainly in enumeration order.  It takes RK4 steps where the
 screen solves the dynamics in closed form or by collocation, but follows the
-screen's event rules and sums each piece by the same rule, Gregory's
-end-corrected trapezoid, so the two differ by the RK4 error and rounding.
+screen's event rules and sums each piece by the same rules, n [P(s, t)]
+between the ends of an uncut piece and Gregory's end-corrected trapezoid
+over the others, so the two differ by the RK4 error and rounding.
 """
 
 import numpy as np
@@ -49,11 +50,13 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
 
     Values are the by-parts objective, its integrand (shared with
     ``objective_ibp``) summed over each piece: a run of one span kind within
-    one segment, bounded by events and segment ends.  A partial step, at
-    either end of a piece, takes the trapezoid; the full steps take
-    Gregory's end-corrected trapezoid where the piece has at least two.
-    A row reaching the exit corner freezes there.  Returns (values,
-    feasible, n_end).
+    one segment, bounded by events and segment ends.  An uncut piece keeps
+    its count n, so each of its steps adds n [P(s, t)] between the step's
+    ends, and a ceiling hit ends it at the ceiling basal area of n.  On the
+    other pieces a partial step, at either end of a piece, takes the
+    trapezoid; the full steps take Gregory's end-corrected trapezoid where
+    the piece has at least two.  A row reaching the exit corner freezes
+    there.  Returns (values, feasible, n_end).
     """
     p = scenario.params
     env = scenario.env
@@ -85,12 +88,13 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
     head = np.zeros(m)
     last = np.zeros((3, m))
 
-    def grid_sample(R):
-        """The rows reach a grid time with integrand ``R`` (done rows too,
-        whose pieces are never read again)."""
-        head[:] += _HEAD[np.minimum(seen, 3)] * R
-        seen[:] += 1
-        last[:] = np.stack((R, last[0], last[1]))
+    def grid_sample(R, rows):
+        """The rows of the mask ``rows`` reach a grid time with integrand
+        ``R`` (done rows may be among them: their pieces are never read
+        again)."""
+        head[rows] += (_HEAD[np.minimum(seen, 3)] * R)[rows]
+        seen[rows] += 1
+        last[:, rows] = np.stack((R, last[0], last[1]))[:, rows]
 
     def end_piece(idx):
         """The rows' pieces end at their last grid sample: Gregory's end
@@ -106,7 +110,7 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
         R = revenue_rate(scenario, econ, s_to, n_to, t_to)
         value[idx] += 0.5 * (t_to - t_from[idx]) * (rate[idx] + R)
         end_piece(idx)
-        s[idx], n[idx], rate[idx], t_from[idx] = s_to, n_to, R, t_to
+        s[idx], n[idx], rate[idx], t_from[idx], s_from[idx] = s_to, n_to, R, t_to, s_to
 
     def exit_at(idx, te):
         move(idx, te, s_bar, n_min)
@@ -132,6 +136,12 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
             return below
         t0 = np.broadcast_to(t0, (m,))[x]
         t_c = np.clip(scenario.ceiling_time(t0, s[x], n[x]), t0, t_end[x])
+        # An uncut piece ends at the hit, on the ceiling.
+        u = e[x] == 0.0
+        xu, t_u, s_u = x[u], t_c[u], p.ceiling_s(n[x[u]])
+        value[xu] += n[xu] * (price(econ, env, s_u, t_u)
+                              - price(econ, env, s_from[xu], t_from[xu]))
+        s[xu], s_from[xu], t_from[xu] = s_u, s_u, t_u
         at_corner = np.maximum(n[x] - (t_c - t0) * e[x], n_min) <= n_min * (1.0 + EXIT_REL_TOL)
         exit_at(x[at_corner], t_c[at_corner])
         rides = ~at_corner & hold[x]
@@ -149,12 +159,13 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
         hold = seg_levels == _HOLD_CODE
         on_arc &= hold          # numeric segments leave the ceiling
         e_level = np.where(hold, 0.0, np.maximum(seg_levels, 0.0))
-        grid_sample(rate)               # every live row starts a piece
+        grid_sample(rate, ~done)        # every live row starts a piece
         for _ in range(steps_per):
             if done.all():
                 break
             t1 = t + h
             t_from = np.full(m, t)      # where each row's current piece picks up
+            s_from = s.copy()           # and the basal area there
 
             off = ~done & ~on_arc
             e = np.where(off & (n > spent_count), e_level, 0.0)
@@ -183,11 +194,15 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
                 s[a[~ends]] = p.ceiling_s(n_end[~ends])
 
             live = ~done
+            uncut = live & ~on_arc & ((e == 0.0) | left)
             R = revenue_rate(scenario, econ, s, n, t1)
             width = np.where(t_from > t, t1 - t_from, h)
-            value[live] += 0.5 * (width * (rate + R))[live]
+            step = np.where(uncut, n * (price(econ, env, s, t1)
+                                        - price(econ, env, s_from, t_from)),
+                            0.5 * width * (rate + R))
+            value[live] += step[live]
             rate[live] = R[live]
-            grid_sample(R)
+            grid_sample(R, ~uncut)
             t = t1
         end_piece(np.flatnonzero(~done))
 

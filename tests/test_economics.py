@@ -1,8 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -165,6 +166,24 @@ def assert_same_as_panels(scn, econ, policies, horizon):
             assert sg.objective_ibp(scn, econ, traj) == panel_objective_ibp(scn, econ, traj)
 
 
+def _hold_boundary_stand():
+    """A fagacees stand whose random ``hold|hold|hold|e_max`` policy (seed
+    32071 at H = 31.016) starts its second ``hold`` segment on the ceiling.
+    The state placed there by a scalar power sat an ulp away from the
+    sample that ended the arc before it, so the arc's opening control was
+    off by an ulp and the two objective routes parted in the last digit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # lambda = 0 warns by design
+        v = sg.GrowthEnergy("exponential", 2.719755014355591, 0.0)
+    return sg.Scenario(
+        params=sg.StandParams(q=1.5624946068145726, A=0.01578209660756861,
+                              n_min=128.70004592356543, e_max=78.21597746311255,
+                              t_star=150.0),
+        growth=sg.GrowthFunction.fagacees(9.90703263962322),
+        env=sg.Environment(v=v, h0=sg.DominantHeight(30.0, 20.0)),
+        initial=sg.StandState(t=0.0, s=0.08562310920487298, n=257.40009184713085))
+
+
 class TestSpanSums:
     """The span sums against the sample-panel pair they replaced
     (``panel_objective.py``)."""
@@ -183,6 +202,8 @@ class TestSpanSums:
 
     @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), seed=st.integers(0, 2 ** 32 - 1),
            alpha=st.floats(0.5, 4.0), delta=st.floats(0.0, 0.08))
+    @example(scn=_hold_boundary_stand(), horizon=31.01602145289894, seed=32071, alpha=0.5,
+             delta=0.06783318737831356)
     @settings(max_examples=15, deadline=None)
     def test_generated_scenarios(self, scn, horizon, seed, alpha, delta):
         rng = np.random.default_rng(seed)

@@ -450,6 +450,14 @@ class TestCutCollocation:
         want = scn.uncut_s_after(0.05, 300.0, scn.env.v.integral(2.0, times[1:]))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("growth", ["fagacees", "power"])
+    def test_zero_stands_give_no_rows(self, growth):
+        # A block of no stands, on a grid of four steps, in either family.
+        scn = fagacees_scenario() if growth == "fagacees" else TestCutRelation.scenario()
+        times = np.linspace(0.0, 2.0, 5)
+        s = scn.cut_s_after(np.empty(0), times, np.empty((0, times.size)))
+        assert s.shape == (0, times.size - 1)
+
     def test_sweep_cap_fails_loudly(self, monkeypatch):
         from standgrowth import model
         monkeypatch.setattr(model, "_PICARD_MAX_SWEEPS", 3)

@@ -2,16 +2,18 @@ import collections
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import standgrowth as sg
 from standgrowth.optimizer import (_HOLD_CODE, _covers, _levels_to_policy, _screen_candidates,
-                                   _tie_tol,
+                                   _screen_start, _tie_tol,
                                    canonical_policies)
 
-from conftest import load, window_horizon
+from conftest import load, scenarios, window_horizon
 from every_contender import every_contender_search, screen
 
 SCENARIOS = ["concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
@@ -323,7 +325,9 @@ class TestRescoreEachState:
         scn, econ, horizon = concave_price.scenario, concave_price.economics, 30.0
         _, values, n_end = screen(scn, econ, horizon, 5, False)
         _, _, contenders = every_contender_search(scn, econ, horizon, 5)
-        canon = {_schedule(pol) for pol in canonical_policies(scn, horizon).values()}
+        # Max shares E0's run, so its schedule is never integrated.
+        canon = {_schedule(pol) for name, pol in canonical_policies(scn, horizon).items()
+                 if name != "Max"}
         # The first contender of each screened state, in enumeration order.
         firsts = {}
         for i, pol in sorted(contenders.items()):
@@ -342,6 +346,77 @@ class TestRescoreEachState:
         assert len(set(seen)) == len(seen)
         assert canon <= set(seen)
         assert set(seen) - canon == set(firsts.values()) - canon
+
+
+def _joined_spans(traj) -> list:
+    """The spans of ``traj`` with each run of one kind joined into one."""
+    out = []
+    for kind, start, end in traj.spans:
+        if out and out[-1][0] == kind:
+            out[-1][2] = end
+        else:
+            out.append([kind, start, end])
+    return out
+
+
+def _assert_max_runs_as_e0(scn, econ, horizon: float, step: float | None = None) -> None:
+    """``integrate`` gives Max (e_max throughout, clamped at n_min) the
+    dynamics of E0 (e_max up to the time n_min is reached, then 0), which
+    is why the re-score gives Max E0's run: the same span kinds, span times
+    within 1e-12 and objectives within 1e-11.  Spans of one kind are
+    joined: E0's breakpoint can split its free growth, where its cut is
+    spent at a grid time just before the breakpoint (8.3e-13 before it on
+    one generated draw at H/16384)."""
+    runs = [sg.integrate(scn, sg.build_policy(scn, kind), horizon, step)
+            for kind in ("max", "e0")]
+    kinds, times = zip(*(([kind for kind, _, _ in spans],
+                          np.array([span[1:] for span in spans]).reshape(-1, 2))
+                         for spans in map(_joined_spans, runs)))
+    assert kinds[0] == kinds[1]
+    np.testing.assert_allclose(times[0], times[1], rtol=1e-12, atol=1e-12)
+    assert runs[0].exited == runs[1].exited
+    values = [sg.objective(scn, econ, run) for run in runs]
+    assert values[0] == pytest.approx(values[1], rel=1e-11, abs=0.0)
+
+
+def _short_cut_stand():
+    """A linear-growth stand that e_max cuts to n_min in 0.33 of H = 34,
+    40 steps of the default grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # lambda = 0 warns by design
+        v = sg.GrowthEnergy("exponential", 4.0, 0.0)
+    return sg.Scenario(
+        params=sg.StandParams(q=1.25, A=0.025969527949490395, n_min=100.0,
+                              e_max=76.37599852351025, t_star=150.0),
+        growth=sg.GrowthFunction.linear(),
+        env=sg.Environment(v=v, h0=sg.DominantHeight(30.0, 20.0)),
+        initial=sg.StandState(t=0.0, s=0.12274798603273468, n=125.0))
+
+
+class TestMaxRunsAsE0:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenarios(self, name):
+        loaded = load(name)
+        scn = loaded.scenario
+        for horizon in (loaded.run.horizon, window_horizon(scn, 0.1), window_horizon(scn, 0.9)):
+            _assert_max_runs_as_e0(scn, loaded.economics, horizon)
+
+    @given(scn=scenarios(), horizon=st.floats(5.0, 60.0))
+    @example(scn=_short_cut_stand(), horizon=34.0)
+    @settings(max_examples=30, deadline=None)
+    def test_generated_scenarios(self, scn, horizon):
+        """At a step of H/16384.  The two runs sample their cut on different
+        grids (E0's ends at its breakpoint, Max's mid-step), so at the
+        default step their objectives differ by the Simpson error of those
+        grids: 1.3e-11 relative on :func:`_short_cut_stand`, and 1.5e-14 at
+        this step."""
+        _assert_max_runs_as_e0(scn, sg.EconomicModel(k=1.0, alpha=2.0, delta=0.01), horizon,
+                               horizon / 16384)
+
+    def test_search_gives_max_the_e0_value(self, convex_price):
+        result = sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
+                                n_intervals=3)
+        assert result.canonical_values["Max"] == result.canonical_values["E0"]
 
 
 def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:
@@ -401,6 +476,27 @@ class TestScreen:
         assert err(1024) <= err(256) / 16.0
         assert err() <= 5e-8
 
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_uncut_schedule_is_its_clear_cut(self, name):
+        """An uncut piece is summed as n [P(s, t)] between its ends, and
+        P(s, 0) = 0 as h0(0) = 0, so a schedule that never cuts nor reaches
+        the ceiling screens to n0 P(s(T), T): exactly over one segment, and
+        to rounding over eight, as each segment's closed form starts from
+        the state that ends the one before."""
+        loaded = load(name)
+        scn, econ = loaded.scenario, loaded.economics
+        horizon = min(0.5 * scn.t_sup0, loaded.run.horizon)
+        for k in (1, 8):
+            end = _screen_start(scn, econ, horizon, k, 256)[0][-1]
+            s_end = scn.uncut_s_after(scn.initial.s, scn.initial.n,
+                                      scn.env.v.integral(0.0, end))
+            want = scn.initial.n * sg.price(econ, scn.env, s_end, end)
+            value = _screen_candidates(scn, econ, horizon, np.array([0.0]), k)[0][0]
+            if k == 1:
+                assert value == want
+            else:
+                assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_ceiling_ride_above_e_max_is_dead(self, concave_price):
         """Riding the ceiling from t_sup0 = 8.276 needs a rate of 10.71, so the
         schedules that ride it are infeasible, as ``integrate`` finds."""
@@ -450,8 +546,9 @@ class TestCompareCanonicals:
     def test_margins_relative_to_cut_first(self, convex_price):
         cmp = sg.compare_canonicals(convex_price.scenario, convex_price.economics, 30.0)
         e0 = cmp.values["E0"]
-        # Max reproduces the cut-first schedule exactly (clamp at n_min), so
-        # its margin may differ from zero only at round-off level.
+        # Max is the cut-first schedule (clamp at n_min) and shares its run,
+        # so its margin is 0.
+        assert cmp.margins["Max"] == 0.0
         assert all(m >= -1e-12 * abs(e0) for m in cmp.margins.values())
         assert cmp.margins["Esup"] > 0.0
 

@@ -233,6 +233,41 @@ def test_generated_scenarios_match_unmerged_tree(scn, horizon, k):
     _assert_matches_unmerged(scn, econ, horizon, (_HOLD_CODE, 0.0, scn.params.e_max), k)
 
 
+def test_merge_groups_rows_as_unique_rows():
+    """``_Rows.unique`` (one lexsort over the keys) against the
+    ``np.unique(axis=0)`` grouping it replaced: the same partition of the
+    rows, each group kept as its first row, on keys with duplicates, both
+    signed zeros and every combination of the three flags."""
+    rng = np.random.default_rng(7)
+    size = 400
+    pool = np.array([0.0, -0.0, 1.5, 2.0 ** -1074, 3.0])
+
+    def column():
+        return pool[rng.integers(0, pool.size, size)]
+
+    flags = rng.integers(0, 8, size)
+    rows = optimizer._Rows(s=column(), n=column(), rate=column(), value=column(),
+                           on_arc=flags & 1 > 0, dead=flags & 2 > 0, done=flags & 4 > 0)
+    key = np.stack([rows.s.view(np.uint64), rows.n.view(np.uint64),
+                    rows.rate.view(np.uint64), rows.value.view(np.uint64),
+                    rows.on_arc, rows.dead, rows.done], axis=1, dtype=np.uint64)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    assert np.unique(key[:, 4:], axis=0).shape[0] == 8
+    assert first.size < size
+
+    merged, group = rows.unique()
+    assert merged.s.size == first.size
+    # The same partition: two rows share a state in one iff in the other.
+    pairs = np.unique(np.stack([group, inverse.reshape(-1)], axis=1), axis=0)
+    assert pairs.shape[0] == first.size
+    # Each state is its group's first row, bit for bit.
+    assert np.array_equal(np.sort(np.unique(group, return_index=True)[1]), np.sort(first))
+    back = merged.take(group)
+    for f in dataclasses.fields(rows):
+        want, got = getattr(rows, f.name), getattr(back, f.name)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), f.name
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_each_state_and_level_advanced_once(monkeypatch, name):
     """No two rows entering a segment share a bit-equal state and a level,
