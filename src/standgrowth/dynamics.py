@@ -21,18 +21,22 @@ n_min)``.  Each kind of span is solved by its own method:
 * **arc** (a ``HOLD`` level on the ceiling): the applied control is the
   ceiling-holding rate (q/2) V(t)/s, the count follows the closed-form
   relation on r = 1 (:meth:`Scenario.arc_count_after`) from the span start
-  with s = (A n)**(-2/q), and the exhaustion time is closed-form as well
+  with s = (A n)**(-2/q), up to the closed-form exhaustion time
   (:meth:`Scenario.arc_exhaustion_time`);
 * **cut** (a positive rate): every count is the closed form n - e (tau - t)
   from the span start, and the samples are :meth:`Scenario.cut_s_after`
   from there: a closed form under power growth, four-node Gauss-Legendre
   collocation per step under fagacees growth, exact to rounding at the
   integrator's steps.  A crossing of r = 1 is the root of the density
-  inside its step, bisected to rounding (:func:`_rootfind.bisect`); the
-  span is spent at the first grid time whose count is at most
-  :func:`_spent_count`, or at t + (n - n_min)/e where that is earlier;
+  inside its step, bisected to rounding; the span is spent at the first
+  grid time whose count is at most :func:`_spent_count`, or at
+  t + (n - n_min)/e where that is earlier;
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
+
+The arc and cut spans are solved by :func:`_arc_rows` and :func:`_cut_rows`
+on blocks of stands, one row each, which the optimizer's screen calls on
+blocks of its rows; a block's cut crossings are bisected together.
 
 The spans only solve the dynamics.  :func:`integrate` has one span call, one
 place where the run's options apply (the fault drift of s, and ``on_n_min``)
@@ -57,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rootfind import BracketError, bisect
+from ._rootfind import bisect
 from .model import Environment, Scenario, StandParams, boundary_control, rdi
 
 __all__ = [
@@ -310,82 +314,120 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: f
 def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
-    rate ``e``, by :meth:`Scenario.arc_count_after` from the span start, up
-    to ``("ExitPoint", t, n_min)`` where the count runs out, at
-    :meth:`Scenario.arc_exhaustion_time` from the span start.  Along an
-    arc (q/2) V/s only falls, so the span raises
-    :class:`InfeasibleBoundary` at its start when ``e`` is above e_max."""
-    p, v = scenario.params, scenario.env.v
+    rate ``e``, by :func:`_arc_rows`, up to ``("ExitPoint", t, n_min)``
+    where the count runs out.  Along an arc (q/2) V/s only falls, so the
+    span raises :class:`InfeasibleBoundary` at its start when ``e`` is
+    above e_max."""
+    p = scenario.params
     if e > p.e_max * (1.0 + 1e-9):
         raise InfeasibleBoundary(f"ceiling-holding rate {e:.6g} exceeds "
                                  f"e_max={p.e_max} at t={t:.6g}")
-    ts = _span_grid(t, tb, h_nom)
-    ns = scenario.arc_count_after(n, v.integral(t, ts))
-    event = None
-    below = ns < p.n_min
-    if below.any():
-        last = int(np.argmax(below))                # the step that runs out
-        t_exit = min(float(scenario.arc_exhaustion_time(t, n)), float(ts[last]))
-        ts, ns = ts[:last], ns[:last]
-        event = ("ExitPoint", t_exit, p.n_min)
+    ts = np.append(t, _span_grid(t, tb, h_nom))
+    ns, jb, ends, t_exit = _arc_rows(scenario, np.array([t]), np.array([n]), ts)
+    ts, ns = ts[1:jb[0] + 1], ns[0, 1:jb[0] + 1]
     ss = p.ceiling_s(ns)
-    return (ts, ss, ns, p.q / 2.0 * v(ts) / ss), event
+    event = ("ExitPoint", float(t_exit[0]), p.n_min) if ends[0] else None
+    return (ts, ss, ns, p.q / 2.0 * scenario.env.v(ts) / ss), event
 
 
 def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
               h_nom: float):
     """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
-    :meth:`Scenario.cut_s_after` from the span start.  Every count, at the
-    samples and at the events, is n - (tau - t) e from the span start.  The
-    span is spent at the first grid time whose count is at most
-    :func:`_spent_count`, and ends there, or at t + (n - n_min)/e where
-    that is earlier, with ``("NMinHit", t, n_min)`` and a last sample at
-    n_min with e = 0.  Where the density crosses 1 first, in that step or an earlier
-    one, it ends with ``("RdiHitOne", t, n)`` instead, the crossing being
-    the root of the density inside its step (:func:`_cut_crossing`)."""
-    p = scenario.params
-    A, q2, n_min = p.A, p.q / 2.0, p.n_min
-    ts = _span_grid(t, tb, h_nom)
-    ns = n - (ts - t) * e
+    :func:`_cut_rows`.  A spent span ends at its spent time with
+    ``("NMinHit", t, n_min)`` and a last sample at n_min with e = 0; a
+    span crossing the ceiling first, in that step or an earlier one, ends
+    with ``("RdiHitOne", t, n)`` at the crossing instead."""
+    (ts,), (ss,), (ns,), _, (j_spent,), (j_cross,), t_c, n_c = _cut_rows(
+        scenario, np.append(t, _span_grid(t, tb, h_nom)), np.array([s]), np.array([n]),
+        np.array([e]))
     es = np.full(ts.size, e)
+    if j_cross < ts.size:
+        return ((ts[1:j_cross], ss[1:j_cross], ns[1:j_cross], es[1:j_cross]),
+                ("RdiHitOne", float(t_c[0]), float(n_c[0])))
     event = None
-    spent = ns <= _spent_count(p)
-    if spent.any():
-        hit = int(np.argmax(spent))
-        ts, ns, es = ts[:hit + 1], ns[:hit + 1], es[:hit + 1]
-        ts[hit], ns[hit], es[hit] = min(t + (n - n_min) / e, ts[hit]), n_min, 0.0
-        event = ("NMinHit", float(ts[hit]), n_min)
-    ss = scenario.cut_s_after(s, np.append(t, ts), np.append(n, ns))
-    over = A * ns * ss ** q2 > 1.0
-    if over.any():
-        i = int(np.argmax(over))
-        t0, s0, n0 = (float(ts[i - 1]), float(ss[i - 1]), float(ns[i - 1])) if i else (t, s, n)
-        h_cross = 0.0
-        if A * n0 * s0 ** q2 < 1.0 - 1e-12:
-            h_cross = _cut_crossing(scenario, t0, s0, n0, e, float(ts[i]) - t0)
-        ts, ss, ns, es = ts[:i], ss[:i], ns[:i], es[:i]
-        event = ("RdiHitOne", t0 + h_cross, n - (t0 + h_cross - t) * e)
-    return (ts, ss, ns, es), event
+    if j_spent < ts.size:
+        es[-1], event = 0.0, ("NMinHit", float(ts[-1]), scenario.params.n_min)
+    return (ts[1:], ss[1:], ns[1:], es[1:]), event
 
 
-def _cut_crossing(scenario: Scenario, t: float, s: float, n: float, e: float,
-                  h: float) -> float:
-    """The fraction hh of a cut step from (t, s, n), of length ``h``, at
-    which the density reaches 1: the root of A n s**(q/2) - 1 along
-    :meth:`Scenario.cut_s_after` over [t, t + hh], bisected to the rounding
-    of t + h.  The density starts below 1 and ends above it; where the
-    one-step solve rounds its end below 1, the crossing is that end."""
+def _arc_rows(scenario: Scenario, t0, n0, T):
+    """Stands riding the ceiling from (t0, n0), one row each, over grid
+    times T from at or before every t0: the counts by
+    :meth:`Scenario.arc_count_after` from t0 (n0 up to it); the last index
+    ``jb`` before the count falls below n_min (T's last where it does not);
+    which rows run out (``ends``); and their exit times,
+    :meth:`Scenario.arc_exhaustion_time` or T[jb + 1], whichever is first."""
+    T0 = t0[:, None]
+    n = scenario.arc_count_after(n0[:, None], scenario.env.v.integral(T0, np.maximum(T, T0)))
+    below = (n < scenario.params.n_min) & (T > T0)
+    ends = below.any(axis=1)
+    jb = np.where(ends, np.argmax(below, axis=1) - 1, T.size - 1)
+    t_exit = (np.minimum(scenario.arc_exhaustion_time(t0[ends], n0[ends]), T[jb[ends] + 1])
+              if ends.any() else np.zeros(0))
+    return n, jb, ends, t_exit
+
+
+def _cut_rows(scenario: Scenario, T, s0, n0, e):
+    """Stands thinned at the rates ``e`` > 0 from (T[0], s0, n0), one row
+    each, over the grid times T: the closed-form counts n0 - e (T - T[0])
+    and :meth:`Scenario.cut_s_after` from T[0].
+
+    A stand is spent at the first grid time whose count is at most
+    :func:`_spent_count`, or at T[0] + (n0 - n_min)/e where that is
+    earlier, and stays there at n_min: its later steps are empty, so its
+    solve is the one it gets alone.  The solve stops at the block's last
+    spent time.  A stand crosses the ceiling in the first step that ends
+    above it, unless it is spent before that step ends, at the root of
+    :func:`_cut_crossings`, with the closed-form count from T[0].
+
+    Returns the times (rows x solved grid times), s, n and the density r
+    there; the spent index and the index of the step end past the
+    crossing, each T.size where there is none; and the crossing time and
+    count of each crossing row, in row order.
+    """
     p = scenario.params
+    A, q2, S = p.A, p.q / 2.0, T.size - 1
+    n = n0[:, None] - e[:, None] * (T - T[0])
+    spent = n <= _spent_count(p)
+    j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1), S + 1)
+    m = min(int(j_spent.max()), S) + 1
+    t_spent = np.minimum(T[0] + (n0 - p.n_min) / e, T[np.minimum(j_spent, S)])
+    times = np.where(spent[:, :m], t_spent[:, None], T[:m])
+    n = np.where(spent[:, :m], p.n_min, n[:, :m])
+    s = np.concatenate((s0[:, None], scenario.cut_s_after(s0, times, n)), axis=1)
+    r = A * n * s ** q2
+    over = r[:, 1:] > 1.0
+    j_cross = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
+    j_cross[j_cross > j_spent] = S + 1
+    c = np.flatnonzero(j_cross <= S)
+    i = j_cross[c]
+    t = times[c, i - 1]
+    t_c = t + _cut_crossings(scenario, t, s[c, i - 1], n[c, i - 1], e[c], times[c, i] - t)
+    return times, s, n, r, j_spent, j_cross, t_c, n0[c] - (t_c - T[0]) * e[c]
 
-    def excess(hh: float) -> float:
-        n1 = n - hh * e
-        s1 = float(scenario.cut_s_after(s, np.array([t, t + hh]), np.array([n, n1]))[0])
-        return p.A * n1 * s1 ** (p.q / 2.0) - 1.0
 
-    try:
-        return bisect(excess, 0.0, h, xtol=math.ulp(t + h))
-    except BracketError:
-        return h
+def _cut_crossings(scenario: Scenario, t, s, n, e, h):
+    """How far into cut steps from (t, s, n), at the rates ``e`` and of
+    lengths ``h``, the density reaches 1: the roots hh of
+    A n s**(q/2) - 1 along :meth:`Scenario.cut_s_after` over [t, t + hh],
+    bisected together to the rounding of t + h.  A step whose density
+    starts within 1e-12 of 1 crosses at its start; one whose one-step solve
+    rounds the density at its end below 1 crosses at that end."""
+    A, q2 = scenario.params.A, scenario.params.q / 2.0
+
+    def excess(hh, k):
+        """Density less 1 at hh into the steps ``k``."""
+        n_h = n[k] - hh * e[k]
+        s_h = scenario.cut_s_after(s[k], np.stack((t[k], t[k] + hh), axis=-1),
+                                   np.stack((n[k], n_h), axis=-1))[:, 0]
+        return A * n_h * s_h ** q2 - 1.0
+
+    hh = np.where(A * n * s ** q2 < 1.0 - 1e-12, h, 0.0)
+    k = np.flatnonzero(hh > 0.0)
+    if k.size:
+        k = k[excess(hh[k], k) > 0.0]
+        hh[k] = bisect(lambda x: excess(x, k), 0.0, h[k], xtol=np.spacing(t[k] + h[k]))
+    return hh
 
 
 def integrate(scenario: Scenario, policy: Policy, horizon: float,

@@ -232,20 +232,27 @@ class GrowthFunction:
         return (1.0 - self.theta) * r ** (-self.theta)
 
     def density_integral(self, r, b: float):
-        """Int_r^1 u**b / g(u) du for 0 < r <= 1 and b > 0, in closed form.
+        """Int_r^1 u**b / g(u) du for 0 < r <= 1 and b > 0, in closed form:
+        :meth:`density_at_log` at log r."""
+        return self.density_at_log(np.log(r), b)[0]
+
+    def density_at_log(self, x, b: float):
+        """The density integral D at x = log r, and its slope dD/dx =
+        -r**(b+1) / g(r).
 
         Both families reduce to tails Int_r^1 u**(c-1) du = (1 - r**c)/c,
-        evaluated as -expm1(c ln r)/c so that no digits cancel as r -> 1 or
-        c -> 0 (the latter as q -> 2 with b = 2/q - 1).
+        evaluated as -expm1(c x)/c so that no digits cancel as r -> 1 or
+        c -> 0 (the latter as q -> 2 with b = 2/q - 1).  The slope is a sum
+        of the same expm1 terms, so a Newton step in x takes no exp, log or
+        power.
         """
-        log_r = np.log(r)
-
-        def tail(c):
-            return -np.expm1(c * log_r) / c
-
         if self.kind == "fagacees":
-            return tail(b + 1.0) / (1.0 + self.p) + tail(b) * (self.p / (1.0 + self.p))
-        return tail(b + self.theta)
+            rb, rb1 = np.expm1(b * x), np.expm1((b + 1.0) * x)
+            w = self.p / (1.0 + self.p)
+            return (-rb1 / (b + 1.0) / (1.0 + self.p) - rb / b * w,
+                    -(1.0 + rb1) / (1.0 + self.p) - (1.0 + rb) * w)
+        rc = np.expm1((b + self.theta) * x)
+        return -rc / (b + self.theta), -(1.0 + rc)
 
     def gamma(self, r):
         """Elasticity r g'(r) / g(r); lies in (0, 1] under concavity."""
@@ -446,9 +453,9 @@ class Scenario:
             s1**k = s**k + k A**(1-theta) n**(-theta) * amount,
             k = 1 - (q/2)(1-theta);
 
-        fagacees by Newton's method in x = log r from the starting density.
-        In x, D and its slope dD/dx = -r**b (r+p)/(1+p) are sums of
-        expm1(b x) and expm1((b+1) x), so a step takes two expm1 and no
+        fagacees by Newton's method in x = log r from the starting density,
+        on D and its slope from :meth:`GrowthFunction.density_at_log`: sums
+        of expm1(b x) and expm1((b+1) x), so a step takes two expm1 and no
         exp, log or power.  D is decreasing and concave in x, so the first
         step lands at or above the root (clipped to r = 1) and the later ones
         descend to it monotonically.  Each element stops on its own: one step
@@ -463,27 +470,17 @@ class Scenario:
             k, coef = self._power_terms()
             return (s ** k + coef * n ** (-growth.theta) * amount) ** (1.0 / k)
         b = 2.0 / p.q - 1.0
-        w = growth.p / (1.0 + growth.p)
-
-        def density(x):
-            """D and dD/dx at x = log r, the terms of
-            :meth:`GrowthFunction.density_integral` from r**b - 1 and
-            r**(b+1) - 1."""
-            rb, rb1 = np.expm1(b * x), np.expm1((b + 1.0) * x)
-            return (-rb1 / (b + 1.0) / (1.0 + growth.p) - rb / b * w,
-                    -(1.0 + rb1) / (1.0 + growth.p) - (1.0 + rb) * w)
-
         # Powers by np.power on arrays, so that those of scalars round as
         # those of arrays do.
         s, n = np.asarray(s, dtype=float), np.asarray(n, dtype=float)
         x_a = np.log(p.A * n * s ** q2)
-        target = (density(x_a)[0]
+        target = (growth.density_at_log(x_a, b)[0]
                   - q2 * n ** b * p.A ** (2.0 / p.q) * np.asarray(amount, dtype=float))
         x = np.full(np.shape(target), x_a)
         polish = np.zeros(x.shape, dtype=bool)    # within 1e-9: one step left
         done = np.zeros(x.shape, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER):
-            d, slope = density(x)
+            d, slope = growth.density_at_log(x, b)
             x_new = np.minimum(x - (d - target) / slope, 0.0)
             dx = np.abs(x_new - x)
             x = np.where(done, x, x_new)

@@ -17,9 +17,9 @@ Two independent routes to the same question:
   that keeps one row per distinct state: prefixes whose states are
   bit-equal (rate 0 and ``hold`` below the ceiling, every level of a spent
   stand) share a row, so each state is advanced once, by its span kind,
-  on blocks of rows: the closed forms of uncut growth and of riding the
-  ceiling, and the cut relation, closed-form under power growth and
-  solved by collocation under fagacees growth.
+  on blocks of rows, through the cut and arc span code of ``integrate``
+  (``dynamics._cut_rows`` and ``dynamics._arc_rows``) and the closed form
+  of uncut growth.
   It ranks them on the by-parts form of the objective, whose integrand
   n dP/dt depends on the state alone and is smooth between events.  An
   uncut piece keeps its count, so it adds n [P(s, t)] between its ends
@@ -54,7 +54,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, _spent_count, integrate
+from .dynamics import (EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, _arc_rows,
+                       _cut_rows, _spent_count, integrate)
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
 from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
@@ -205,15 +206,13 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     through the map.
 
     Every row is advanced, segment by segment, by the span kind of its
-    state, under the event rules of ``integrate`` (see :class:`_Segment`):
-    ceiling riders and cut rows on (rows x grid times) blocks of one fixed
-    grid of about ``steps_total`` steps, riders by a closed form and cut
-    rows by :meth:`Scenario.cut_s_after`; uncut rows by closed forms at the
-    end of their piece alone.  A cut row is spent at the time ``integrate``
-    finds, and grows uncut from there.  A row crossing the ceiling at n_min
-    exits at the corner; a ``hold`` row crossing elsewhere rides the
-    ceiling from the crossing, unless holding it needs a rate above e_max;
-    any other crossing kills the row.  Values are the by-parts objective,
+    state (see :class:`_Segment`): ceiling riders and cut rows by the span
+    code of ``integrate``, on (rows x grid times) blocks of one fixed grid
+    of about ``steps_total`` steps; uncut rows by closed forms at the end
+    of their piece alone.  A row crossing the ceiling at n_min exits
+    at the corner; a ``hold`` row crossing elsewhere rides the ceiling from
+    the crossing, unless holding it needs a rate above e_max; any other
+    crossing kills the row.  Values are the by-parts objective,
     its integrand n dP/dt (shared with ``objective_ibp``) summed over each
     piece, a run of one span kind within one segment, between its events.
     An uncut piece keeps its count, so it adds n [P(s, t)] between its
@@ -306,28 +305,20 @@ class _Segment:
     """One segment of the screen on its grid times T[0..S].
 
     Each live row is advanced by the span kind of its state, under the
-    event rules of ``integrate``:
+    span solutions and event rules of ``integrate``:
 
-    * **cut**: a positive rate with n above n_min.  The count is the
-      closed form n0 - e (T - T[0]), and the samples are
-      :meth:`Scenario.cut_s_after` from the segment start (a closed form
-      under power growth, collocation under fagacees growth).  The row is
-      spent at T[0] + (n0 - n_min)/e or at the first grid time whose count
-      is at or below :func:`_spent_count`, whichever is first, which takes
-      that grid time's place in its samples, and leaves there as a free
-      row.  The density crossing 1 is located at
-      :meth:`Scenario.ceiling_time` from the step start, where the row
-      exits at the corner or dies;
+    * **cut**: a positive rate with n above n_min, by
+      :func:`dynamics._cut_rows`.  A spent row leaves at its spent time as
+      a free row; a row crossing the ceiling exits at the corner or dies;
     * **free**: rate 0, a ``hold`` level below the ceiling, or any level at
       n_min.  The row is solved at the end of its piece alone: the segment
       end, by :meth:`Scenario.uncut_s_after` from the row's start, or its
       :meth:`Scenario.ceiling_time`, placed on the ceiling, where a
       ``hold`` row starts its arc;
-    * **arc**: a ``hold`` row on the ceiling.  The count is
-      :meth:`Scenario.arc_count_after` from the arc start, up to the first
-      sample below n_min, where the row exits at
-      :meth:`Scenario.arc_exhaustion_time`.  Along an arc (q/2) V/s only
-      falls, so a row whose arc starts above e_max dies there.
+    * **arc**: a ``hold`` row on the ceiling, by :func:`dynamics._arc_rows`,
+      up to the step in which the count runs out, where the row exits.
+      Along an arc (q/2) V/s only falls, so a row whose arc starts above
+      e_max dies there.
 
     Each run of one kind is a piece, and each piece is summed on its own:
     its by-parts integrand is smooth inside it, and kinks only at its ends.
@@ -363,7 +354,7 @@ class _Segment:
         # Only cut rows take their level: a spent row steps at rate 0.
         rates = np.where(cut, levels, 0.0)
         for idx in self._blocks(cut, _CUT_CELLS):
-            self._cut(idx, rates, free)
+            self._cut(idx, rates, free, hold, riding)
         for idx in self._blocks(free):
             self._free(idx, hold, riding)
         for idx in self._blocks(riding):
@@ -376,18 +367,12 @@ class _Segment:
         size = max(1, _GRID_CELLS // ((self.S + 1) * per_time))
         return (idx[i:i + size] for i in range(0, idx.size, size))
 
-    def _energy_from(self, t0):
-        """Energy each row absorbs from its start ``t0`` to every grid time,
-        0 up to the start; taken once per distinct start, as most rows start
-        at T[0]."""
-        starts, row_start = np.unique(t0, return_inverse=True)
-        return self.scenario.env.v.integral(starts[:, None],
-                                            np.maximum(self.T, starts[:, None]))[row_start]
-
-    def _grid_rate(self, s, n):
-        """By-parts integrand on (rows x grid times) states."""
-        dsdt = self.scenario.growth_per_energy(s, n) * self.V
-        return _revenue_rate_from(self.econ, self.factors, s, n, dsdt)
+    def _grid_rate(self, s, n, growth):
+        """By-parts integrand on (rows x grid times) states whose growth per
+        energy is ``growth``, over as many grid times as they have columns."""
+        m = s.shape[1]
+        return _revenue_rate_from(self.econ, tuple(f[:m] for f in self.factors), s, n,
+                                  growth * self.V[:m])
 
     def _hand_over(self, idx, j, s, n, rate, value) -> None:
         """Write the rows' state, integrand and value at grid index ``j``,
@@ -440,61 +425,33 @@ class _Segment:
         self._die(idx[~at_corner & ~rides])
         self._ride(idx[rides], t_c[rides], n_c[rides], riding)
 
-    def _cut(self, idx, rates, free) -> None:
+    def _cut(self, idx, rates, free, hold, riding) -> None:
         """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
-        :meth:`Scenario.cut_s_after`, up to the step in which each crosses
-        the ceiling or the time at which it is spent.  Each count is the
-        closed form from T[0].  A row is spent at the exact time its count
-        reaches n_min, or at the first grid time whose count is at or below
-        :func:`_spent_count` where that is earlier, as ``integrate``'s cut
-        spans are: that time replaces the grid time in the row's times, so
-        its state there comes from the same solve, and the row leaves there
-        as a ``free`` row.  A cut row's level is a rate, never ``hold``, so
-        a crossing exits at the corner or dies."""
-        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
-        p = sc.params
-        e, s0, n0 = rates[idx], rows.s[idx], rows.n[idx]
+        :func:`dynamics._cut_rows`, whose densities the integrand reuses, up
+        to the step in which each crosses the ceiling (a cut row's level is
+        never ``hold``, so :meth:`_cross` exits it at the corner or kills
+        it) or to its spent time, where it leaves as a ``free`` row with the
+        state of the same solve."""
+        sc, rows, S, n_min = self.scenario, self.rows, self.S, self.scenario.params.n_min
         ar = np.arange(idx.size)
-        n = n0[:, None] - e[:, None] * (T - T[0])
-        # The first grid time at or below the spent count; S + 1 where none is.
-        spent = n <= _spent_count(p)
-        j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1), S + 1)
-        n[spent] = p.n_min
-        t_n_min = T[0] + (n0 - p.n_min) / e
-        sp = np.flatnonzero(j_spent <= S)
-        j = j_spent[sp]
-        t_s = np.minimum(t_n_min[sp], T[j])
-        times = np.repeat(T[None], idx.size, axis=0)
-        times[sp, j] = t_s
-        s = np.empty_like(n)
-        s[:, 0], s[:, 1:] = s0, sc.cut_s_after(s0, times, n)
-        growth = sc.growth_per_energy(s, n)
-        R = _revenue_rate_from(self.econ, self.factors, s, n, growth * self.V)
+        times, s, n, r, j_spent, j_cross, t_c, n_c = _cut_rows(
+            sc, self.T, rows.s[idx], rows.n[idx], rates[idx])
+        # The columns past the block's last spent time were not solved; no
+        # piece reaches them.
+        R = np.zeros((idx.size, S + 1))
+        R[:, :s.shape[1]] = self._grid_rate(s, n, sc.growth.g(r) / n)
         R[:, 0] = rows.rate[idx]
-        # The first step ending above the ceiling (g increases through
-        # g(1) = 1, so g(r)/n * n > 1 is r > 1); S + 1 where there is none.
-        over = growth[:, 1:] * n[:, 1:] > 1.0
-        j_over = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
-        crosses = j_over <= np.minimum(j_spent, S)
-        jb = np.where(crosses, j_over - 1, np.minimum(j_spent - 1, S))
+        crosses = j_cross <= S
+        jb = np.where(crosses, j_cross - 1, np.minimum(j_spent - 1, S))
         value = self._gregory(rows.value[idx], R, self.j0[idx], self.t0[idx], jb)
         self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
-        leaves = ~crosses[sp]
-        if leaves.any():
-            i, t_i, s_i = idx[sp[leaves]], t_s[leaves], s[sp[leaves], j[leaves]]
-            self._move(i, t_i, s_i, p.n_min, revenue_rate(sc, self.econ, s_i, p.n_min, t_i))
-            free[i[t_i < T[S]]] = True
+        i = ar[~crosses & (j_spent <= S)]       # the rows leaving spent
+        if i.size:
+            t_i, s_i = times[i, j_spent[i]], s[i, j_spent[i]]
+            self._move(idx[i], t_i, s_i, n_min, revenue_rate(sc, self.econ, s_i, n_min, t_i))
+            free[idx[i[t_i < self.T[S]]]] = True
         if crosses.any():
-            c, j = ar[crosses], jb[crosses]
-            t, s_c, n_c = T[j], s[c, j], n[c, j]
-            # Located from the step start, up to the step's end or the time
-            # the row is spent; the count there at the row's rate, floored
-            # at n_min.
-            t_c = np.clip(sc.ceiling_time(t, s_c, n_c), t, np.minimum(T[j + 1], t_n_min[c]))
-            at_corner = (np.maximum(n_c - (t_c - t) * e[c], p.n_min)
-                         <= p.n_min * (1.0 + EXIT_REL_TOL))
-            self._exit(idx[c[at_corner]], t_c[at_corner])
-            self._die(idx[c[~at_corner]])
+            self._cross(idx[crosses], t_c, n_c, hold[idx[crosses]], riding)
 
     def _free(self, idx, hold, riding) -> None:
         """Uncut growth of the rows ``idx`` from their start t0, solved at
@@ -519,25 +476,21 @@ class _Segment:
             self._cross(idx[hits], t_hit[hits], n0[hits], hold[idx[hits]], riding)
 
     def _arc(self, idx) -> None:
-        """Rows ``idx`` riding the ceiling from (t0, n) in closed form, up to
-        the step in which the count falls below n_min."""
-        sc, rows, T, S = self.scenario, self.rows, self.T, self.S
-        p = sc.params
-        j0, t0, n0 = self.j0[idx], self.t0[idx], rows.n[idx]
+        """Rows ``idx`` riding the ceiling from (t0, n) by
+        :func:`dynamics._arc_rows`, up to the step in which the count falls
+        below n_min, where they exit."""
+        sc, rows = self.scenario, self.rows
+        j0, t0 = self.j0[idx], self.t0[idx]
         ar = np.arange(idx.size)
-        n = sc.arc_count_after(n0[:, None], self._energy_from(t0))
-        s = p.ceiling_s(n)
-        R = self._grid_rate(s, n)
+        n, jb, ends, t_exit = _arc_rows(sc, t0, rows.n[idx], self.T)
+        s = sc.params.ceiling_s(n)
+        R = self._grid_rate(s, n, sc.growth_per_energy(s, n))
         R[ar, j0] = rows.rate[idx]
-        below = (n < p.n_min) & (np.arange(S + 1) > j0[:, None])
-        ends = below.any(axis=1)
-        jb = np.where(ends, np.argmax(below, axis=1) - 1, S)
         value = self._gregory(rows.value[idx], R, j0, t0, jb)
         self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
         rows.on_arc[idx[~ends]] = True
         if ends.any():
-            je = jb[ends] + 1
-            self._exit(idx[ends], np.minimum(sc.arc_exhaustion_time(t0[ends], n0[ends]), T[je]))
+            self._exit(idx[ends], t_exit)
 
     def _gregory(self, value, R, j0, t0, jb):
         """``value`` plus the integral of the rows' integrand ``R`` over their

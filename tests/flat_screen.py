@@ -4,14 +4,15 @@ Kept as the reference for the differential test (``test_screen_tree.py``):
 it steps every row of a full (3^k, k) level matrix over every segment, so it
 is slow but plainly in enumeration order.  It takes RK4 steps where the
 screen solves the dynamics in closed form or by collocation, but follows the
-screen's event rules and sums each piece by the same rules, n [P(s, t)]
+screen's event rules, locating a cut row's crossing by the screen's own
+crossing code, and sums each piece by the same rules, n [P(s, t)]
 between the ends of an uncut piece and Gregory's end-corrected trapezoid
 over the others, so the two differ by the RK4 error and rounding.
 """
 
 import numpy as np
 
-from standgrowth.dynamics import EXIT_REL_TOL, _spent_count
+from standgrowth.dynamics import EXIT_REL_TOL, _cut_crossings, _spent_count
 from standgrowth.economics import EconomicModel, price, revenue_rate
 from standgrowth.model import Scenario, boundary_control
 from standgrowth.optimizer import _HOLD_CODE
@@ -44,9 +45,10 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
     split: a ``hold`` row rides the ceiling from there by the arc relation
     (:meth:`Scenario.arc_count_after`), up to the exact exhaustion time
     (:meth:`Scenario.arc_exhaustion_time`), unless riding needs a rate
-    above e_max.  A crossing at n_min is the exit corner; any other
-    crossing kills the row, and for a cut row the ceiling time from the
-    step start only decides its corner test.
+    above e_max.  A cut row crosses the ceiling where the screen's cut rows
+    do, at the root that :func:`dynamics._cut_crossings` bisects along the
+    cut from the step start.  A crossing at n_min is the exit corner; any
+    other crossing kills the row.
 
     Values are the by-parts objective, its integrand (shared with
     ``objective_ibp``) summed over each piece: a run of one span kind within
@@ -124,7 +126,8 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
         to ``t_end`` at the rates ``e``, to the counts ``n_end`` (values for
         every row, so that the steps run on whole arrays).  A row ending
         above the ceiling crosses it at the ceiling time from its start
-        instead: at n_min it exits, a ``hold`` row rides from there, unless
+        instead, or a cut row at its root from :func:`_cut_crossings`: at
+        n_min it exits, a ``hold`` row rides from there, unless
         riding needs a rate above e_max, and any other row dies.  Returns
         which rows stayed below the ceiling."""
         s_end = advance_s(t0, s, n, e, t_end - t0)
@@ -136,6 +139,9 @@ def flat_screen(scenario: Scenario, econ: EconomicModel, horizon: float,
             return below
         t0 = np.broadcast_to(t0, (m,))[x]
         t_c = np.clip(scenario.ceiling_time(t0, s[x], n[x]), t0, t_end[x])
+        c = e[x] > 0.0
+        t_c[c] = t0[c] + _cut_crossings(scenario, t0[c], s[x[c]], n[x[c]], e[x[c]],
+                                        t_end[x[c]] - t0[c])
         # An uncut piece ends at the hit, on the ceiling.
         u = e[x] == 0.0
         xu, t_u, s_u = x[u], t_c[u], p.ceiling_s(n[x[u]])

@@ -161,6 +161,12 @@ class TestAudit:
             assert traj.n[-1] == pytest.approx(scn.params.n_min)
         assert audited >= 5
 
+    def test_terminal_audit_needs_the_terminal_reference(self, convex_price):
+        scn = convex_price.scenario
+        traj = sg.integrate(scn, sg.build_policy(scn, "e0"), 30.0)
+        with pytest.raises(ValueError, match="terminal reference was not built"):
+            sg.audit_trajectory(scn, traj, envelope_refs(scn, 30.0), terminal=True)
+
     def test_fast_side_checks_skipped_without_power_growth(self, fagacees, rng):
         scn = fagacees.scenario
         refs = envelope_refs(scn, 30.0)

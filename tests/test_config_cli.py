@@ -69,6 +69,40 @@ class TestConfig:
         with pytest.raises(sg.ConfigError, match=r"missing required section \[initial\]"):
             sg.load_scenario(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("q = 1.5", "option 'q' in section 'stand' already exists"),
+        ("q 1.5", "Source contains parsing errors"),
+    ])
+    def test_syntax_error_cites_file(self, scenario_file, line, message):
+        path = scenario_file()
+        path.write_text(path.read_text().replace("[stand]", f"[stand]\n{line}"))
+        with pytest.raises(sg.ConfigError, match=message) as err:
+            sg.load_scenario(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("key", ["v0", "h_family"])
+    def test_missing_key_cites_section(self, scenario_file, key):
+        path = scenario_file()
+        path.write_text("\n".join(line for line in path.read_text().splitlines()
+                                  if not line.startswith(f"{key} =")))
+        with pytest.raises(sg.ConfigError,
+                           match=rf"\[environment\] {key}: missing required key"):
+            sg.load_scenario(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("variant", "cubic", "must be power, fagacees, or linear (got 'cubic')"),
+        ("v_family", "logistic", "must be exponential or hyperbolic (got 'logistic')"),
+        ("h_family", "linear", "must be saturating (got 'linear')"),
+    ])
+    def test_unknown_family_cites_invariant_and_line(self, scenario_file, key, value,
+                                                     message):
+        path = scenario_file(**{key: value})
+        with pytest.raises(sg.ConfigError) as err:
+            sg.load_scenario(path)
+        assert f"] {key}: {message}" in str(err.value)
+        lineno = int(str(err.value).split(":")[1])
+        assert path.read_text().splitlines()[lineno - 1] == f"{key} = {value}"
+
     def test_non_numeric_value_cites_line(self, scenario_file):
         path = scenario_file(v0="plenty")
         with pytest.raises(sg.ConfigError, match="not a number"):
@@ -205,6 +239,14 @@ class TestSimulateCommand:
         assert code == 1
         assert "1 < q < 2" in capsys.readouterr().err
 
+    def test_missing_horizon_exits_one(self, tmp_path, capsys):
+        base = (SCENARIO_DIR / "convex_price_power.ini").read_text()
+        path = tmp_path / "no_run.ini"
+        path.write_text(base.split("[run]")[0])
+        code = main(["simulate", str(path), "zero", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "no horizon: pass --horizon or set [run] horizon" in capsys.readouterr().err
+
     def test_unknown_policy_spec_exits_one(self, scenario_file, tmp_path):
         code = main(["simulate", str(scenario_file()), "chop-chop",
                      "--out", str(tmp_path / "x.csv")])
@@ -254,6 +296,12 @@ class TestOptimizeCommand:
         assert code == 1
         assert "must be a rate in [0, e_max]" in capsys.readouterr().err
 
+    def test_level_above_e_max_exits_one(self, capsys):
+        code = main(["optimize", str(SCENARIO_DIR / "convex_price_power.ini"),
+                     "--intervals", "1", "--levels", "0,999"])
+        assert code == 1
+        assert "level 999 outside [0, e_max]" in capsys.readouterr().err
+
     def test_too_many_candidates_exits_one(self, capsys):
         code = main(["optimize", str(SCENARIO_DIR / "convex_price_power.ini"),
                      "--intervals", "8", "--levels", "0,20,max,hold"])
@@ -282,6 +330,21 @@ class TestOptimizeCommand:
         code = main(["optimize", str(path)])
         assert code == 1
         assert "economics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "esup"], "exceeds e_max=3.0"),
+    (["optimize", "--intervals", "3"], "no candidate satisfied the constraints"),
+])
+def test_constraint_failure_exits_two(tmp_path, capsys, argv, message):
+    """Riding the ceiling needs a rate above an e_max of 3, and no schedule
+    over (0, max, hold) stays under the ceiling without riding it."""
+    base = (SCENARIO_DIR / "concave_price_power.ini").read_text()
+    path = tmp_path / "tiny_e_max.ini"
+    path.write_text(base.replace("e_max = 40\n", "e_max = 3\n"))
+    out = ["--out", str(tmp_path / "out")]
+    assert main([argv[0], str(path), *argv[1:], *out]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import standgrowth as sg
-from standgrowth.dynamics import DEFAULT_STEPS
+from standgrowth.dynamics import DEFAULT_STEPS, _cut_crossings
 from conftest import load, scenarios, window_horizon
 
 SCENARIO_FILES = ("concave_price_power.ini", "convex_price_power.ini", "fagacees.ini",
@@ -234,8 +234,9 @@ class TestIntegrate:
     def test_cut_crossing_at_a_breakpoint(self, fagacees):
         """A breakpoint within rounding of a cut crossing ends a step there:
         the span finds the density above 1 at the step end, while the
-        one-step solve from the step start may round it below (6 of these
-        20 breakpoints did); the crossing is then that end."""
+        one-step solve from the step start may round it below (of these 20
+        breakpoints, the one 16 ulp after the crossing does); the crossing
+        is then that end."""
         scn = fagacees.scenario
         rate, horizon = scn.params.e_max / 10, scn.params.t_star
         t_c = sg.integrate(scn, sg.Policy.piecewise([], [rate]), horizon).events[-1].time
@@ -244,6 +245,30 @@ class TestIntegrate:
             traj = sg.integrate(scn, sg.Policy.piecewise([b], [rate, rate]), horizon)
             assert traj.events[-1].kind == "RdiHitOne"
             assert traj.events[-1].time == pytest.approx(t_c, rel=1e-12)
+
+    @pytest.mark.parametrize("name, divisor, k", [
+        ("fagacees.ini", 10, 18), ("concave_price_power.ini", 10, -10),
+        ("convex_price_power.ini", 20, 0), ("linear_growth.ini", 20, -9),
+        ("linear_growth.ini", 20, -8)])
+    def test_cut_crossing_at_a_step_end_rounded_below(self, name, divisor, k):
+        """A breakpoint ``k`` ulp from the crossing of a cut at e_max/divisor
+        ends the step in which the span finds the density above 1, while the
+        one-step solve from the step start rounds it below 1 there: the
+        crossing is that step end."""
+        scn = load(name).scenario
+        p = scn.params
+        rate = p.e_max / divisor
+        t_c = sg.integrate(scn, sg.Policy.piecewise([], [rate]), p.t_star).events[-1].time
+        b = t_c + k * math.ulp(t_c)
+        traj = sg.integrate(scn, sg.Policy.piecewise([b], [rate, rate]), p.t_star)
+        assert (traj.events[-1].kind, traj.events[-1].time) == ("RdiHitOne", b)
+        # The step from the last sample before the crossing, as one row.
+        t0, s0, n0 = traj.t[-2:-1], traj.s[-2:-1], traj.n[-2:-1]
+        h = b - t0
+        n1 = n0 - h * rate
+        s1 = scn.cut_s_after(s0, np.array([[t0[0], b]]), np.array([[n0[0], n1[0]]]))[0, 0]
+        assert p.A * n1[0] * s1 ** (p.q / 2) < 1.0
+        assert _cut_crossings(scn, t0, s0, n0, np.full(1, rate), h)[0] == h[0]
 
     def test_horizon_beyond_validity_rejected(self, convex_price):
         with pytest.raises(ValueError):
@@ -254,6 +279,10 @@ class TestIntegrate:
     def test_non_finite_horizon_or_step_rejected(self, convex_price, horizon, step, name):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             sg.integrate(convex_price.scenario, sg.Policy.zero(), horizon, step=step)
+
+    def test_unknown_n_min_mode_rejected(self, convex_price):
+        with pytest.raises(ValueError, match="on_n_min must be 'clamp' or 'error' \\(got stop\\)"):
+            sg.integrate(convex_price.scenario, sg.Policy.zero(), 5.0, on_n_min="stop")
 
     @pytest.mark.parametrize("drift", [float("nan"), float("inf"), -1.0])
     def test_fault_drift_must_keep_s_finite_and_positive(self, convex_price, drift):
@@ -367,6 +396,16 @@ class TestPolicyValidation:
     def test_non_finite_breakpoint_rejected(self, bad):
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             sg.Policy.piecewise([bad], [10.0, 0.0])
+
+    @pytest.mark.parametrize("bps, levels, message", [
+        ([5.0], [0.0], "need exactly one more level than breakpoints"),
+        ([5.0, 5.0], [0.0, 1.0, 0.0], "breakpoints must be strictly increasing"),
+        ([8.0, 5.0], [0.0, 1.0, 0.0], "breakpoints must be strictly increasing"),
+        ([0.0], [1.0, 0.0], "breakpoints must be positive"),
+    ])
+    def test_bad_shape_names_invariant(self, bps, levels, message):
+        with pytest.raises(ValueError, match=message):
+            sg.Policy.piecewise(bps, levels)
 
     def test_numeric_levels_stored_as_floats(self):
         # Schedules are cache keys by (breakpoints, levels): equal schedules

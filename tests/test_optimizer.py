@@ -43,6 +43,17 @@ class TestProp2Conditions:
         assert rep.branch is None
         assert rep.alpha_star is not None and 3.0 < rep.alpha_star
 
+    def test_no_alpha_star_where_b_star_is_undefined(self, convex_price):
+        """At theta = 1e-9 the elasticity's upper bound reaches 1 within its
+        margin, so b_star, and alpha_star with it, is undefined, and no
+        cut-first claim is made."""
+        scn = dataclasses.replace(convex_price.scenario, growth=sg.GrowthFunction.power(1e-9))
+        with pytest.raises(ValueError, match="b_star is undefined: elasticity upper bound"):
+            sg.b_star(scn)
+        rep = sg.check_prop2(scn, convex_price.economics, 30.0)
+        assert rep.alpha_star is None
+        assert rep.branch != "E0Optimal"
+
     def test_heavy_discount_defeats_conditions(self, concave_price):
         econ = dataclasses.replace(concave_price.economics, delta=0.5)
         rep = sg.check_prop2(concave_price.scenario, econ, 30.0)

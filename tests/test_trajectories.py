@@ -229,6 +229,14 @@ class TestBuildPolicy:
         t_ex = sg.t_cap0(scn)
         assert sg.build_policy(scn, "et", T=t_ex).kind == "esup"
 
+    @pytest.mark.parametrize("kind, T, message", [
+        ("thin", None, "unknown policy kind 'thin'"),
+        ("et", None, "the et policy needs a target horizon T"),
+    ])
+    def test_bad_request_names_invariant(self, convex_price, kind, T, message):
+        with pytest.raises(ValueError, match=message):
+            sg.build_policy(convex_price.scenario, kind, T)
+
     @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("name", ["fagacees.ini", "low_energy.ini"])
     def test_exact_target_must_be_finite_and_positive(self, name, T):
@@ -369,6 +377,12 @@ class TestValidityDiagnostics:
         scn = with_env(low_energy, v0=10.0 * low_energy.scenario.env.v.v0)
         diag = sg.validity_diagnostics(scn)
         assert diag.classification == "reachable"
+
+    def test_intermediate_energy_is_indeterminate(self, low_energy):
+        # Twice the energy: neither sufficient condition holds.
+        diag = sg.validity_diagnostics(with_env(low_energy, v0=2.0 * low_energy.scenario.env.v.v0))
+        assert diag.reachable_margin < 0.0 and diag.unreachable_margin < 0.0
+        assert diag.classification == "indeterminate"
 
     def test_never_both(self, convex_price, low_energy):
         for scn in (convex_price.scenario, low_energy.scenario):
