@@ -194,17 +194,19 @@ class EnvelopeRefs:
 
     def xi_lower_bound(self) -> XiLowerBound:
         """xi_m on the slow reference's samples, capped by the fast reference's
-        s under power growth (form "power") or by s_bar (form "general")."""
+        s under power growth (form "power") or by s_bar (form "general").
+        Under power growth the fast reference's exit time is a sample too:
+        s_cap has a kink there, which interpolation must not bridge."""
         p = self.scenario.params
         form = "power" if self.scenario.growth.kind == "power" else "general"
-        if form == "power":
-            s_cap = self.fast_sn(self.slow.t)[0]
-        else:
-            s_cap = np.full_like(self.slow.t, p.s_bar)
-        slow = self.slow
-        vals = self.scenario.growth_rate(slow.t, slow.s, slow.n) \
-            / (slow.s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
-        return XiLowerBound(t=slow.t, values=vals, form=form)
+        t, t_e = self.slow.t, self.fast.validity_end
+        if form == "power" and self.fast.exited and t_e not in t:
+            # Not np.union1d: its first call imports numpy.ma, about 1 MB.
+            t = np.insert(t, np.searchsorted(t, t_e), t_e)
+        s_cap = self.fast_sn(t)[0] if form == "power" else np.full_like(t, p.s_bar)
+        s, n = self.slow_sn(t)
+        vals = self.scenario.growth_rate(t, s, n) / (s ** (p.q / 2.0) * s_cap ** (1.0 - p.q / 2.0))
+        return XiLowerBound(t=t, values=vals, form=form)
 
 
 def xi_lower_bound(scenario: Scenario, horizon: float,

@@ -86,6 +86,10 @@ def _horizon(args, loaded) -> float:
     raise ConfigError("no horizon: pass --horizon or set [run] horizon in the scenario")
 
 
+def _step(args, loaded) -> float | None:
+    return args.step if args.step is not None else loaded.run.step
+
+
 def _emit(payload: dict, out) -> None:
     """Write ``payload`` as JSON to the file ``out``, or to stdout without one."""
     text = json_text(payload)
@@ -101,8 +105,7 @@ def cmd_simulate(args) -> int:
     scenario = loaded.scenario
     policy = _parse_policy(args.policy, scenario)
     horizon = _horizon(args, loaded)
-    step = args.step if args.step is not None else loaded.run.step
-    traj = integrate(scenario, policy, horizon, step=step)
+    traj = integrate(scenario, policy, horizon, step=_step(args, loaded))
     out = args.out
     write_trajectory_csv(traj, scenario.env, out)
     sidecar = out[:-4] + ".events.json" if out.endswith(".csv") else out + ".events.json"
@@ -149,9 +152,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--policies must be at least 1 (got {args.policies})")
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
-    horizon = _horizon(args, loaded)
+    horizon, step = _horizon(args, loaded), _step(args, loaded)
     rng = np.random.default_rng(args.seed)
-    refs = EnvelopeRefs.build(scenario, horizon, step=args.step)
+    refs = EnvelopeRefs.build(scenario, horizon, step=step)
     xi_m = refs.xi_lower_bound()
     hyp = check_hypotheses(scenario)
 
@@ -159,8 +162,7 @@ def cmd_verify(args) -> int:
     total_violations = []
     audited = 0
     for i, policy in enumerate(policies):
-        traj = integrate(scenario, policy, horizon, step=args.step,
-                         fault_s_drift=args.inject_fault)
+        traj = integrate(scenario, policy, horizon, step=step, fault_s_drift=args.inject_fault)
         report = audit_trajectory(scenario, traj, refs, xi_m=xi_m)
         audited += 1
         for v in report.violations:

@@ -34,9 +34,13 @@ n_min)``.  Each kind of span is solved by its own method:
 * the integration stops at the corner (r, n) = (1, n_min), the only point
   through which a stand can leave its validity domain.
 
-The arc and cut spans are solved by :func:`_arc_rows` and :func:`_cut_rows`
-on blocks of stands, one row each, which the optimizer's screen calls on
-blocks of its rows; a block's cut crossings are bisected together.
+A stand reaching the ceiling meets one junction decision, :func:`_on_ceiling`:
+it leaves through the corner, rides the ceiling under ``HOLD`` if the
+ceiling-holding rate is within e_max (:class:`InfeasibleBoundary` if not),
+or stops with a terminal RdiHitOne; a ride carries on into a next ``HOLD``
+segment.  The decision and the arc and cut spans (:func:`_arc_rows`,
+:func:`_cut_rows`) take blocks of stands, one row each: :func:`integrate`
+calls them on one row, the optimizer's screen on blocks of its rows.
 
 The spans only solve the dynamics.  :func:`integrate` has one span call, one
 place where the run's options apply (the fault drift of s, and ``on_n_min``)
@@ -315,13 +319,9 @@ def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
               h_nom: float):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
     rate ``e``, by :func:`_arc_rows`, up to ``("ExitPoint", t, n_min)``
-    where the count runs out.  Along an arc (q/2) V/s only falls, so the
-    span raises :class:`InfeasibleBoundary` at its start when ``e`` is
-    above e_max."""
+    where the count runs out.  Whether the ride is feasible is decided once,
+    where it starts, by :func:`_on_ceiling`."""
     p = scenario.params
-    if e > p.e_max * (1.0 + 1e-9):
-        raise InfeasibleBoundary(f"ceiling-holding rate {e:.6g} exceeds "
-                                 f"e_max={p.e_max} at t={t:.6g}")
     ts = np.append(t, _span_grid(t, tb, h_nom))
     ns, jb, ends, t_exit = _arc_rows(scenario, np.array([t]), np.array([n]), ts)
     ts, ns = ts[1:jb[0] + 1], ns[0, 1:jb[0] + 1]
@@ -348,6 +348,20 @@ def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: fl
     if j_spent < ts.size:
         es[-1], event = 0.0, ("NMinHit", float(ts[-1]), scenario.params.n_min)
     return (ts[1:], ss[1:], ns[1:], es[1:]), event
+
+
+def _on_ceiling(scenario: Scenario, t, n, hold):
+    """The junction decision for stands reaching the ceiling at (t, n), one
+    row each, under ``HOLD`` where ``hold``: the ceiling basal area s, the
+    ceiling-holding rate (q/2) V/s there, and which stands are at the corner,
+    which ride, and which would need a rate above e_max to ride; the rest
+    stop.  Along an arc (q/2) V/s only falls, so only its start is checked."""
+    p = scenario.params
+    s = p.ceiling_s(n)
+    e = boundary_control(p, scenario.env, s, t)
+    corner = n <= p.n_min * (1.0 + EXIT_REL_TOL)
+    over = hold & ~corner & (e > p.e_max * (1.0 + 1e-9))
+    return s, e, corner, hold & ~corner & ~over, over
 
 
 def _arc_rows(scenario: Scenario, t0, n0, T):
@@ -469,11 +483,9 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
         raise ValueError(f"fault_s_drift must be finite and above -1 (got {fault_s_drift})")
 
     n_min = p.n_min
-    n_corner = n_min * (1.0 + EXIT_REL_TOL)     # counts at the exit corner
     t = 0.0
     s = scenario.initial.s
     n = scenario.initial.n
-    exhausted = n <= _spent_count(p)
     on_arc = False
     rec = _Recorder(t, s, n)
 
@@ -488,21 +500,12 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
     bounds = [0.0] + [b for b in policy.breakpoints if b < horizon] + [horizon]
     for ta, tb, level in zip(bounds, bounds[1:], policy.levels):
         hold = level == HOLD
-        if not hold:
-            on_arc = False
-        elif p.A * n * s ** (p.q / 2.0) >= 1.0 - 1e-9:
-            # Entering a hold span already at the ceiling.
-            if n <= n_corner:
-                return exit_at(t, True)
-            on_arc = True
-            # On an array, as the arc span's samples are: the scalar power
-            # can round an ulp away from the sample that ends the last span.
-            s = float(p.ceiling_s(np.array([n]))[0])
+        on_arc = on_arc and hold        # a ride carries on into a hold segment
         h_nom = (tb - ta) / max(1, round((tb - ta) / step))
         while t < tb - 1e-13 * max(1.0, tb):
             if on_arc:
                 kind, span, e = "arc", _arc_span, boundary_control(p, scenario.env, s, t)
-            elif exhausted or hold or level == 0.0:
+            elif hold or level == 0.0 or n <= _spent_count(p):
                 kind, span, e = "free", _free_span, 0.0
             else:
                 kind, span, e = "cut", _cut_span, level
@@ -524,19 +527,22 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
             if event[0] == "NMinHit":
                 if on_n_min == "error":
                     raise NonViable(f"policy would cut below n_min={n_min} at t={t:.6g}")
-                exhausted = True
                 rec.events.append(TrajectoryEvent(t, "NMinHit", False))
-            elif event[0] == "ExitPoint" or n <= n_corner:
+                continue
+            # An arc's ExitPoint is at n_min, so at the corner.
+            (s,), (e_arc,), (corner,), (rides,), (over,) = _on_ceiling(
+                scenario, t, np.array([n]), hold)
+            if corner:
                 return exit_at(t, on_arc)
-            else:
-                # The state is placed exactly on the ceiling.
-                s = p.ceiling_s(n)
-                if not hold:
-                    rec.add(t, s, n, e, False)
-                    return rec.finish(scenario, t, "RdiHitOne", False)
-                on_arc = True
-                rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
-                rec.add(t, s, n, boundary_control(p, scenario.env, s, t), True)
+            if over:
+                raise InfeasibleBoundary(f"ceiling-holding rate {e_arc:.6g} exceeds "
+                                         f"e_max={p.e_max} at t={t:.6g}")
+            if not rides:
+                rec.add(t, s, n, e, False)
+                return rec.finish(scenario, t, "RdiHitOne", False)
+            on_arc = True
+            rec.events.append(TrajectoryEvent(t, "RdiHitOne", False))
+            rec.add(t, s, n, e_arc, True)
 
     return rec.finish(scenario, horizon, "HorizonEnd", False)
 

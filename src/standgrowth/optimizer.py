@@ -17,9 +17,9 @@ Two independent routes to the same question:
   that keeps one row per distinct state: prefixes whose states are
   bit-equal (rate 0 and ``hold`` below the ceiling, every level of a spent
   stand) share a row, so each state is advanced once, by its span kind,
-  on blocks of rows, through the cut and arc span code of ``integrate``
-  (``dynamics._cut_rows`` and ``dynamics._arc_rows``) and the closed form
-  of uncut growth.
+  on blocks of rows, through the cut and arc spans and the ceiling decision
+  of ``integrate`` (``dynamics._cut_rows``, ``_arc_rows`` and
+  ``_on_ceiling``) and the closed form of uncut growth.
   It ranks them on the by-parts form of the objective, whose integrand
   n dP/dt depends on the state alone and is smooth between events.  An
   uncut piece keeps its count, so it adds n [P(s, t)] between its ends
@@ -54,11 +54,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import EnvelopeRefs, XiLowerBound, b_star, xi_lower_bound
-from .dynamics import (EXIT_REL_TOL, HOLD, InfeasibleBoundary, Policy, _arc_rows,
-                       _cut_rows, _spent_count, integrate)
+from .dynamics import (HOLD, InfeasibleBoundary, Policy, _arc_rows, _cut_rows,
+                       _on_ceiling, _spent_count, integrate)
 from .economics import (EconomicModel, _revenue_rate_from, _revenue_time_factors,
                         delta_h, objective, price, revenue_rate)
-from .model import _CUT_CELLS, Scenario, StandParams, boundary_control
+from .model import _CUT_CELLS, Scenario, StandParams
 from .trajectories import EXHAUSTION_REL_TOL, build_policy, time_to_count
 
 __all__ = [
@@ -317,8 +317,9 @@ class _Segment:
       ``hold`` row starts its arc;
     * **arc**: a ``hold`` row on the ceiling, by :func:`dynamics._arc_rows`,
       up to the step in which the count runs out, where the row exits.
-      Along an arc (q/2) V/s only falls, so a row whose arc starts above
-      e_max dies there.
+
+    A row reaching the ceiling meets ``integrate``'s junction decision,
+    :func:`dynamics._on_ceiling`, in :meth:`_cross`.
 
     Each run of one kind is a piece, and each piece is summed on its own:
     its by-parts integrand is smooth inside it, and kinks only at its ends.
@@ -402,28 +403,17 @@ class _Segment:
         """Rows breaking a constraint keep their last state."""
         self.rows.dead[idx] = self.rows.done[idx] = True
 
-    def _ride(self, idx, t_c, n_c, riding) -> None:
-        """``hold`` rows crossing the ceiling at (t_c, n_c) move there and
-        ride it from there, or die where holding it needs a rate above
-        e_max."""
-        sc = self.scenario
-        p = sc.params
-        s_c = p.ceiling_s(n_c)
-        over = boundary_control(p, sc.env, s_c, t_c) > p.e_max * (1.0 + 1e-9)
-        self._die(idx[over])
-        ok = ~over
-        idx, t_c, s_c, n_c = idx[ok], t_c[ok], s_c[ok], n_c[ok]
-        self._move(idx, t_c, s_c, n_c, revenue_rate(sc, self.econ, s_c, n_c, t_c))
-        riding[idx] = True
-
     def _cross(self, idx, t_c, n_c, hold, riding) -> None:
         """Rows crossing the ceiling at (t_c, n_c), their state handed over at
-        the step start: the corner exits, ``hold`` rides, the rest dies."""
-        at_corner = n_c <= self.scenario.params.n_min * (1.0 + EXIT_REL_TOL)
-        rides = ~at_corner & hold
-        self._exit(idx[at_corner], t_c[at_corner])
-        self._die(idx[~at_corner & ~rides])
-        self._ride(idx[rides], t_c[rides], n_c[rides], riding)
+        the step start, under :func:`dynamics._on_ceiling`: the corner exits,
+        a ride moves there and rides on, and the rest dies, a ``hold`` row
+        whose ride needs a rate above e_max among them."""
+        s_c, _, corner, rides, _ = _on_ceiling(self.scenario, t_c, n_c, hold)
+        self._exit(idx[corner], t_c[corner])
+        self._die(idx[~corner & ~rides])
+        idx, t_c, s_c, n_c = idx[rides], t_c[rides], s_c[rides], n_c[rides]
+        self._move(idx, t_c, s_c, n_c, revenue_rate(self.scenario, self.econ, s_c, n_c, t_c))
+        riding[idx] = True
 
     def _cut(self, idx, rates, free, hold, riding) -> None:
         """Thinning of the rows ``idx`` from T[0] at their ``rates``, by

@@ -120,6 +120,22 @@ class TestXiLowerBound:
             xi = scn.growth.g(r) / traj.n * scn.env.v(traj.t) / traj.s
             assert np.min(xi - bound(traj.t)) >= -1e-6
 
+    def test_floor_samples_the_fast_exit(self, concave_price):
+        """Under power growth xi_m's cap is the fast reference's s, which
+        has a kink where that reference exits.  Interpolating across the
+        kink between the slow reference's samples raised the floor above
+        this policy's xi at t = 27.7289 by 2.6e-6 relative."""
+        scn = concave_price.scenario
+        refs = envelope_refs(scn, 30.0, with_terminal=True)
+        xi_m = refs.xi_lower_bound()
+        policy = sg.Policy.piecewise(
+            [4.239130092140759, 17.07290069206299, 25.27260604793683],
+            [39.992332389639344, 32.19468277948224, 18.23969468769674, 40.0])
+        traj = sg.integrate(scn, policy, 30.0)
+        report = sg.audit_trajectory(scn, traj, refs, terminal=True, xi_m=xi_m)
+        assert report.clean, report.violations
+        assert refs.fast.exited and refs.fast.validity_end in xi_m.t
+
 
 class TestAudit:
     def test_fast_reference_self_audit_clean(self, convex_price):

@@ -383,6 +383,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "fault_s_drift must be finite" in capsys.readouterr().err
 
+    def test_run_step_is_the_default_step(self, tmp_path):
+        """``[run] step`` applies to verify as to simulate: a report under it
+        is the report under the same ``--step``."""
+        path = tmp_path / "scenario.ini"
+        path.write_text((SCENARIO_DIR / "concave_price_power.ini").read_text()
+                        + "step = 0.05\n")      # [run] is the last section
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out, extra in ((a, []), (b, ["--step", "0.05"])):
+            main(["verify", str(path), "--policies", "3", "--inject-fault", "1e-4",
+                  *extra, "--out", str(out)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_fault_injection_exits_three(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify", str(SCENARIO_DIR / "convex_price_power.ini"),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -187,6 +188,35 @@ class TestIntegrate:
         scn = small_stand(A=0.01741, n0=300.0, s0=0.08, e_max=1.0, n_min=150.0)
         with pytest.raises(sg.InfeasibleBoundary, match=rf"at t={sg.t_sup0(scn):.6g}$"):
             sg.integrate(scn, sg.build_policy(scn, "esup"), 40.0)
+
+    def test_hold_rides_from_the_ceiling_hit(self, concave_price):
+        """A stand 1e-10 below the ceiling under ``HOLD`` grows freely to
+        its :meth:`Scenario.ceiling_time`, and rides the ceiling from there."""
+        scn = concave_price.scenario
+        p, n0 = scn.params, scn.initial.n
+        s0 = ((1.0 - 1e-10) / (p.A * n0)) ** (2.0 / p.q)
+        scn = dataclasses.replace(scn, initial=sg.StandState(t=0.0, s=s0, n=n0))
+        traj = sg.integrate(scn, sg.Policy((), (sg.HOLD,)), 20.0)
+        t_hit = float(scn.ceiling_time(0.0, s0, n0))
+        assert 0.0 < t_hit < 1e-8
+        assert traj.events[0] == sg.TrajectoryEvent(t_hit, "RdiHitOne", False)
+        assert traj.spans == (("free", 0.0, t_hit), ("arc", t_hit, 20.0))
+
+    @pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                      "fagacees.ini", "linear_growth.ini", "low_energy.ini"])
+    def test_ride_carries_across_a_hold_breakpoint(self, name):
+        """A breakpoint between two ``HOLD`` levels changes nothing: the
+        ride carries on across it."""
+        loaded = load(name)
+        scn, H = loaded.scenario, loaded.run.horizon
+        e_max = scn.params.e_max
+        split = sg.integrate(scn, sg.Policy.piecewise([0.6 * H, 0.8 * H],
+                                                      [sg.HOLD, sg.HOLD, e_max]), H)
+        whole = sg.integrate(scn, sg.Policy.piecewise([0.8 * H], [sg.HOLD, e_max]), H)
+        assert [ev.kind for ev in split.events] == [ev.kind for ev in whole.events]
+        np.testing.assert_allclose([ev.time for ev in split.events],
+                                   [ev.time for ev in whole.events], rtol=1e-12)
+        assert split.validity_end == pytest.approx(whole.validity_end, rel=1e-12)
 
     def test_fault_drift_compounds_per_step_and_once_on_an_arc(self, convex_price):
         """Free and cut spans drift s once more at every step; on the

@@ -215,10 +215,12 @@ class TestSpanSums:
 
     def test_run_without_spans(self, concave_price):
         """A stand that starts at the exit corner under ``HOLD`` leaves at
-        once, with no span: both routes give the clear-cut value alone."""
+        once, with no span: both routes give the clear-cut value alone.  Its
+        density is 1e-13 below 1, inside the free span's test for a stand
+        already on the ceiling."""
         scn, econ = concave_price.scenario, concave_price.economics
         p = scn.params
-        s0 = ((1.0 - 1e-10) / (p.A * p.n_min)) ** (2.0 / p.q)
+        s0 = ((1.0 - 1e-13) / (p.A * p.n_min)) ** (2.0 / p.q)
         scn = dataclasses.replace(scn, initial=sg.StandState(t=0.0, s=s0, n=p.n_min))
         traj = sg.integrate(scn, sg.Policy((), (sg.HOLD,)), 20.0)
         assert traj.spans == () and traj.exited

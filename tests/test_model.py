@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import standgrowth as sg
+from standgrowth._rootfind import BracketError, bisect
 
 import newton_uncut
 
@@ -300,6 +301,30 @@ class TestFiniteInputs:
         cls, valid = self.VALID[ctor]
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             cls(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda scn: sg.GrowthFunction(kind="bogus"), ValueError,
+     r"^unknown growth variant 'bogus'$"),
+    (lambda scn: scn.env.v.integral(5.0, 3.0), ValueError,
+     r"^empty interval: t0=5\.0 > t1=3\.0$"),
+    (lambda scn: scn.env.v.integral(np.array([5.0]), np.array([3.0])), ValueError,
+     r"^empty interval: t0=\[5\.\] > t1=\[3\.\]$"),
+    (lambda scn: scn.uncut_s_after(math.nan, 300.0, 1.0), RuntimeError,
+     r"^uncut growth inversion did not converge from s=nan, n=300\.0$"),
+    (lambda scn: sg.boundary_control(scn.params, scn.env, 0.0, 1.0), ValueError,
+     r"^boundary control requires s > 0$"),
+    (lambda scn: sg.energy(scn.env, 3.0, 1.0), ValueError,
+     r"^need 0 <= t0 <= t1 \(got t0=3\.0, t1=1\.0\)$"),
+    (lambda scn: bisect(lambda x: x + 1, 0, 1), BracketError,
+     r"^no sign change on \[0\.0, 1\.0\]"),
+], ids=["growth_kind", "empty_interval", "empty_interval_arrays", "uncut_nan",
+        "boundary_control_s", "energy_interval", "bisect_bracket"])
+def test_input_guard_names_its_invariant(fagacees, call, error, message):
+    """Each guard raises with a message naming the invariant it enforces
+    (the uncut inversion under fagacees growth, where it iterates)."""
+    with pytest.raises(error, match=message):
+        call(fagacees.scenario)
 
 
 class TestEnergyInverse:
