@@ -23,7 +23,7 @@ class BracketError(RuntimeError):
     """``f`` does not change sign on the given bracket."""
 
 
-def bisect(f: Callable, lo, hi, xtol=TIME_TOL, max_iter: int = MAX_ITER):
+def bisect(f: Callable, lo, hi, xtol=TIME_TOL):
     """Roots of ``f`` in ``[lo, hi]``, elementwise: ``f`` maps an array of
     points to its values there, each on its own, and ``f(lo)`` and
     ``f(hi)`` must not share a sign.  Each element stops, as it would
@@ -35,7 +35,7 @@ def bisect(f: Callable, lo, hi, xtol=TIME_TOL, max_iter: int = MAX_ITER):
         raise BracketError(f"no sign change on [{lo}, {hi}] (f(lo)={flo}, f(hi)={fhi})")
     root = np.where(flo == 0.0, lo, hi)
     left = (flo != 0.0) & (fhi != 0.0)      # the elements still bisecting
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not left.any():
             break
         mid = 0.5 * (lo + hi)

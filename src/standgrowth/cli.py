@@ -160,11 +160,9 @@ def cmd_verify(args) -> int:
 
     policies = sample_policies(scenario, args.policies, rng, horizon)
     total_violations = []
-    audited = 0
     for i, policy in enumerate(policies):
         traj = integrate(scenario, policy, horizon, step=step, fault_s_drift=args.inject_fault)
         report = audit_trajectory(scenario, traj, refs, xi_m=xi_m)
-        audited += 1
         for v in report.violations:
             total_violations.append({"policy": i, **v.to_json_dict()})
 
@@ -172,7 +170,7 @@ def cmd_verify(args) -> int:
     payload = {
         "scenario": loaded.path,
         "seed": args.seed,
-        "policies_audited": audited,
+        "policies_audited": len(policies),
         "hypotheses": hyp.to_json_dict(),
         "violations": total_violations,
         "pass": ok,
@@ -183,7 +181,7 @@ def cmd_verify(args) -> int:
             ("H2 competition shape", hyp.h2_competition),
             ("H3 ceiling rate below e_max", hyp.h3_ceiling_rate),
             ("H4 elasticity bounded below", hyp.h4_elasticity),
-            (f"envelope audit ({audited} policies)", not total_violations)]
+            (f"envelope audit ({len(policies)} policies)", not total_violations)]
     width = max(len(r[0]) for r in rows)
     for name, passed in rows:
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}", file=sys.stderr)

@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 EXIT_REL_TOL = 1e-7         # relative tolerance for the (r, n) = (1, n_min) corner
+CEILING_REL_TOL = 1e-12     # relative tolerance at which a density is on the ceiling
 SPENT_REL_TOL = 1e-12       # relative tolerance at which a count has reached n_min
 DEFAULT_STEPS = 4096        # default number of steps over the horizon
 SAMPLED_MAX_SEGMENTS = 6    # most segments of a policy from sample_policies
@@ -288,19 +289,17 @@ def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
 
 
 # The spans share one signature: the opening state (t, s, n) and control e,
-# the segment end tb and the nominal step.  Each solves the dynamics alone
-# and returns its samples after t as (t, s, n, e) arrays, and its event or
-# None; the run's options are applied by integrate.
+# and the sample times ``ts`` after t, those of :func:`_span_grid`.  Each
+# solves the dynamics alone and returns its samples as (t, s, n, e) arrays,
+# up to its event, and the event or None; the run's options are applied by
+# integrate.
 
-def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-               h_nom: float):
+def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, ts):
     """Uncut growth from (t, s, n) below the ceiling, in closed form, up to
     ``("RdiHitOne", t, n)`` where the density reaches 1
     (:meth:`Scenario.ceiling_time`)."""
-    p = scenario.params
-    if p.A * n * s ** (p.q / 2.0) >= 1.0 - 1e-12:
+    if scenario.params.density(n, s) >= 1.0 - CEILING_REL_TOL:
         return (np.empty(0),) * 4, ("RdiHitOne", t, n)
-    ts = _span_grid(t, tb, h_nom)
     t_hit = float(scenario.ceiling_time(t, s, n))
     k = int(np.searchsorted(ts, t_hit))            # the step that reaches the ceiling
     ss = scenario.uncut_s_after(s, n, scenario.env.v.integral(t, ts[:k]))
@@ -315,31 +314,28 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: f
     return samples, ("RdiHitOne", t_hit, n)
 
 
-def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-              h_nom: float):
+def _arc_span(scenario: Scenario, t: float, s: float, n: float, e: float, ts):
     """The density ceiling ridden from (t, s, n) under the ceiling-holding
     rate ``e``, by :func:`_arc_rows`, up to ``("ExitPoint", t, n_min)``
     where the count runs out.  Whether the ride is feasible is decided once,
     where it starts, by :func:`_on_ceiling`."""
     p = scenario.params
-    ts = np.append(t, _span_grid(t, tb, h_nom))
+    ts = np.append(t, ts)
     ns, jb, ends, t_exit = _arc_rows(scenario, np.array([t]), np.array([n]), ts)
     ts, ns = ts[1:jb[0] + 1], ns[0, 1:jb[0] + 1]
     ss = p.ceiling_s(ns)
     event = ("ExitPoint", float(t_exit[0]), p.n_min) if ends[0] else None
-    return (ts, ss, ns, p.q / 2.0 * scenario.env.v(ts) / ss), event
+    return (ts, ss, ns, boundary_control(p, scenario.env, ss, ts)), event
 
 
-def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, tb: float,
-              h_nom: float):
+def _cut_span(scenario: Scenario, t: float, s: float, n: float, e: float, ts):
     """Thinning at the rate ``e`` > 0 from (t, s, n), to each grid time, by
     :func:`_cut_rows`.  A spent span ends at its spent time with
     ``("NMinHit", t, n_min)`` and a last sample at n_min with e = 0; a
     span crossing the ceiling first, in that step or an earlier one, ends
     with ``("RdiHitOne", t, n)`` at the crossing instead."""
     (ts,), (ss,), (ns,), _, (j_spent,), (j_cross,), t_c, n_c = _cut_rows(
-        scenario, np.append(t, _span_grid(t, tb, h_nom)), np.array([s]), np.array([n]),
-        np.array([e]))
+        scenario, np.append(t, ts), np.array([s]), np.array([n]), np.array([e]))
     es = np.full(ts.size, e)
     if j_cross < ts.size:
         return ((ts[1:j_cross], ss[1:j_cross], ns[1:j_cross], es[1:j_cross]),
@@ -399,8 +395,7 @@ def _cut_rows(scenario: Scenario, T, s0, n0, e):
     crossing, each T.size where there is none; and the crossing time and
     count of each crossing row, in row order.
     """
-    p = scenario.params
-    A, q2, S = p.A, p.q / 2.0, T.size - 1
+    p, S = scenario.params, T.size - 1
     n = n0[:, None] - e[:, None] * (T - T[0])
     spent = n <= _spent_count(p)
     j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1), S + 1)
@@ -409,7 +404,7 @@ def _cut_rows(scenario: Scenario, T, s0, n0, e):
     times = np.where(spent[:, :m], t_spent[:, None], T[:m])
     n = np.where(spent[:, :m], p.n_min, n[:, :m])
     s = np.concatenate((s0[:, None], scenario.cut_s_after(s0, times, n)), axis=1)
-    r = A * n * s ** q2
+    r = p.density(n, s)
     over = r[:, 1:] > 1.0
     j_cross = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
     j_cross[j_cross > j_spent] = S + 1
@@ -425,18 +420,19 @@ def _cut_crossings(scenario: Scenario, t, s, n, e, h):
     lengths ``h``, the density reaches 1: the roots hh of
     A n s**(q/2) - 1 along :meth:`Scenario.cut_s_after` over [t, t + hh],
     bisected together to the rounding of t + h.  A step whose density
-    starts within 1e-12 of 1 crosses at its start; one whose one-step solve
-    rounds the density at its end below 1 crosses at that end."""
-    A, q2 = scenario.params.A, scenario.params.q / 2.0
+    starts within ``CEILING_REL_TOL`` of 1 crosses at its start; one whose
+    one-step solve rounds the density at its end below 1 crosses at that
+    end."""
+    density = scenario.params.density
 
     def excess(hh, k):
         """Density less 1 at hh into the steps ``k``."""
         n_h = n[k] - hh * e[k]
         s_h = scenario.cut_s_after(s[k], np.stack((t[k], t[k] + hh), axis=-1),
                                    np.stack((n[k], n_h), axis=-1))[:, 0]
-        return A * n_h * s_h ** q2 - 1.0
+        return density(n_h, s_h) - 1.0
 
-    hh = np.where(A * n * s ** q2 < 1.0 - 1e-12, h, 0.0)
+    hh = np.where(density(n, s) < 1.0 - CEILING_REL_TOL, h, 0.0)
     k = np.flatnonzero(hh > 0.0)
     if k.size:
         k = k[excess(hh[k], k) > 0.0]
@@ -509,7 +505,7 @@ def integrate(scenario: Scenario, policy: Policy, horizon: float,
                 kind, span, e = "free", _free_span, 0.0
             else:
                 kind, span, e = "cut", _cut_span, level
-            (ts, ss, ns, es), event = span(scenario, t, s, n, e, tb, h_nom)
+            (ts, ss, ns, es), event = span(scenario, t, s, n, e, _span_grid(t, tb, h_nom))
             if fault_s_drift:
                 # Compounded per step, but once per sample on the ceiling, where
                 # s follows the count.

@@ -17,9 +17,10 @@ a rate ``e(t)`` bounded by ``e_max``.  The dominant height ``h0(t)`` is an
 output only: it never feeds back into the dynamics.
 
 This module holds the immutable parameter/state containers (with the
-ceiling basal area ``StandParams.ceiling_s``), the two competition families
-for ``g`` (hyperbolic and power; linear growth is power with theta = 0) with
-their derived functionals, the environment families for ``V`` (with the
+density index ``StandParams.density`` and the ceiling basal area
+``StandParams.ceiling_s``), the two competition families for ``g``
+(hyperbolic and power; linear growth is power with theta = 0) with their
+derived functionals, the environment families for ``V`` (with the
 closed-form energy and its inverse) and ``h0``, and the pointwise operations
 (``rdi``, ``boundary_control``, ``energy``).  :class:`Scenario` holds the
 closed forms of the dynamics:
@@ -146,6 +147,10 @@ class StandParams:
         """Basal area (A n)**(-2/q) at which a stand of n trees sits on the
         density ceiling r = 1."""
         return (self.A * n) ** (-2.0 / self.q)
+
+    def density(self, n, s):
+        """Relative density index r = A n s**(q/2) of n trees of basal area s."""
+        return self.A * n * s ** (self.q / 2.0)
 
     @property
     def s_bar(self) -> float:
@@ -425,8 +430,7 @@ class Scenario:
     def growth_per_energy(self, s, n):
         """The state factor g(r)/n of :meth:`growth_rate`, so that a caller
         stepping many states over one time grid takes V(t) once per time."""
-        p = self.params
-        return self.growth.g(p.A * n * s ** (p.q / 2.0)) / n
+        return self.growth.g(self.params.density(n, s)) / n
 
     def ceiling_time(self, t, s, n):
         """Time t1 at which a stand growing uncut from (t, s, n), below the
@@ -438,7 +442,7 @@ class Scenario:
         """
         p = self.params
         b = 2.0 / p.q - 1.0
-        r = p.A * n * s ** (p.q / 2.0)
+        r = p.density(n, s)
         coeff = p.q / 2.0 * n ** b * p.A ** (2.0 / p.q)
         return self.env.v.time_at(t, self.growth.density_integral(r, b) / coeff)
 
@@ -473,7 +477,7 @@ class Scenario:
         # Powers by np.power on arrays, so that those of scalars round as
         # those of arrays do.
         s, n = np.asarray(s, dtype=float), np.asarray(n, dtype=float)
-        x_a = np.log(p.A * n * s ** q2)
+        x_a = np.log(p.density(n, s))
         target = (growth.density_at_log(x_a, b)[0]
                   - q2 * n ** b * p.A ** (2.0 / p.q) * np.asarray(amount, dtype=float))
         x = np.full(np.shape(target), x_a)
@@ -560,14 +564,13 @@ class Scenario:
         out = np.empty(shape[1:])
         if not (m and shape[1]):
             return out.reshape(lead + (m,))
-        # growth_per_energy at the nodes, g(A n s**(q/2)) / n, with A n taken once.
-        g, q2, an = self.growth.g, self.params.q / 2.0, self.params.A * n_nodes
+        g, density = self.growth.g, self.params.density
         a0, a1, a2, a3 = _GAUSS_A_COLS
         nodes = np.broadcast_to(s0, shape)
         stands = np.arange(shape[1])        # the stands still sweeping
         ends = None
         for _ in range(_PICARD_MAX_SWEEPS):
-            f = g(an * nodes ** q2) / n_nodes * vh
+            f = g(density(n_nodes, nodes)) / n_nodes * vh
             last = ends
             ends = s0 + np.cumsum(_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3]),
                                   axis=-1)
@@ -582,7 +585,7 @@ class Scenario:
                 if not left.any():
                     return out.reshape(lead + (m,))
                 stands, s0, ends = stands[left], s0[left], ends[left]
-                nodes, an, n_nodes, vh = nodes[:, left], an[:, left], n_nodes[:, left], vh[:, left]
+                nodes, n_nodes, vh = nodes[:, left], n_nodes[:, left], vh[:, left]
         raise RuntimeError(f"fagacees cut span did not converge in {_PICARD_MAX_SWEEPS} "
                            f"sweeps from s={s0[:, 0]}")
 
@@ -620,7 +623,7 @@ def rdi(params: StandParams, n, s):
     """Relative density index r = A * n * s**(q/2)."""
     if np.any(np.asarray(n) <= 0.0) or np.any(np.asarray(s) <= 0.0):
         raise ValueError("rdi requires n > 0 and s > 0")
-    return params.A * n * s ** (params.q / 2.0)
+    return params.density(n, s)
 
 
 def boundary_control(params: StandParams, env: Environment, s, t):

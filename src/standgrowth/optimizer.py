@@ -324,14 +324,17 @@ class _Segment:
     Each run of one kind is a piece, and each piece is summed on its own:
     its by-parts integrand is smooth inside it, and kinks only at its ends.
     A free piece keeps its count n, so it adds n [P(s, t)] between its
-    ends, exactly; a cut or arc piece is summed by :meth:`_gregory`.  A
-    free row ends its piece at the time of its change, with its state,
-    ``rate`` and ``value`` there.  A cut or arc row changes kind by writing
-    them at the last grid index ``j0`` before the change, then moving them
-    on to the time ``t0`` of the change by the trapezoid of that partial
-    step (:meth:`_move`).  The cut rows run first, then the free rows, then
-    the arcs.  The time factors (V and those of the by-parts integrand) are
-    taken once per grid time.
+    ends, exactly; a cut or arc piece is summed by :meth:`_gregory`.  Each
+    row's place is one time ``t0``: a free row ends its piece at the time
+    of its change, with its state, ``rate`` and ``value`` there, and a cut
+    or arc row writes them at the last grid time before its change, then
+    moves them on to the time of the change by the trapezoid of that
+    partial step (:meth:`_move`).  A cut or arc piece starts at the last
+    grid time at or before its t0, because a cut row starts at T[0], and
+    an arc at T[0] or at a free row's ceiling hit, never at a cut row's
+    crossing: a cut level is never ``hold``.  The cut rows run first, then
+    the free rows, then the arcs.  The time factors (V and those of the
+    by-parts integrand) are taken once per grid time.
     """
 
     def __init__(self, scenario: Scenario, econ: EconomicModel, times: np.ndarray,
@@ -340,25 +343,23 @@ class _Segment:
         self.S = times.size - 1
         self.V = scenario.env.v(times)
         self.factors = _revenue_time_factors(econ, scenario.env, times)
-        self.j0 = np.zeros(rows.s.size, dtype=np.intp)
         self.t0 = np.full(rows.s.size, times[0])
 
     def advance(self, levels: np.ndarray) -> None:
-        """Advance every live row across the segment under its level code."""
+        """Advance every live row across the segment under its level code.
+        Cut rows leaving spent join ``free``, and rows reaching the ceiling
+        to ride it join ``riding``."""
         rows, p = self.rows, self.scenario.params
-        hold = levels == _HOLD_CODE
-        rows.on_arc &= hold          # numeric segments leave the ceiling
+        self.hold = levels == _HOLD_CODE
+        rows.on_arc &= self.hold     # numeric segments leave the ceiling
         live = ~rows.done
         cut = live & ~rows.on_arc & (levels > 0.0) & (rows.n > _spent_count(p))
-        free = live & ~rows.on_arc & ~cut
-        riding = live & rows.on_arc
-        # Only cut rows take their level: a spent row steps at rate 0.
-        rates = np.where(cut, levels, 0.0)
+        self.free = live & ~rows.on_arc & ~cut
+        self.riding = live & rows.on_arc
         for idx in self._blocks(cut, _CUT_CELLS):
-            self._cut(idx, rates, free, hold, riding)
-        for idx in self._blocks(free):
-            self._free(idx, hold, riding)
-        for idx in self._blocks(riding):
+            self._cut(idx, levels[idx])
+        self._free(np.flatnonzero(self.free))
+        for idx in self._blocks(self.riding):
             self._arc(idx)
 
     def _blocks(self, mask: np.ndarray, per_time: int = 1):
@@ -374,14 +375,6 @@ class _Segment:
         m = s.shape[1]
         return _revenue_rate_from(self.econ, tuple(f[:m] for f in self.factors), s, n,
                                   growth * self.V[:m])
-
-    def _hand_over(self, idx, j, s, n, rate, value) -> None:
-        """Write the rows' state, integrand and value at grid index ``j``,
-        or at their start t0 where that lies after T[j]."""
-        rows = self.rows
-        rows.s[idx], rows.n[idx], rows.rate[idx], rows.value[idx] = s, n, rate, value
-        self.j0[idx] = j
-        self.t0[idx] = np.maximum(self.T[j], self.t0[idx])
 
     def _move(self, idx, t, s, n, rate) -> None:
         """Move the rows on from their last sample, at t0, to the state
@@ -399,58 +392,51 @@ class _Segment:
         self._move(idx, te, s_bar, n_min, revenue_rate(sc, self.econ, s_bar, n_min, te))
         self.rows.done[idx] = True
 
-    def _die(self, idx) -> None:
-        """Rows breaking a constraint keep their last state."""
-        self.rows.dead[idx] = self.rows.done[idx] = True
-
-    def _cross(self, idx, t_c, n_c, hold, riding) -> None:
-        """Rows crossing the ceiling at (t_c, n_c), their state handed over at
+    def _cross(self, idx, t_c, n_c) -> None:
+        """Rows crossing the ceiling at (t_c, n_c), their state written at
         the step start, under :func:`dynamics._on_ceiling`: the corner exits,
-        a ride moves there and rides on, and the rest dies, a ``hold`` row
-        whose ride needs a rate above e_max among them."""
-        s_c, _, corner, rides, _ = _on_ceiling(self.scenario, t_c, n_c, hold)
+        a ride moves there and rides on, and the rest dies, keeping its last
+        state, a ``hold`` row whose ride needs a rate above e_max among them."""
+        s_c, _, corner, rides, _ = _on_ceiling(self.scenario, t_c, n_c, self.hold[idx])
         self._exit(idx[corner], t_c[corner])
-        self._die(idx[~corner & ~rides])
+        dies = idx[~corner & ~rides]
+        self.rows.dead[dies] = self.rows.done[dies] = True
         idx, t_c, s_c, n_c = idx[rides], t_c[rides], s_c[rides], n_c[rides]
         self._move(idx, t_c, s_c, n_c, revenue_rate(self.scenario, self.econ, s_c, n_c, t_c))
-        riding[idx] = True
+        self.riding[idx] = True
 
-    def _cut(self, idx, rates, free, hold, riding) -> None:
-        """Thinning of the rows ``idx`` from T[0] at their ``rates``, by
+    def _cut(self, idx, e) -> None:
+        """Thinning of the rows ``idx`` from T[0] at the rates ``e``, by
         :func:`dynamics._cut_rows`, whose densities the integrand reuses, up
-        to the step in which each crosses the ceiling (a cut row's level is
-        never ``hold``, so :meth:`_cross` exits it at the corner or kills
-        it) or to its spent time, where it leaves as a ``free`` row with the
-        state of the same solve."""
+        to the step in which each crosses the ceiling (a cut level is never
+        ``hold``, so :meth:`_cross` exits it at the corner or kills it) or
+        to its spent time, where it leaves as a free row with the state of
+        the same solve."""
         sc, rows, S, n_min = self.scenario, self.rows, self.S, self.scenario.params.n_min
-        ar = np.arange(idx.size)
         times, s, n, r, j_spent, j_cross, t_c, n_c = _cut_rows(
-            sc, self.T, rows.s[idx], rows.n[idx], rates[idx])
+            sc, self.T, rows.s[idx], rows.n[idx], e)
         # The columns past the block's last spent time were not solved; no
         # piece reaches them.
         R = np.zeros((idx.size, S + 1))
         R[:, :s.shape[1]] = self._grid_rate(s, n, sc.growth.g(r) / n)
-        R[:, 0] = rows.rate[idx]
         crosses = j_cross <= S
-        jb = np.where(crosses, j_cross - 1, np.minimum(j_spent - 1, S))
-        value = self._gregory(rows.value[idx], R, self.j0[idx], self.t0[idx], jb)
-        self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
-        i = ar[~crosses & (j_spent <= S)]       # the rows leaving spent
+        self._sum(idx, s, n, R, np.where(crosses, j_cross - 1, np.minimum(j_spent - 1, S)))
+        i = np.flatnonzero(~crosses & (j_spent <= S))      # the rows leaving spent
         if i.size:
             t_i, s_i = times[i, j_spent[i]], s[i, j_spent[i]]
             self._move(idx[i], t_i, s_i, n_min, revenue_rate(sc, self.econ, s_i, n_min, t_i))
-            free[idx[i[t_i < self.T[S]]]] = True
+            self.free[idx[i[t_i < self.T[S]]]] = True
         if crosses.any():
-            self._cross(idx[crosses], t_c, n_c, hold[idx[crosses]], riding)
+            self._cross(idx[crosses], t_c, n_c)
 
-    def _free(self, idx, hold, riding) -> None:
+    def _free(self, idx) -> None:
         """Uncut growth of the rows ``idx`` from their start t0, solved at
         the end of the piece alone: the segment end, by
         :meth:`Scenario.uncut_s_after`, or the :meth:`Scenario.ceiling_time`
         hit, placed on the ceiling.  The count is fixed, so the piece's
         by-parts integral is n [P(s, t)] between its ends, exactly."""
         sc, econ, env, rows, T = self.scenario, self.econ, self.scenario.env, self.rows, self.T
-        j0, t0, s0, n0 = self.j0[idx], self.t0[idx], rows.s[idx], rows.n[idx]
+        t0, s0, n0 = self.t0[idx], rows.s[idx], rows.n[idx]
         t_hit = sc.ceiling_time(t0, s0, n0)
         hits = t_hit <= T[-1]
         t = np.where(hits, t_hit, T[-1])
@@ -459,28 +445,34 @@ class _Segment:
         s[grows] = sc.uncut_s_after(s0[grows], n0[grows], env.v.integral(t0[grows], T[-1]))
         rows.value[idx] += n0 * (price(econ, env, s, t) - price(econ, env, s0, t0))
         rows.s[idx], rows.rate[idx] = s, revenue_rate(sc, econ, s, n0, t)
-        # The grid index at or before the end, as _arc reads it.
-        self.j0[idx] = np.maximum(np.searchsorted(T, t, side="right") - 1, j0)
         self.t0[idx] = t
         if hits.any():
-            self._cross(idx[hits], t_hit[hits], n0[hits], hold[idx[hits]], riding)
+            self._cross(idx[hits], t_hit[hits], n0[hits])
 
     def _arc(self, idx) -> None:
         """Rows ``idx`` riding the ceiling from (t0, n) by
         :func:`dynamics._arc_rows`, up to the step in which the count falls
         below n_min, where they exit."""
         sc, rows = self.scenario, self.rows
-        j0, t0 = self.j0[idx], self.t0[idx]
-        ar = np.arange(idx.size)
-        n, jb, ends, t_exit = _arc_rows(sc, t0, rows.n[idx], self.T)
+        n, jb, ends, t_exit = _arc_rows(sc, self.t0[idx], rows.n[idx], self.T)
         s = sc.params.ceiling_s(n)
-        R = self._grid_rate(s, n, sc.growth_per_energy(s, n))
-        R[ar, j0] = rows.rate[idx]
-        value = self._gregory(rows.value[idx], R, j0, t0, jb)
-        self._hand_over(idx, jb, s[ar, jb], n[ar, jb], R[ar, jb], value)
+        self._sum(idx, s, n, self._grid_rate(s, n, sc.growth_per_energy(s, n)), jb)
         rows.on_arc[idx[~ends]] = True
         if ends.any():
             self._exit(idx[ends], t_exit)
+
+    def _sum(self, idx, s, n, R, jb) -> None:
+        """Add to the rows' values their pieces from t0 to grid index ``jb``,
+        by :meth:`_gregory` on the integrand ``R`` with the row's ``rate``
+        at the piece's start, and write their state (s, n) and integrand at
+        ``jb``, or at t0 where that lies after T[jb]."""
+        rows, T, t0 = self.rows, self.T, self.t0[idx]
+        ar = np.arange(idx.size)
+        j0 = np.searchsorted(T, t0, side="right") - 1     # the grid time at or before t0
+        R[ar, j0] = rows.rate[idx]
+        rows.value[idx] = self._gregory(rows.value[idx], R, j0, t0, jb)
+        rows.s[idx], rows.n[idx], rows.rate[idx] = s[ar, jb], n[ar, jb], R[ar, jb]
+        self.t0[idx] = np.maximum(T[jb], t0)
 
     def _gregory(self, value, R, j0, t0, jb):
         """``value`` plus the integral of the rows' integrand ``R`` over their

@@ -48,6 +48,19 @@ class TestRdi:
         with pytest.raises(ValueError):
             sg.rdi(p, 100.0, 0.0)
 
+    def test_density_is_rdi_without_its_check(self):
+        p = make_params()
+        n, s = np.array([100.0, 1000.0, 5e4]), np.array([0.3, 0.05, 1e-3])
+        assert np.array_equal(p.density(n, s).view(np.uint64), sg.rdi(p, n, s).view(np.uint64))
+
+    @pytest.mark.parametrize("q, A", [(1.6, 0.001), (1.25, 0.015625), (1.9, 1e-4)])
+    def test_density_is_one_at_the_ceiling(self, q, A):
+        """Within 4 ulp of 1 at ceiling_s(n): 2.5 ulp at most over these."""
+        p = make_params(q=q, A=A)
+        n = np.geomspace(p.n_min, 1e5, 257)
+        np.testing.assert_allclose(p.density(n, p.ceiling_s(n)), 1.0,
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+
     @given(n=st.floats(1.0, 1e5), s=st.floats(1e-4, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_log_form_identity(self, n, s):

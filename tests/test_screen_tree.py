@@ -105,6 +105,18 @@ def test_tree_matches_flat_screen_with_four_levels(concave_price):
                          (_HOLD_CODE, 0.0, e_max / 100, e_max), 3)
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_tree_matches_flat_screen_through_cut_crossings(name):
+    """The crossing case above on every scenario at the window midpoint:
+    e_max/100 cuts into the ceiling, 12 of the screen's cut rows cross it
+    above n_min and die there (11 on low_energy), and ``hold`` rows ride
+    from their ceiling hits inside a step.  The widest gap is 3.0e-14, on
+    convex_price_power."""
+    loaded = load(name)
+    _assert_matches_flat(loaded.scenario, loaded.economics, window_horizon(loaded.scenario, 0.5),
+                         (_HOLD_CODE, 0.0, loaded.scenario.params.e_max / 100), 5)
+
+
 def test_tree_matches_flat_screen_through_arc_exits(concave_price):
     """Rides down the ceiling to n_min, which the window cases above do not
     reach: cutting for H/8 and then holding exits at 28.23 of H = 29."""
