@@ -40,6 +40,8 @@ from standgrowth.dynamics import HOLD, Policy, integrate, sample_policies
 from standgrowth.economics import objective
 from standgrowth.optimizer import _HOLD_CODE, _screen_candidates, brute_force
 
+from conftest import window_horizon
+
 # Relative, so that the verify reports, which name their scenario file, do
 # not depend on where the checkout lies.
 SCENARIOS = sorted(pathlib.Path("scenarios").glob("*.ini"))
@@ -61,23 +63,13 @@ def _guarded(fn):
         return (type(exc).__name__, str(exc))
 
 
-def _window_horizon(scn, u: float) -> float:
-    """The horizon a fraction ``u`` into the admissible window (t0_n, t_upper),
-    with t_upper capped at t_star."""
-    p = scn.params
-    t0n = sg.time_to_count(p, scn.initial.n, p.n_min)
-    t_upper = sg.t_cap0(scn)
-    t_upper = p.t_star if sg.is_unreachable(t_upper) else min(t_upper, p.t_star)
-    return t0n + u * (t_upper - t0n)
-
-
 def screen_cases():
     for path in SCENARIOS:
         loaded = sg.load_scenario(path)
         scn, econ, e_max = loaded.scenario, loaded.economics, loaded.scenario.params.e_max
         for k in (5, 8):
             for u in (0.1, 0.3, 0.5, 0.7, 0.9):
-                H = _window_horizon(scn, u)
+                H = window_horizon(scn, u)
                 for name, levels in (("max", (0.0, e_max)), ("slow", (0.0, e_max / 100)),
                                      ("half", (0.0, 0.5))):
                     codes = np.array(sorted(levels + (_HOLD_CODE,)))
