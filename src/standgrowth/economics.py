@@ -141,21 +141,20 @@ def objective(scenario: Scenario, econ: EconomicModel, traj: Trajectory) -> floa
 
     The thinning integral is a composite Simpson sum over each span that
     cuts: at the span's constant rate on a cut span, at the ceiling-holding
-    rate of each sample on an arc.  Free spans cut nothing.  The final term
-    values the remaining trees at the last valid time of the trajectory
-    (the horizon, or the exit corner when the stand leaves its validity
-    domain earlier).
+    rate of each sample on an arc; free spans cut nothing.  The final term
+    values the trees left at the trajectory's last valid time (the horizon
+    or an earlier exit corner).  Prices are taken on the samples summed,
+    the last as an array: numpy's scalar power rounds differently.
     """
-    t, s = traj.t, traj.s
-    pr = price(econ, scenario.env, s, t)
+    env = scenario.env
     total = 0.0
     for kind, a, b in _span_samples(traj):
         if kind == "free":
             continue
-        e = traj.e[a] if kind == "cut" else \
-            boundary_control(scenario.params, scenario.env, s[a:b + 1], t[a:b + 1])
-        total += _simpson(pr[a:b + 1] * e, t[a:b + 1])
-    total += float(pr[-1] * traj.n[-1])
+        t, s = traj.t[a:b + 1], traj.s[a:b + 1]
+        e = traj.e[a] if kind == "cut" else boundary_control(scenario.params, env, s, t)
+        total += _simpson(price(econ, env, s, t) * e, t)
+    total += float(price(econ, env, traj.s[-1:], traj.t[-1:])[0] * traj.n[-1])
     return float(total)
 
 

@@ -79,18 +79,17 @@ _GAUSS_W = (0.6521451548625461, 0.34785484513745385)
 # The nodes in ascending order, and the rule's collocation matrix on them:
 # entry [j][k] is the integral from -1 to node j of the Lagrange polynomial
 # of node k, so that row j sums to 1 + node j (evaluated in 60-digit
-# arithmetic and rounded).
+# arithmetic and rounded).  Stored column-major, so that the einsum of a
+# sweep's node update loops innermost over the nodes or steps, not the summed
+# k: node j is its step start plus a[j][0] f0 + ... + a[j][3] f3, summed in
+# that order (row-major, or by BLAS's A @ f, some blocks sum in another order).
 _GAUSS_NODES = (-_GAUSS_X[1], -_GAUSS_X[0], _GAUSS_X[0], _GAUSS_X[1])
-_GAUSS_A = (
+_GAUSS_A = np.asfortranarray((
     (0.17392742256872692, -0.05320836016999759, 0.02525492537880945, -0.007110299371591367),
     (0.37623623499973613, 0.32607257743127305, -0.05576085720494179, 0.013471001189076312),
     (0.33438384394837756, 0.7079060120674879, 0.32607257743127305, -0.028381389862282287),
     (0.3549651445090452, 0.6268902294837367, 0.7053535150325437, 0.17392742256872692),
-)
-# Column k of that matrix over the (node, stand, step) axes of a sweep, so
-# that one expression updates every node: node j is its step start plus
-# a[j][0] f0 + a[j][1] f1 + a[j][2] f2 + a[j][3] f3, summed in that order.
-_GAUSS_A_COLS = tuple(np.array(_GAUSS_A).T[:, :, None, None])
+))
 # Picard sweeps of a fagacees cut span: a stand is solved once a sweep moves
 # none of its step-end values by more than _PICARD_TOL times its last one
 # (four units in the last place), and a stand still moving after
@@ -565,7 +564,6 @@ class Scenario:
         if not (m and shape[1]):
             return out.reshape(lead + (m,))
         g, density = self.growth.g, self.params.density
-        a0, a1, a2, a3 = _GAUSS_A_COLS
         nodes = np.broadcast_to(s0, shape)
         stands = np.arange(shape[1])        # the stands still sweeping
         ends = None
@@ -575,7 +573,7 @@ class Scenario:
             ends = s0 + np.cumsum(_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3]),
                                   axis=-1)
             starts = np.concatenate((s0, ends[:, :-1]), axis=1)
-            nodes = starts + (a0 * f[0] + a1 * f[1] + a2 * f[2] + a3 * f[3])
+            nodes = starts + np.einsum("jk,ksm->jsm", _GAUSS_A, f)
             if last is None:
                 continue
             solved = np.max(np.abs(ends - last), axis=1) <= _PICARD_TOL * ends[:, -1]

@@ -21,16 +21,14 @@ Two independent routes to the same question:
   of ``integrate`` (``dynamics._cut_rows``, ``_arc_rows`` and
   ``_on_ceiling``) and the closed form of uncut growth.
   It ranks them on the by-parts form of the objective, whose integrand
-  n dP/dt depends on the state alone and is smooth between events.  An
-  uncut piece keeps its count, so it adds n [P(s, t)] between its ends
-  exactly, and is solved at its end alone; a cut or ceiling-riding piece
-  is summed by Gregory's end-corrected trapezoid, fourth order in the step.
-  Rows merge by one ``np.lexsort`` over the bit patterns of their states.
-  Of the best few, each screened state is re-integrated once at a fine
-  step, by its first contender in enumeration order, together with the
-  canonical policies, and the exact objective decides; Max, which the
-  n_min clamp makes E0, shares E0's run.  Its E0 and Esup runs are the
-  references of :func:`check_prop2`'s xi floor.
+  n dP/dt depends on the state alone and is smooth between events: exact
+  on an uncut piece, solved at its end alone, and fourth order in the step
+  on the others.  Of the best few, each screened state is re-integrated
+  once at a fine step, by its first contender in enumeration order,
+  together with the canonical policies, and the exact objective decides.
+  Max, which the n_min clamp makes E0, shares E0's run, and Zero, which
+  grows as Esup does up to the ceiling, reads Esup's.  The E0 and Esup
+  runs are the references of :func:`check_prop2`'s xi floor.
 
 :func:`compare_canonicals` scores the canonical policies through the same
 re-score, which integrates each distinct schedule once and gives no run to
@@ -49,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -92,14 +90,7 @@ class Prop2Report:
     xi_form: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "alpha_margin": self.alpha_margin,
-            "discount_margin": self.discount_margin,
-            "alpha_star": self.alpha_star,
-            "concave_bound": self.concave_bound,
-            "xi_form": self.xi_form,
-        }
+        return asdict(self)
 
 
 # The report without a ceiling-riding reference: no floor, so no claim.
@@ -205,25 +196,11 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
     stand.  So each distinct state is advanced once, and the leaves are read
     through the map.
 
-    Every row is advanced, segment by segment, by the span kind of its
-    state (see :class:`_Segment`): ceiling riders and cut rows by the span
-    code of ``integrate``, on (rows x grid times) blocks of one fixed grid
-    of about ``steps_total`` steps; uncut rows by closed forms at the end
-    of their piece alone.  A row crossing the ceiling at n_min exits
-    at the corner; a ``hold`` row crossing elsewhere rides the ceiling from
-    the crossing, unless holding it needs a rate above e_max; any other
-    crossing kills the row.  Values are the by-parts objective,
-    its integrand n dP/dt (shared with ``objective_ibp``) summed over each
-    piece, a run of one span kind within one segment, between its events.
-    An uncut piece keeps its count, so it adds n [P(s, t)] between its
-    ends, exactly.  The other pieces take the trapezoid over a partial step
-    at either end and Gregory's end-corrected trapezoid over the full
-    steps: the integrand depends on the state alone and is smooth inside a
-    piece, so the sum is fourth order in the step, and the events cost only
-    the partial steps' trapezoids.  A row reaching the exit corner freezes
-    there; winners are re-integrated exactly.  Returns (values, feasible,
-    n_end): -inf values for dead rows, and the count where each row
-    stopped.
+    Every row is advanced, segment by segment, on one fixed grid of about
+    ``steps_total`` steps by :class:`_Segment`, which sums the by-parts
+    objective piece by piece; a row reaching the exit corner freezes there.
+    Returns (values, feasible, n_end): -inf values for dead rows, and the
+    count where each row stopped.
     """
     c = len(codes)
     grid, steps_per, h, rows = _screen_start(scenario, econ, horizon, k, steps_total)
@@ -559,10 +536,13 @@ def _fine_runs(scenario: Scenario, econ: EconomicModel, horizon: float,
     None, value or None), in the order of ``policies``.
 
     Each distinct schedule is integrated once, and Max shares E0's run:
-    with the n_min clamp, cutting at e_max throughout is E0's dynamics.  A
-    schedule whose ceiling ride needs a rate above e_max has no run; a run
-    has a value when it covers the horizon and, with ``terminal_n_min``,
-    ends at n_min.
+    with the n_min clamp, cutting at e_max throughout is E0's dynamics.
+    Zero grows as Esup does up to Esup's first RdiHitOne: without one Zero
+    has Esup's run, and where Zero's stop there would not cover the horizon
+    it has no run; it runs alone only where Esup has no run, or the hit
+    covers the horizon.  A schedule whose ceiling ride needs a rate above
+    e_max has no run; a run has a value when it covers the horizon and,
+    with ``terminal_n_min``, ends at n_min.
     """
     by_schedule = {}
     runs = {}
@@ -570,6 +550,11 @@ def _fine_runs(scenario: Scenario, econ: EconomicModel, horizon: float,
         schedule = (policy.breakpoints, policy.levels)
         if name == "Max" and "E0" in runs:
             by_schedule[schedule] = runs["E0"]
+        esup = runs["Esup"][0] if name == "Zero" and "Esup" in runs else None
+        if esup is not None and schedule not in by_schedule:
+            hit = next((ev.time for ev in esup.events if ev.kind == "RdiHitOne"), None)
+            if hit is None or hit < horizon * (1.0 - 1e-12):
+                by_schedule[schedule] = runs["Esup"] if hit is None else (None, None)
         if schedule not in by_schedule:
             try:
                 traj = integrate(scenario, policy, horizon, step=step)
@@ -611,7 +596,7 @@ def _contenders(values: np.ndarray, n_end: np.ndarray, rescore_top: int) -> list
     """
     order = np.argsort(-values, kind="stable")
     states, out = set(), []
-    for i in order[:max(rescore_top, 1)]:
+    for i in order[:rescore_top]:
         state = (float(values[i]), float(n_end[i]))
         if np.isfinite(state[0]) and state not in states:
             states.add(state)
@@ -652,7 +637,7 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     above e_max, are discarded; candidates that exhaust the stand early
     clear-cut at the exit corner.  With ``terminal_n_min`` only schedules
     ending at n(T) = n_min compete.  The screening pass runs at roughly 256
-    steps over the horizon.  Of the best ``rescore_top`` candidates, each
+    steps.  Of the best ``rescore_top`` candidates (a positive int), each
     screened state once, by its first contender in enumeration order, and
     all canonical policies are re-integrated at ``fine_step`` (default
     horizon/4096), each distinct schedule once, before the final comparison.
@@ -665,6 +650,9 @@ def brute_force(scenario: Scenario, econ: EconomicModel, horizon: float,
     _require_admissible_horizon(scenario, horizon)
     if not 1 <= n_intervals <= 10:
         raise ValueError("n_intervals must lie in 1..10")
+    if isinstance(rescore_top, bool) or not isinstance(rescore_top, (int, np.integer)) \
+            or rescore_top < 1:
+        raise ValueError(f"rescore_top must be a positive integer (got {rescore_top!r})")
     codes = []
     for lv in levels:
         if lv == HOLD:

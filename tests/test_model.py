@@ -481,6 +481,24 @@ class TestCutCollocation:
         for i in range(s.size):
             np.testing.assert_array_equal(both[i], scn.cut_s_after(s[i], times, counts[i]))
 
+    def test_node_update_sums_in_order(self):
+        """The sweep's node update, one einsum over the column-major
+        collocation matrix, is a[j][0] f0 + a[j][1] f1 + a[j][2] f2 +
+        a[j][3] f3 summed in that order, bit for bit, on every block layout
+        a sweep meets: C order, the strided copies that dropping solved
+        stands makes, and blocks of one stand or of one step."""
+        from standgrowth.model import _GAUSS_A
+        assert _GAUSS_A.flags.f_contiguous
+        cols = [_GAUSS_A[:, k, None, None] for k in range(4)]
+        rng = np.random.default_rng(5)
+        for stands, steps in [(1, 1), (1, 7), (5, 1), (30, 1), (4, 30), (9, 256)]:
+            full = rng.standard_normal((4, stands + 3, steps)) * rng.uniform(0.1, 10.0, (4, 1, 1))
+            keep = np.zeros(stands + 3, dtype=bool)
+            keep[rng.choice(stands + 3, stands, replace=False)] = True
+            for f in (full[:, :stands], full[:, keep], np.exp(full[:, keep])):
+                ordered = cols[0] * f[0] + cols[1] * f[1] + cols[2] * f[2] + cols[3] * f[3]
+                np.testing.assert_array_equal(np.einsum("jk,ksm->jsm", _GAUSS_A, f), ordered)
+
     def test_constant_count_is_uncut_growth(self):
         scn = fagacees_scenario()
         times = np.linspace(2.0, 6.0, 9)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import standgrowth as sg
-from standgrowth.optimizer import (_HOLD_CODE, _covers, _levels_to_policy, _screen_candidates,
-                                   _screen_start, _tie_tol,
+from standgrowth.optimizer import (_HOLD_CODE, _covers, _fine_runs, _levels_to_policy,
+                                   _screen_candidates, _screen_start, _tie_tol,
                                    canonical_policies)
 
 from conftest import load, scenarios, window_horizon
@@ -98,6 +98,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=message):
             sg.brute_force(convex_price.scenario, convex_price.economics, horizon,
                            n_intervals=2)
+
+    @pytest.mark.parametrize("rescore_top", [0, -3, 2.5, True])
+    def test_rescore_top_must_be_a_positive_integer(self, convex_price, rescore_top):
+        with pytest.raises(ValueError, match="rescore_top must be a positive integer"):
+            sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
+                           n_intervals=2, rescore_top=rescore_top)
 
     def test_small_search_beats_canonicals(self, convex_price):
         res = sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
@@ -336,9 +342,11 @@ class TestRescoreEachState:
         scn, econ, horizon = concave_price.scenario, concave_price.economics, 30.0
         _, values, n_end = screen(scn, econ, horizon, 5, False)
         _, _, contenders = every_contender_search(scn, econ, horizon, 5)
-        # Max shares E0's run, so its schedule is never integrated.
-        canon = {_schedule(pol) for name, pol in canonical_policies(scn, horizon).items()
-                 if name != "Max"}
+        # Max shares E0's run, and Zero Esup's, which rides the ceiling from
+        # before the horizon, where Zero stops: neither schedule is integrated.
+        named = canonical_policies(scn, horizon)
+        shared = {_schedule(named["Max"]), _schedule(named["Zero"])}
+        canon = {_schedule(pol) for pol in named.values()} - shared
         # The first contender of each screened state, in enumeration order.
         firsts = {}
         for i, pol in sorted(contenders.items()):
@@ -355,8 +363,8 @@ class TestRescoreEachState:
         monkeypatch.setattr("standgrowth.optimizer.integrate", counting)
         sg.brute_force(scn, econ, horizon, n_intervals=5)
         assert len(set(seen)) == len(seen)
-        assert canon <= set(seen)
-        assert set(seen) - canon == set(firsts.values()) - canon
+        assert canon <= set(seen) and not shared & set(seen)
+        assert set(seen) - canon == set(firsts.values()) - canon - shared
 
 
 def _joined_spans(traj) -> list:
@@ -428,6 +436,75 @@ class TestMaxRunsAsE0:
         result = sg.brute_force(convex_price.scenario, convex_price.economics, 30.0,
                                 n_intervals=3)
         assert result.canonical_values["Max"] == result.canonical_values["E0"]
+
+
+def _assert_zero_as_alone(scn, econ, horizon: float, terminal_n_min: bool = False) -> dict:
+    """The re-score gives Zero the value of Zero integrated alone, and
+    where it has one, the same run bit for bit, though it reads Zero off
+    Esup's run.  Returns the re-score's runs of the canonical policies."""
+    runs = _fine_runs(scn, econ, horizon, canonical_policies(scn, horizon),
+                      terminal_n_min=terminal_n_min)
+    alone = _fine_runs(scn, econ, horizon, {"Zero": sg.build_policy(scn, "zero")},
+                       terminal_n_min=terminal_n_min)["Zero"]
+    (traj, value), (want, want_value) = runs["Zero"], alone
+    assert value == want_value
+    if value is not None:
+        for field in ("t", "s", "n", "e", "r", "drdt", "on_arc"):
+            np.testing.assert_array_equal(getattr(traj, field), getattr(want, field))
+        assert (traj.events, traj.validity_end, traj.exited, traj.spans) == \
+            (want.events, want.validity_end, want.exited, want.spans)
+    return runs
+
+
+def _esup_hit(runs) -> float | None:
+    """The first RdiHitOne of the re-score's Esup run, None without one."""
+    return next((ev.time for ev in runs["Esup"][0].events if ev.kind == "RdiHitOne"), None)
+
+
+class TestZeroSharesEsup:
+    @pytest.mark.parametrize("terminal", [False, True])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenarios(self, name, terminal):
+        loaded = load(name)
+        scn = loaded.scenario
+        for u in (0.1, 0.3, 0.5, 0.7, 0.9):
+            _assert_zero_as_alone(scn, loaded.economics, window_horizon(scn, u), terminal)
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_horizon_at_the_ceiling_hit(self, name, terminal):
+        """At H = t_sup0 Esup's hit covers the horizon, so Zero is
+        integrated: it stops there with a value (none under the terminal
+        constraint, n staying above n_min)."""
+        loaded = load(name)
+        scn = loaded.scenario
+        runs = _assert_zero_as_alone(scn, loaded.economics, scn.t_sup0, terminal)
+        hit = _esup_hit(runs)
+        assert hit is None or hit >= scn.t_sup0 * (1.0 - 1e-12)
+        assert (runs["Zero"][1] is None) == terminal
+
+    def test_esup_that_cannot_ride(self, concave_price):
+        scn = _with_e_max(concave_price.scenario, 8.5)
+        runs = _assert_zero_as_alone(scn, concave_price.economics, 30.0)
+        assert runs["Esup"][0] is None and runs["Zero"][1] is None
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_stand_at_n_min(self, concave_price, terminal):
+        """A stand at n_min reaches the ceiling at the exit corner, where
+        Esup exits as Zero does; E0 is the Zero schedule."""
+        scn = concave_price.scenario
+        scn = dataclasses.replace(scn, initial=dataclasses.replace(scn.initial,
+                                                                   n=scn.params.n_min))
+        for horizon in (0.5 * scn.t_sup0, 30.0):
+            runs = _assert_zero_as_alone(scn, concave_price.economics, horizon, terminal)
+            assert _esup_hit(runs) is None
+        assert runs["Zero"][0].exited and runs["Zero"][1] is not None
+
+    @given(scn=scenarios(), horizon=st.floats(5.0, 60.0), terminal=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_generated_scenarios(self, scn, horizon, terminal):
+        _assert_zero_as_alone(scn, sg.EconomicModel(k=1.0, alpha=2.0, delta=0.01), horizon,
+                              terminal)
 
 
 def _fine_objective(loaded, codes: np.ndarray, horizon: float, steps: int) -> float:

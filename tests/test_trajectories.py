@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import standgrowth as sg
-from conftest import load, scenarios
+from conftest import load, scenarios, window_horizon
 from standgrowth._rootfind import bisect
 
 
@@ -275,6 +275,40 @@ class TestBuildPolicy:
         traj = sg.integrate(scn, pol, T)
         assert traj.n[-1] == pytest.approx(p.n_min, rel=1e-7)
         assert traj.interp_n(t_switch) == pytest.approx(n_at_switch, rel=1e-7)
+
+
+class TestScalarBisect:
+    """``bisect`` on one bracket runs its iterates on floats; on arrays,
+    elementwise.  The two give the same root, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["concave_price_power.ini", "convex_price_power.ini",
+                                      "fagacees.ini", "linear_growth.ini", "low_energy.ini"])
+    def test_et_switch_time_matches_array_path(self, name, monkeypatch):
+        scn = load(name).scenario
+        roots = []
+
+        def both(f, lo, hi, *args, **kwargs):
+            scalar = bisect(f, lo, hi, *args, **kwargs)
+            roots.append((scalar, bisect(f, np.array([lo]), np.array([hi]), *args, **kwargs)))
+            return scalar
+
+        monkeypatch.setattr("standgrowth.trajectories.bisect", both)
+        for u in (0.5, 0.7, 0.9):
+            pol = sg.build_policy(scn, "et", T=window_horizon(scn, u))
+            assert pol.meta_dict()["t_switch"] == roots[-1][0]
+        assert len(roots) == 3      # each a long horizon, whose switch is bisected
+        for scalar, array in roots:
+            assert type(scalar) is float and array.shape == (1,)
+            assert scalar == array[0]
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0),       # stops on the bracket width
+        (lambda x: x - 0.25, 0.0, 1.0),           # lands on the root
+        (lambda x: x, 0.0, 1.0),                  # a root at an end
+        (lambda x: x - 1.0, 0.0, 1.0),
+    ])
+    def test_scalar_and_array_brackets_agree(self, f, lo, hi):
+        assert bisect(f, lo, hi) == bisect(f, np.array([lo]), np.array([hi]))[0]
 
 
 class TestExtremalTimes:
