@@ -248,7 +248,7 @@ class _Recorder:
         merges into it: the earlier time stays, with the later state."""
         t, s, n, e = np.atleast_1d(t, s, n, e)
         state = (s, n, e, np.full(t.size, arc))
-        kept = np.flatnonzero(np.diff(t, prepend=self.cols[0][-1][-1]) >= 1e-13)
+        kept = (t - np.concatenate(([self.cols[0][-1][-1]], t[:-1])) >= 1e-13).nonzero()[0]
         if kept.size < t.size:
             # The state of a run of merged samples is that of its last one.
             last = np.append(kept, t.size) - 1
@@ -281,10 +281,10 @@ def _span_grid(t: float, tb: float, h_nom: float) -> np.ndarray:
     """
     t_stop = tb - 1e-13 * max(1.0, tb)
     # One step more than fits, so the last time lies past tb and ends there.
-    ts = np.cumsum(np.concatenate(([t], np.full(int((tb - t) / h_nom) + 2, h_nom))))
+    ts = np.concatenate(([t], np.full(int((tb - t) / h_nom) + 2, h_nom))).cumsum()
     left = tb - ts
     ends = (ts >= t_stop) | (left <= np.minimum(h_nom, left) * (1.0 + 1e-9))
-    k = int(np.argmax(ends))
+    k = int(ends.argmax())
     return ts[1:k + 1] if ts[k] >= t_stop else np.append(ts[1:k + 1], tb)
 
 
@@ -301,7 +301,7 @@ def _free_span(scenario: Scenario, t: float, s: float, n: float, e: float, ts):
     if scenario.params.density(n, s) >= 1.0 - CEILING_REL_TOL:
         return (np.empty(0),) * 4, ("RdiHitOne", t, n)
     t_hit = float(scenario.ceiling_time(t, s, n))
-    k = int(np.searchsorted(ts, t_hit))            # the step that reaches the ceiling
+    k = int(ts.searchsorted(t_hit))                # the step that reaches the ceiling
     ss = scenario.uncut_s_after(s, n, scenario.env.v.integral(t, ts[:k]))
     samples = ts[:k], ss, np.full(k, n), np.zeros(k)
     if k == ts.size:
@@ -371,7 +371,7 @@ def _arc_rows(scenario: Scenario, t0, n0, T):
     n = scenario.arc_count_after(n0[:, None], scenario.env.v.integral(T0, np.maximum(T, T0)))
     below = (n < scenario.params.n_min) & (T > T0)
     ends = below.any(axis=1)
-    jb = np.where(ends, np.argmax(below, axis=1) - 1, T.size - 1)
+    jb = np.where(ends, below.argmax(axis=1) - 1, T.size - 1)
     t_exit = (np.minimum(scenario.arc_exhaustion_time(t0[ends], n0[ends]), T[jb[ends] + 1])
               if ends.any() else np.zeros(0))
     return n, jb, ends, t_exit
@@ -398,7 +398,7 @@ def _cut_rows(scenario: Scenario, T, s0, n0, e):
     p, S = scenario.params, T.size - 1
     n = n0[:, None] - e[:, None] * (T - T[0])
     spent = n <= _spent_count(p)
-    j_spent = np.where(spent.any(axis=1), np.argmax(spent, axis=1), S + 1)
+    j_spent = np.where(spent.any(axis=1), spent.argmax(axis=1), S + 1)
     m = min(int(j_spent.max()), S) + 1
     t_spent = np.minimum(T[0] + (n0 - p.n_min) / e, T[np.minimum(j_spent, S)])
     times = np.where(spent[:, :m], t_spent[:, None], T[:m])
@@ -406,9 +406,9 @@ def _cut_rows(scenario: Scenario, T, s0, n0, e):
     s = np.concatenate((s0[:, None], scenario.cut_s_after(s0, times, n)), axis=1)
     r = p.density(n, s)
     over = r[:, 1:] > 1.0
-    j_cross = np.where(over.any(axis=1), np.argmax(over, axis=1) + 1, S + 1)
+    j_cross = np.where(over.any(axis=1), over.argmax(axis=1) + 1, S + 1)
     j_cross[j_cross > j_spent] = S + 1
-    c = np.flatnonzero(j_cross <= S)
+    c = (j_cross <= S).nonzero()[0]
     i = j_cross[c]
     t = times[c, i - 1]
     t_c = t + _cut_crossings(scenario, t, s[c, i - 1], n[c, i - 1], e[c], times[c, i] - t)
@@ -433,7 +433,7 @@ def _cut_crossings(scenario: Scenario, t, s, n, e, h):
         return density(n_h, s_h) - 1.0
 
     hh = np.where(density(n, s) < 1.0 - CEILING_REL_TOL, h, 0.0)
-    k = np.flatnonzero(hh > 0.0)
+    k = (hh > 0.0).nonzero()[0]
     if k.size:
         k = k[excess(hh[k], k) > 0.0]
         hh[k] = bisect(lambda x: excess(x, k), 0.0, h[k], xtol=np.spacing(t[k] + h[k]))

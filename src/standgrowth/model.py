@@ -312,7 +312,7 @@ class GrowthEnergy:
         """Closed-form cumulative energy over [t0, t1] (floats or ndarrays)."""
         # np.any only for arrays: it would triple the cost of a ceiling step.
         arrays = isinstance(t0, np.ndarray) or isinstance(t1, np.ndarray)
-        if np.any(t1 < t0) if arrays else t1 < t0:
+        if (t1 < t0).any() if arrays else t1 < t0:
             raise ValueError(f"empty interval: t0={t0} > t1={t1}")
         # Written in expm1/log1p so that no digits cancel over short spans.
         if self.lam == 0.0:
@@ -524,7 +524,8 @@ class Scenario:
         other (one time grid for many stands), with ``s`` one value per
         stand.  Returns s at ``times[..., 1:]``.
         """
-        half_t, half_n = 0.5 * np.diff(times), 0.5 * np.diff(counts)
+        half_t = 0.5 * (times[..., 1:] - times[..., :-1])
+        half_n = 0.5 * (counts[..., 1:] - counts[..., :-1])
         # The energy and the count at the nodes of every step, node first.
         x = np.reshape(_GAUSS_NODES, (-1,) + (1,) * max(half_t.ndim, half_n.ndim))
         v_nodes = self.env.v(times[..., :-1] + half_t + x * half_t)
@@ -534,7 +535,7 @@ class Scenario:
         f = v_nodes * n_nodes ** -self.growth.theta
         step = _GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3])
         k, coef = self._power_terms()
-        weighted = np.cumsum(half_t * step, axis=-1)
+        weighted = (half_t * step).cumsum(axis=-1)
         return (np.asarray(s)[..., None] ** k + coef * weighted) ** (1.0 / k)
 
     def _collocate(self, s, half_t, v_nodes, n_nodes):
@@ -570,13 +571,12 @@ class Scenario:
         for _ in range(_PICARD_MAX_SWEEPS):
             f = g(density(n_nodes, nodes)) / n_nodes * vh
             last = ends
-            ends = s0 + np.cumsum(_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3]),
-                                  axis=-1)
+            ends = s0 + (_GAUSS_W[0] * (f[1] + f[2]) + _GAUSS_W[1] * (f[0] + f[3])).cumsum(axis=-1)
             starts = np.concatenate((s0, ends[:, :-1]), axis=1)
             nodes = starts + np.einsum("jk,ksm->jsm", _GAUSS_A, f)
             if last is None:
                 continue
-            solved = np.max(np.abs(ends - last), axis=1) <= _PICARD_TOL * ends[:, -1]
+            solved = np.abs(ends - last).max(axis=1) <= _PICARD_TOL * ends[:, -1]
             if solved.any():
                 out[stands[solved]] = ends[solved]
                 left = ~solved

@@ -211,7 +211,7 @@ def _screen_candidates(scenario: Scenario, econ: EconomicModel, horizon: float,
         # every level: it gets one child, which every level's prefix maps to.
         spread = ~(rows.done | (~rows.on_arc & (rows.n <= spent)))
         width = np.where(spread, c, 1)
-        first = np.cumsum(width) - width
+        first = width.cumsum() - width
         parent = np.repeat(np.arange(width.size), width)
         rows = rows.take(parent)
         leaf = (first[leaf, None] + spread[leaf, None] * np.arange(c)).ravel()
@@ -274,7 +274,7 @@ class _Rows:
         first = np.ones(order.size, dtype=bool)
         first[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
         inverse = np.empty(order.size, dtype=np.intp)
-        inverse[order] = np.cumsum(first) - 1
+        inverse[order] = first.cumsum() - 1
         return self.take(order[first]), inverse
 
 
@@ -335,14 +335,14 @@ class _Segment:
         self.riding = live & rows.on_arc
         for idx in self._blocks(cut, _CUT_CELLS):
             self._cut(idx, levels[idx])
-        self._free(np.flatnonzero(self.free))
+        self._free(self.free.nonzero()[0])
         for idx in self._blocks(self.riding):
             self._arc(idx)
 
     def _blocks(self, mask: np.ndarray, per_time: int = 1):
         """The rows of ``mask`` in blocks of about ``_GRID_CELLS`` cells, with
         ``per_time`` cells per row and grid time."""
-        idx = np.flatnonzero(mask)
+        idx = mask.nonzero()[0]
         size = max(1, _GRID_CELLS // ((self.S + 1) * per_time))
         return (idx[i:i + size] for i in range(0, idx.size, size))
 
@@ -398,7 +398,7 @@ class _Segment:
         R[:, :s.shape[1]] = self._grid_rate(s, n, sc.growth.g(r) / n)
         crosses = j_cross <= S
         self._sum(idx, s, n, R, np.where(crosses, j_cross - 1, np.minimum(j_spent - 1, S)))
-        i = np.flatnonzero(~crosses & (j_spent <= S))      # the rows leaving spent
+        i = (~crosses & (j_spent <= S)).nonzero()[0]       # the rows leaving spent
         if i.size:
             t_i, s_i = times[i, j_spent[i]], s[i, j_spent[i]]
             self._move(idx[i], t_i, s_i, n_min, revenue_rate(sc, self.econ, s_i, n_min, t_i))
@@ -445,7 +445,7 @@ class _Segment:
         ``jb``, or at t0 where that lies after T[jb]."""
         rows, T, t0 = self.rows, self.T, self.t0[idx]
         ar = np.arange(idx.size)
-        j0 = np.searchsorted(T, t0, side="right") - 1     # the grid time at or before t0
+        j0 = T.searchsorted(t0, side="right") - 1         # the grid time at or before t0
         R[ar, j0] = rows.rate[idx]
         rows.value[idx] = self._gregory(rows.value[idx], R, j0, t0, jb)
         rows.s[idx], rows.n[idx], rows.rate[idx] = s[ar, jb], n[ar, jb], R[ar, jb]
@@ -465,7 +465,7 @@ class _Segment:
         a = j0 + (t0 > T[j0])           # the first full step's start
         J = np.arange(1, self.S + 1)
         full = (J > a[:, None]) & (J <= jb[:, None])
-        value = value + h / 2 * np.sum(np.where(full, R[:, :-1] + R[:, 1:], 0.0), axis=1)
+        value = value + h / 2 * np.where(full, R[:, :-1] + R[:, 1:], 0.0).sum(axis=1)
         part = (a > j0) & (jb >= a)
         if part.any():
             r, a0 = ar[part], a[part]
